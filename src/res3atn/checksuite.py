@@ -77,8 +77,13 @@ def _check_maxpool3d(seed: int) -> list[GradCheckReport]:
         (1, 2, 5, 6, 5, 3, 2, 1),
     ]
     for n, c, f, h, w, k, s, p in configs:
-        # wide value spread keeps window maxima separated beyond the FD step
-        x = Tensor(_randn(rng, (n, c, f, h, w), scale=10.0), requires_grad=True)
+        # A shuffled, evenly spaced grid with the spread of N(0, 10^2): no two
+        # values lie closer than 20*sqrt(3)/(size-1) >= 0.069, far beyond the
+        # FD step, so no probe can move a window's maximum onto another value.
+        size = n * c * f * h * w
+        grid = np.linspace(-10.0 * np.sqrt(3.0), 10.0 * np.sqrt(3.0), size)
+        x = Tensor(rng.permutation(grid).reshape(n, c, f, h, w).astype(np.float32),
+                   requires_grad=True)
 
         def op(x, k=k, s=s, p=p):
             return ops.maxpool3d(x, k, stride=s, padding=p)

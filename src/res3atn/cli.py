@@ -4,8 +4,8 @@ Only standard-library modules are imported at module scope; numpy-backed
 code loads lazily inside each command so the R3ATN_THREADS cap (applied to
 the BLAS thread-count environment variables) takes effect first. Every
 failure prints a single `r3atn: error: ...` line on stderr; exit code 2
-marks configuration/usage problems, 3 marks checkpoint problems, 1 anything
-else.
+marks configuration/usage problems, 3 marks checkpoint problems, 4 a
+non-finite value produced by an operator outside training, 1 anything else.
 """
 
 from __future__ import annotations
@@ -460,6 +460,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"r3atn: error: {exc}", file=sys.stderr)
         return exc.code
+    except FloatingPointError as exc:  # ops.NonFiniteError
+        print(f"r3atn: error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"r3atn: error: {exc}", file=sys.stderr)
         return 1

@@ -2,10 +2,13 @@
 
 Every operator computes its forward value with numpy, and when called under
 an active tape with at least one input requiring gradients it records a
-closure implementing the exact reverse-mode rule. Convolution exposes two
-forward routes: an im2col+GEMM fast path and a direct nested-loop oracle
-path, selectable per call; they must agree to float32 accuracy and the test
-suite holds them to that.
+closure implementing the exact reverse-mode rule. Every forward value is
+scanned, and a NaN or infinity raises NonFiniteError naming the operator.
+Convolution exposes two forward routes: an im2col+GEMM fast path and a
+direct nested-loop oracle path, selectable per call; they must agree to
+float32 accuracy and the test suite holds them to that. Max pooling builds
+no window tensor: its forward is a separable running max, and the per-window
+winner its backward needs is found only under a tape.
 """
 
 from __future__ import annotations
@@ -49,9 +52,14 @@ def _triple(value, what: str) -> tuple[int, int, int]:
     return value
 
 
+class NonFiniteError(FloatingPointError):
+    """An operator produced NaN or infinity; the message names the operator."""
+
+
 def _finish(op: str, out_data: np.ndarray, inputs: Sequence[Tensor], make_backward) -> Tensor:
-    """Wrap a forward result, asserting finiteness and recording if needed."""
-    assert np.all(np.isfinite(out_data)), f"{op} produced non-finite values"
+    """Wrap a forward result, checking finiteness and recording if needed."""
+    if not np.all(np.isfinite(out_data)):
+        raise NonFiniteError(f"{op} produced non-finite values")
     tape = active_tape()
     needs = tuple(isinstance(t, Tensor) and t.requires_grad for t in inputs)
     if tape is None or not any(needs):
@@ -225,11 +233,27 @@ def conv3d(
     return _finish("conv3d", out, inputs, make_backward)
 
 
-def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
-    """Max pooling with -inf padding; backward routes to the recorded argmax.
+def _strided_max(a: np.ndarray, axis: int, k: int, s: int, o: int) -> np.ndarray:
+    """Running max along one axis: out[i] = max(a[s*i : s*i + k]), o outputs."""
 
-    Ties inside a window resolve to the lowest linear index, which argmax
-    over the flattened window gives for free.
+    def tap(j):
+        index = [slice(None)] * a.ndim
+        index[axis] = slice(j, j + s * o, s)
+        return a[tuple(index)]
+
+    out = np.maximum(tap(0), tap(1)) if k > 1 else np.array(tap(0))
+    for j in range(2, k):
+        np.maximum(out, tap(j), out=out)
+    return out
+
+
+def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
+    """Max pooling with -inf padding; backward routes to the recorded winner.
+
+    The forward is separable: one strided running max per axis, so no window
+    tensor is built. Under a tape the winner of each window is found by
+    comparing every window offset with the output, from the last offset to
+    the first, so ties resolve to the lowest linear index in the window.
     """
     if x.ndim != 5:
         raise ValueError(f"maxpool3d: input must be rank 5, got shape {x.shape}")
@@ -243,20 +267,27 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
     ksize = kernel[0] * kernel[1] * kernel[2]
 
     xp = _pad5(x.data, padding, value=-np.inf)
-    windows = _gather_windows(xp, kernel, stride, out_shape).reshape(n, c, ksize, loc)
-    am = windows.argmax(axis=2)  # first max wins ties
-    out = np.take_along_axis(windows, am[:, :, None, :], axis=2)[:, :, 0, :]
-    out = out.reshape(n, c, fo, ho, wo)
+    out = xp
+    for axis, (k, s, o) in enumerate(zip(kernel, stride, out_shape)):
+        out = _strided_max(out, 2 + axis, k, s, o)
 
     def make_backward(needs):
         fp, hp, wp = xp.shape[2:]
+        sf, sh, sw = stride
+        am = np.zeros((n, c, fo, ho, wo), dtype=np.min_scalar_type(ksize - 1))
+        hit = np.empty(am.shape, dtype=bool)
+        for j in reversed(range(ksize)):
+            a, b, d = np.unravel_index(j, kernel)
+            tap = xp[:, :, a : a + sf * fo : sf, b : b + sh * ho : sh, d : d + sw * wo : sw]
+            np.equal(tap, out, out=hit)
+            np.copyto(am, j, where=hit)
+        am = am.reshape(n, c, loc)
         # Translate (window, in-window) indices to padded flat coordinates once.
-        kf, kh, kw = kernel
-        ka, kb, kd = np.unravel_index(np.arange(ksize), (kf, kh, kw))
+        ka, kb, kd = np.unravel_index(np.arange(ksize), kernel)
         lf, lh, lw = np.unravel_index(np.arange(loc), (fo, ho, wo))
-        base_f = lf * stride[0]
-        base_h = lh * stride[1]
-        base_w = lw * stride[2]
+        base_f = lf * sf
+        base_h = lh * sh
+        base_w = lw * sw
 
         def backward_fn(g):
             g2 = g.reshape(n, c, loc)
@@ -380,43 +411,48 @@ def batchnorm3d(
     m = n * f * h * w
     axes = (0, 2, 3, 4)
     gshape = (1, c, 1, 1, 1)
+    if training and m < 2:
+        raise ValueError(f"batchnorm3d: train mode needs at least 2 samples per channel, got {m}")
 
+    mean = x.data.mean(axis=axes) if training else running_mean.astype(x.dtype)
+    xhat = x.data - mean.reshape(gshape)  # centred here, scaled in place below
     if training:
-        if m < 2:
-            raise ValueError(
-                f"batchnorm3d: train mode needs at least 2 samples per channel, got {m}"
-            )
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        # np.var's own steps (centre, square, add-reduce, divide), so equal to it bitwise
+        var = np.add.reduce(xhat * xhat, axis=axes) / m
         if update_running:
             running_mean *= 1.0 - momentum
             running_mean += momentum * mean.astype(running_mean.dtype)
             running_var *= 1.0 - momentum
             running_var += momentum * var.astype(running_var.dtype)
     else:
-        mean = running_mean.astype(x.dtype)
         var = running_var.astype(x.dtype)
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean.reshape(gshape)) * inv_std.reshape(gshape)
-    out = gamma.data.reshape(gshape) * xhat + beta.data.reshape(gshape)
+    xhat *= inv_std.reshape(gshape)
+    out = gamma.data.reshape(gshape) * xhat
+    out += beta.data.reshape(gshape)
 
     def make_backward(needs):
         def backward_fn(g):
-            dgamma = (g * xhat).sum(axis=axes) if needs[1] else None
+            scratch = np.empty_like(xhat)
+            dgamma = np.multiply(g, xhat, out=scratch).sum(axis=axes) if needs[1] else None
             dbeta = g.sum(axis=axes) if needs[2] else None
             dx = None
             if needs[0]:
+                # dx is built in place in dxhat, in the order of the expressions
+                # (inv_std / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+                # in train mode and dxhat * inv_std in eval mode
                 dxhat = g * gamma.data.reshape(gshape)
                 if training:
                     sum_dxhat = dxhat.sum(axis=axes).reshape(gshape)
-                    sum_dxhat_xhat = (dxhat * xhat).sum(axis=axes).reshape(gshape)
-                    dx = (inv_std.reshape(gshape) / m) * (
-                        m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat
-                    )
+                    sum_dxhat_xhat = np.multiply(dxhat, xhat, out=scratch).sum(axis=axes)
+                    dxhat *= m
+                    dxhat -= sum_dxhat
+                    dxhat -= np.multiply(xhat, sum_dxhat_xhat.reshape(gshape), out=scratch)
+                    dxhat *= inv_std.reshape(gshape) / m
                 else:
-                    dx = dxhat * inv_std.reshape(gshape)
-                dx = dx.astype(g.dtype, copy=False)
+                    dxhat *= inv_std.reshape(gshape)
+                dx = dxhat.astype(g.dtype, copy=False)
             return (dx, dgamma, dbeta)
 
         return backward_fn

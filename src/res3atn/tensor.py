@@ -30,7 +30,7 @@ def _coerce(data, dtype) -> np.ndarray:
 class Tensor:
     """A dense n-d float array with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "tape")
+    __slots__ = ("data", "grad", "requires_grad", "tape", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _coerce(data, dtype)
@@ -130,8 +130,10 @@ class Tape:
     """Ordered record of executed operations for one backward pass.
 
     Operations append nodes in execution order, which is already a valid
-    topological order, so backward simply walks the list in reverse. A tape
-    is consumed by its backward pass and cannot be replayed.
+    topological order, so backward simply pops the list from the end. A
+    node is dropped as soon as its rule has run: every consumer of its output
+    was recorded later and has already run. A tape is consumed by its
+    backward pass and cannot be replayed.
     """
 
     def __init__(self):
@@ -163,17 +165,26 @@ class Tape:
         if loss.tape is not self:
             raise RuntimeError("loss was not produced under this tape")
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self.nodes):
-            g = node.output.grad
-            if g is None:
-                continue
-            grads = node.backward_fn(g)
-            for inp, gi in zip(node.inputs, grads):
-                if gi is None or not inp.requires_grad:
-                    continue
-                inp.accumulate_grad(gi)
         self.consumed = True
-        self.nodes = []
+        while self.nodes:
+            _apply(self.nodes.pop())
+
+
+def _apply(node: _Node) -> None:
+    """Run one popped node's rule and accumulate into its inputs.
+
+    Once this returns nothing references the node, so its saved forward
+    state is freed, and so is its output with that output's gradient unless
+    user code still holds the output.
+    """
+    g = node.output.grad
+    if g is None:
+        return
+    grads = node.backward_fn(g)
+    for inp, gi in zip(node.inputs, grads):
+        if gi is None or not inp.requires_grad:
+            continue
+        inp.accumulate_grad(gi)
 
 
 def backward(loss: Tensor) -> None:

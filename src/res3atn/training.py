@@ -309,7 +309,7 @@ def train(
                         raise FloatingPointError(f"loss = {loss_value}")
                     backward(loss)
                     opt.step()
-                except (AssertionError, FloatingPointError) as exc:
+                except FloatingPointError as exc:
                     raise RuntimeError(
                         f"training aborted at epoch {epoch} batch {b} "
                         f"(clips {ids}): {exc}"

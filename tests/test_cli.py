@@ -5,8 +5,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from res3atn.checkpoint import load_state, save_state
 from res3atn.data import save_clip, synth_dataset
 
 SYNTH = (
@@ -62,6 +64,17 @@ def test_eval_missing_checkpoint_is_exit_3(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.startswith("r3atn: error:")
     assert "checkpoint not found" in proc.stderr
+
+
+def test_eval_non_finite_value_is_exit_4(train_run, tmp_path):
+    out, _ = train_run
+    state = load_state(out / "last.r3ck")
+    state["stem_conv.weight"] = np.full_like(state["stem_conv.weight"], np.nan)
+    bad = tmp_path / "nan.r3ck"
+    save_state(bad, state)
+    proc = run_cli("eval", "--checkpoint", str(bad), *SYNTH)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == "r3atn: error: conv3d produced non-finite values\n"
 
 
 def test_masks_export_from_checkpoint(train_run, tmp_path):

@@ -1,6 +1,10 @@
 """Operator forward oracles, gradient spot checks, and error paths."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,8 +96,28 @@ def test_conv3d_validation_errors(rng):
 def test_conv3d_rejects_non_finite_input():
     x = Tensor(np.full((1, 1, 2, 2, 2), np.inf, dtype=np.float32))
     w = Tensor(np.ones((1, 1, 1, 1, 1), dtype=np.float32))
-    with pytest.raises(AssertionError, match="conv3d produced non-finite"):
+    with pytest.raises(ops.NonFiniteError, match="conv3d produced non-finite"):
         ops.conv3d(x, w)
+
+
+def test_non_finite_check_survives_optimized_mode():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from res3atn import ops\n"
+        "from res3atn.tensor import Tensor\n"
+        "try:\n"
+        "    ops.relu(Tensor(np.array([np.nan], dtype=np.float32)))\n"
+        "except ops.NonFiniteError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    env = os.environ.copy()
+    src = str(Path(ops.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 relu produced non-finite values"
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +163,68 @@ def test_maxpool3d_backward_marks_one_cell_per_window(rng):
                     for ow in range(out.shape[4]):
                         win = xp[n, c, of * 2:of * 2 + 3, oh * 2:oh * 2 + 3, ow * 2:ow * 2 + 3]
                         assert out.data[n, c, of, oh, ow] == win.max()
+
+
+def _maxpool_window_oracle(x, g, kernel, stride, padding):
+    """The window-tensor maxpool: gather every window, argmax, scatter g back."""
+    n, c = x.shape[:2]
+    pad = [(0, 0), (0, 0)] + [(p, p) for p in padding]
+    xp = np.pad(x, pad, constant_values=-np.inf)
+    view = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=(2, 3, 4))
+    view = view[:, :, :: stride[0], :: stride[1], :: stride[2]]
+    out_shape = view.shape[2:5]
+    windows = view.reshape(n, c, -1, int(np.prod(kernel)))
+    am = windows.argmax(axis=-1)  # first max wins ties
+    out = np.take_along_axis(windows, am[..., None], axis=-1)[..., 0].reshape(n, c, *out_shape)
+    ka, kb, kd = np.unravel_index(am, kernel)
+    lf, lh, lw = np.unravel_index(np.arange(am.shape[-1]), out_shape)
+    ni, ci = np.meshgrid(np.arange(n), np.arange(c), indexing="ij")
+    index = (
+        np.broadcast_to(ni[..., None], am.shape),
+        np.broadcast_to(ci[..., None], am.shape),
+        lf * stride[0] + ka,
+        lh * stride[1] + kb,
+        lw * stride[2] + kd,
+    )
+    dxp = np.zeros(xp.shape, dtype=g.dtype)
+    np.add.at(dxp, tuple(i.ravel() for i in index), g.reshape(n, c, -1).ravel())
+    crop = (slice(None), slice(None)) + tuple(
+        slice(p, p + e) for p, e in zip(padding, x.shape[2:])
+    )
+    return out, dxp[crop]
+
+
+MAXPOOL_GEOMETRIES = [
+    # (N, C, F, H, W, kernel, stride, padding): the gradient-check suite's five
+    # plus the network's stem pool
+    (1, 1, 4, 6, 6, 2, 2, 0),
+    (2, 2, 5, 5, 5, 3, 2, 1),
+    (1, 3, 6, 4, 4, 2, 1, 1),
+    (2, 1, 4, 4, 6, 3, 3, 0),
+    (1, 2, 5, 6, 5, 3, 2, 1),
+    (2, 3, 8, 12, 12, 3, 2, 1),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("geometry", MAXPOOL_GEOMETRIES)
+def test_maxpool3d_bitwise_equals_window_oracle(geometry, dtype):
+    n, c, f, h, w, k, s, p = geometry
+    rng = np.random.default_rng(7)
+    # a coarse grid makes ties common, so the tie rule is exercised
+    x = Tensor(np.round(rng.normal(size=(n, c, f, h, w)) * 2.0) / 2.0, dtype=dtype,
+               requires_grad=True)
+    with Tape():
+        out = ops.maxpool3d(x, k, stride=s, padding=p)
+        g = rng.normal(size=out.shape).astype(dtype)
+        loss = ops.sum_all(ops.mul(out, Tensor(g)))
+    backward(loss)
+    want_out, want_dx = _maxpool_window_oracle(x.data, g, (k,) * 3, (s,) * 3, (p,) * 3)
+    assert out.dtype == x.dtype and x.grad.dtype == x.dtype
+    assert np.array_equal(out.data, want_out)
+    assert np.array_equal(x.grad, want_dx)
+    eval_out = ops.maxpool3d(Tensor(x.data), k, stride=s, padding=p)
+    assert np.array_equal(eval_out.data, want_out)
 
 
 def test_avgpool_is_plain_mean(rng):
@@ -263,6 +349,71 @@ def test_batchnorm_gradients_match_finite_differences(rng):
 
     report = grad_check(fn, [x, gamma, beta], rng=rng)
     assert report.passed, report.max_rel_error
+
+
+def _batchnorm_textbook(x, gamma, beta, rm, rv, g, training, momentum=0.1, eps=1e-5):
+    """Batchnorm forward, running-stat update and backward as plain expressions."""
+    axes, gshape = (0, 2, 3, 4), (1, -1, 1, 1, 1)
+    m = x.size // x.shape[1]
+    if training:
+        mean, var = x.mean(axis=axes), x.var(axis=axes)
+        rm *= 1.0 - momentum
+        rm += momentum * mean.astype(rm.dtype)
+        rv *= 1.0 - momentum
+        rv += momentum * var.astype(rv.dtype)
+    else:
+        mean, var = rm.astype(x.dtype), rv.astype(x.dtype)
+    inv_std = (1.0 / np.sqrt(var + eps)).reshape(gshape)
+    xhat = (x - mean.reshape(gshape)) * inv_std
+    out = gamma.reshape(gshape) * xhat + beta.reshape(gshape)
+    dxhat = g * gamma.reshape(gshape)
+    if training:
+        sum_dxhat = dxhat.sum(axis=axes).reshape(gshape)
+        sum_dxhat_xhat = (dxhat * xhat).sum(axis=axes).reshape(gshape)
+        dx = (inv_std / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+    else:
+        dx = dxhat * inv_std
+    return out, (dx, (g * xhat).sum(axis=axes), g.sum(axis=axes))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("needs", [
+    (True, True, True), (True, False, False), (False, True, False), (False, False, True),
+    (True, True, False), (True, False, True), (False, True, True), (False, False, False),
+])
+def test_batchnorm3d_bitwise_equals_textbook(needs, training, dtype):
+    rng = np.random.default_rng(11)
+    shape = (2, 3, 4, 5, 6)
+    xs = rng.normal(1.5, 2.0, size=shape).astype(dtype)
+    gs = rng.normal(size=(3,)).astype(np.float32) + 1.0
+    bs = rng.normal(size=(3,)).astype(np.float32)
+    g = rng.normal(size=shape).astype(dtype)
+    rm = rng.normal(size=3).astype(np.float32)
+    rv = rng.uniform(0.5, 2.0, 3).astype(np.float32)
+    want_rm, want_rv = rm.copy(), rv.copy()
+    want_out, want_grads = _batchnorm_textbook(xs, gs.astype(dtype), bs.astype(dtype),
+                                               want_rm, want_rv, g, training)
+    tensors = [
+        Tensor(xs, requires_grad=needs[0]),
+        Tensor(gs, dtype=dtype, requires_grad=needs[1]),
+        Tensor(bs, dtype=dtype, requires_grad=needs[2]),
+    ]
+    with Tape() as tape:
+        out = ops.batchnorm3d(*tensors, rm, rv, training=training)
+        loss = ops.sum_all(ops.mul(out, Tensor(g)))
+    assert np.array_equal(out.data, want_out)
+    assert np.array_equal(rm, want_rm) and np.array_equal(rv, want_rv)
+    if not any(needs):
+        assert not tape.nodes
+        return
+    backward(loss)
+    for t, need, want in zip(tensors, needs, want_grads):
+        if need:
+            assert t.grad.dtype == want.dtype
+            assert np.array_equal(t.grad, want)
+        else:
+            assert t.grad is None
 
 
 # ---------------------------------------------------------------------------

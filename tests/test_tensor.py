@@ -1,5 +1,7 @@
 """Tensor, Parameter, and tape semantics."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,33 @@ def test_tape_is_consumed_by_backward():
     assert tape.consumed
     with pytest.raises(RuntimeError, match="consumed"):
         tape.backward(loss)
+
+
+def test_backward_frees_each_node_once_its_rule_has_run():
+    x = Tensor(np.array([0.5, -1.0, 2.0], dtype=np.float32), requires_grad=True)
+    seen = {}
+
+    def first_rule(g):
+        # every node recorded after this one has run by now
+        seen["dropped_alive"] = dropped() is not None
+        seen["kept_grad"] = kept.grad is not None
+        return (2.0 * g,)
+
+    with Tape() as tape:
+        y = Tensor(2.0 * x.data, requires_grad=True)
+        tape.record(y, [x], first_rule)
+        mid = ops.relu(y)  # an intermediate the caller lets go of
+        dropped = weakref.ref(mid)
+        kept = ops.sigmoid(mid)  # an intermediate the caller holds
+        loss = ops.sum_all(kept)
+        del mid
+    backward(loss)
+    assert seen == {"dropped_alive": False, "kept_grad": True}
+    assert dropped() is None
+    assert not tape.nodes
+    assert np.array_equal(kept.grad, np.ones(3, dtype=np.float32))
+    s = 1.0 / (1.0 + np.exp(-np.maximum(2.0 * x.data, 0)))
+    assert np.allclose(x.grad, 2.0 * s * (1.0 - s) * (x.data > 0))
 
 
 def test_consumed_tape_rejects_recording():
