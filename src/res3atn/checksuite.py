@@ -1,10 +1,11 @@
-"""Canonical gradient-check suites shared by the CLI and the test harness.
+"""Canonical gradient-check suites and the conv reference, shared by the CLI and tests.
 
 Each operator check projects the op output against a fixed random weight
 tensor (so coordinate permutation bugs cannot cancel out) and compares the
 recorded gradient with central finite differences. The network check casts
 a reduced-width model to float64 and probes its parameters in place through
-the cross-entropy loss.
+the cross-entropy loss. conv3d_direct is the nested-loop convolution that
+ops.conv3d's im2col route is held to.
 """
 
 from __future__ import annotations
@@ -34,6 +35,40 @@ def _proj_for(rng, fn, *tensors) -> np.ndarray:
     """Draw a projection weight matching the op's output shape."""
     out = fn(*tensors)
     return _randn(rng, out.shape)
+
+
+def conv3d_direct(
+    x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None, stride=1, padding=0
+) -> np.ndarray:
+    """Reference 3-D cross-correlation: one dot product per output element.
+
+    Same contract as ops.conv3d's forward, on plain arrays; it is slow and
+    exists only as the oracle the fast route is compared against.
+    """
+    stride = ops._triple(stride, "stride")
+    padding = ops._triple(padding, "padding")
+    n = x.shape[0]
+    cout, _, kf, kh, kw = weight.shape
+    fo, ho, wo = ops._check_window_geometry(
+        "conv3d_direct", x.shape[2:], (kf, kh, kw), stride, padding
+    )
+    xp = ops._pad5(x, padding)
+    out = np.empty((n, cout, fo, ho, wo), dtype=xp.dtype)
+    for ni in range(n):
+        for co in range(cout):
+            wk = weight[co]
+            for fi in range(fo):
+                f0 = fi * stride[0]
+                for hi in range(ho):
+                    h0 = hi * stride[1]
+                    for wi in range(wo):
+                        w0 = wi * stride[2]
+                        window = xp[ni, :, f0 : f0 + kf, h0 : h0 + kh, w0 : w0 + kw]
+                        acc = np.vdot(wk, window)
+                        if bias is not None:
+                            acc += bias[co]
+                        out[ni, co, fi, hi, wi] = acc
+    return out
 
 
 def _check_conv3d(seed: int) -> list[GradCheckReport]:

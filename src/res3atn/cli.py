@@ -74,66 +74,14 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-_SCHEMA = {
-    "network": {
-        "num_classes": int,
-        "input_frames": int,
-        "input_size": int,
-        "input_channels": int,
-        "attention_sites": _parse_sites,
-        "channel_scale": int,
-    },
-    "augment": {
-        "crop": int,
-        "elastic_sigma": float,
-        "elastic_alpha": float,
-        "frames_out": int,
-    },
-    "optimizer": {
-        "lr": float,
-        "momentum": float,
-        "weight_decay": float,
-        "decay_bn": _parse_bool,
-    },
-    "run": {
-        "epochs": int,
-        "batch_size": int,
-        "seed": int,
-    },
-}
-
-
-def _default_config() -> dict:
-    return {
-        "network": {
-            "num_classes": None,
-            "input_frames": 32,
-            "input_size": 112,
-            "input_channels": 3,
-            "attention_sites": (1, 2, 3),
-            "channel_scale": 1,
-        },
-        "augment": {
-            "crop": None,
-            "elastic_sigma": 2.0,
-            "elastic_alpha": 1.0,
-            "frames_out": None,
-        },
-        "optimizer": {
-            "lr": 0.01,
-            "momentum": 0.9,
-            "weight_decay": 0.001,
-            "decay_bn": True,
-        },
-        "run": {
-            "epochs": 30,
-            "batch_size": 6,
-            "seed": 0,
-        },
-    }
+# parser of a config value, by the type of the dataclass field that holds it
+_PARSERS = {int: int, float: float, bool: _parse_bool, tuple[int, ...]: _parse_sites}
 
 
 def _load_config_file(path) -> dict:
+    from .training import config_schema
+
+    schema = config_schema()
     cp = configparser.ConfigParser()
     try:
         loaded = cp.read([path])
@@ -143,50 +91,45 @@ def _load_config_file(path) -> dict:
         raise CliError(f"config file not found: {path}", 2)
     out: dict = {}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in schema:
             raise CliError(f"unknown config section [{section}]", 2)
         for key, raw in cp.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in schema[section]:
                 raise CliError(f"unknown config key {section}.{key}", 2)
             try:
-                out.setdefault(section, {})[key] = _SCHEMA[section][key](raw)
+                out.setdefault(section, {})[key] = _PARSERS[schema[section][key]](raw)
             except ValueError as exc:
                 raise CliError(f"bad value for {section}.{key}: {exc}", 2)
     return out
 
 
 def _assemble_config(args, num_classes_hint: int | None):
+    """RunConfig from the values the user set; the dataclasses supply the rest."""
     from .training import RunConfig
 
-    cfg = _default_config()
-    if getattr(args, "config", None):
-        for section, values in _load_config_file(args.config).items():
-            cfg[section].update(values)
+    cfg = _load_config_file(args.config) if args.config else {}
     overrides = {
-        ("run", "epochs"): getattr(args, "epochs", None),
-        ("run", "batch_size"): getattr(args, "batch_size", None),
-        ("run", "seed"): getattr(args, "seed", None),
-        ("optimizer", "lr"): getattr(args, "lr", None),
-        ("network", "channel_scale"): getattr(args, "channel_scale", None),
-        ("network", "input_size"): getattr(args, "input_size", None),
-        ("network", "input_frames"): getattr(args, "frames", None),
+        ("run", "epochs"): args.epochs,
+        ("run", "batch_size"): args.batch_size,
+        ("run", "seed"): args.seed,
+        ("optimizer", "lr"): args.lr,
+        ("network", "channel_scale"): args.channel_scale,
+        ("network", "input_size"): args.input_size,
+        ("network", "input_frames"): args.frames,
     }
-    for (section, key), value in overrides.items():
-        if value is not None:
-            cfg[section][key] = value
-    if getattr(args, "sites", None) is not None:
+    if args.sites is not None:
         try:
-            cfg["network"]["attention_sites"] = _parse_sites(args.sites)
+            overrides["network", "attention_sites"] = _parse_sites(args.sites)
         except ValueError as exc:
             raise CliError(str(exc), 2)
-    if cfg["network"]["num_classes"] is None:
+    for (section, key), value in overrides.items():
+        if value is not None:
+            cfg.setdefault(section, {})[key] = value
+    network = cfg.setdefault("network", {})
+    if "num_classes" not in network:
         if num_classes_hint is None:
             raise CliError("num_classes is not set and cannot be inferred", 2)
-        cfg["network"]["num_classes"] = num_classes_hint
-    if cfg["augment"]["crop"] is None:
-        cfg["augment"]["crop"] = cfg["network"]["input_size"]
-    if cfg["augment"]["frames_out"] is None:
-        cfg["augment"]["frames_out"] = cfg["network"]["input_frames"]
+        network["num_classes"] = num_classes_hint
     try:
         return RunConfig.from_dict(cfg)
     except (TypeError, ValueError) as exc:
@@ -343,19 +286,21 @@ def _parse_grid(args) -> list[tuple]:
         return [tuple(s) for s in PAPER_GRID]
     if not args.sites_grid:
         raise CliError("custom grid requires --sites-grid", 2)
-    subsets = []
-    for chunk in args.sites_grid.split(";"):
-        subsets.append(_parse_sites(chunk))
-    if not subsets:
-        raise CliError("custom grid is empty", 2)
-    return subsets
+    try:
+        return [_parse_sites(chunk) for chunk in args.sites_grid.split(";")]
+    except ValueError as exc:
+        raise CliError(str(exc), 2)
 
 
 def _cmd_ablate(args) -> int:
-    from .training import ablation_run, format_ablation_table
+    from .training import ablation_run, ablation_variants, format_ablation_table
 
     grid = _parse_grid(args)
     config = _assemble_config(args, _num_classes_hint(args))
+    try:
+        ablation_variants(config, grid)  # a bad subset is a usage error, found before training
+    except ValueError as exc:
+        raise CliError(str(exc), 2)
     train_clips, eval_clips = _load_splits(args, config)
     rows = ablation_run(config, grid, train_clips, eval_clips, Path(args.out),
                         log=print if args.verbose else None)

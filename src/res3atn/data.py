@@ -57,17 +57,14 @@ class LabeledClip:
 
 @dataclass
 class AugmentConfig:
-    """Knobs of the training chain; the scale set is fixed by contract."""
+    """Knobs of the training chain; the rescale factors are always SCALE_SET."""
 
     crop: int = 112
-    scale_set: tuple = SCALE_SET
     elastic_sigma: float = 2.0
     elastic_alpha: float = 1.0
     frames_out: int = 32
 
     def __post_init__(self):
-        if tuple(sorted(self.scale_set)) != tuple(sorted(SCALE_SET)):
-            raise ValueError(f"scale_set is fixed to {SCALE_SET}")
         if self.crop < 16 or self.crop % 2:
             raise ValueError(f"crop must be an even extent >= 16, got {self.crop}")
         if self.frames_out < 1:
@@ -204,7 +201,7 @@ def normalize(clip: LabeledClip) -> np.ndarray:
 def augment_clip(clip: LabeledClip, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
     """Full training chain: sample, scale, crop, elastic, normalize."""
     out = sample_frames(clip, cfg.frames_out, rng)
-    out = random_scale(out, cfg.scale_set, rng, crop=cfg.crop)
+    out = random_scale(out, SCALE_SET, rng, crop=cfg.crop)
     out = random_crop(out, cfg.crop, rng)
     if cfg.elastic_alpha > 0:
         out = elastic_displacement(out, cfg.elastic_sigma, cfg.elastic_alpha, rng)
@@ -380,11 +377,14 @@ def load_clip_dir(root) -> list[LabeledClip]:
 
 
 def save_dataset(root, clips: list[LabeledClip], class_names: list[str]) -> None:
-    """Write clips under <root>/<class>/<clip_id>.r3clip."""
+    """Write clips under <root>/<class>/<clip_id>.r3clip.
+
+    A clip without an id is named clip_<i>, after its position i in `clips`.
+    """
     root = Path(root)
-    for clip in clips:
+    for position, clip in enumerate(clips):
         name = class_names[clip.label]
         d = root / name
         d.mkdir(parents=True, exist_ok=True)
-        stem = clip.clip_id.split("/")[-1] or f"clip_{id(clip)}"
+        stem = clip.clip_id.split("/")[-1] or f"clip_{position}"
         save_clip(d / f"{stem}.r3clip", clip)

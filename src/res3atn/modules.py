@@ -139,10 +139,8 @@ class Conv3d(Module):
         )
         self.bias = Parameter(np.zeros(out_channels, dtype=np.float32)) if bias else None
 
-    def forward(self, x: Tensor, method: str = "im2col") -> Tensor:
-        return ops.conv3d(
-            x, self.weight, self.bias, stride=self.stride, padding=self.padding, method=method
-        )
+    def forward(self, x: Tensor) -> Tensor:
+        return ops.conv3d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
 class BatchNorm3d(Module):

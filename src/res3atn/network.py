@@ -156,20 +156,30 @@ class Res3ATN(Module):
                 f"{expected[1]}, {expected[2]}, {expected[3]}) contract"
             )
 
-    def forward(self, x: Tensor, capture_masks: Optional[dict] = None) -> Tensor:
+    def _walk(self, x: Tensor, stop_after: int, masks: Optional[dict] = None) -> Tensor:
+        """Stem, then stages 1..stop_after, each followed by its attention block.
+
+        When `masks` is given, every attention block's soft mask is stored in
+        it under the block's site.
+        """
         self._check_input(x)
         h = ops.relu(self.stem_bn(self.stem_conv(x)))
         h = ops.maxpool3d(h, 3, stride=2, padding=1)
-        for idx in range(1, len(STAGE_TABLE) + 1):
-            h = self.stages[idx - 1](h)
-            att = self._attention(idx) if idx <= 3 else None
-            if att is not None:
-                if capture_masks is not None:
-                    cap: dict = {}
-                    h = att(h, capture=cap)
-                    capture_masks[idx] = cap["mask"]
-                else:
-                    h = att(h)
+        for idx, stage in enumerate(self.stages[:stop_after], start=1):
+            h = stage(h)
+            att = self._attention(idx)
+            if att is None:
+                continue
+            if masks is None:
+                h = att(h)
+            else:
+                cap: dict = {}
+                h = att(h, capture=cap)
+                masks[idx] = cap["mask"]
+        return h
+
+    def forward(self, x: Tensor) -> Tensor:
+        h = self._walk(x, stop_after=len(self.stages))
         h = ops.avgpool3d_adaptive(h)
         h = ops.reshape(h, (h.shape[0], h.shape[1]))
         h = ops.relu(self.fc1(h))
@@ -184,18 +194,8 @@ class Res3ATN(Module):
         """
         if not self.spec.attention_sites:
             raise ValueError("network has no attention sites enabled")
-        self._check_input(x)
-        deepest = max(self.spec.attention_sites)
-        h = ops.relu(self.stem_bn(self.stem_conv(x)))
-        h = ops.maxpool3d(h, 3, stride=2, padding=1)
         masks: dict[int, Tensor] = {}
-        for idx in range(1, deepest + 1):
-            h = self.stages[idx - 1](h)
-            att = self._attention(idx)
-            if att is not None:
-                cap: dict = {}
-                h = att(h, capture=cap)
-                masks[idx] = cap["mask"]
+        self._walk(x, stop_after=max(self.spec.attention_sites), masks=masks)
         return masks
 
     def parameter_count(self) -> int:

@@ -4,11 +4,10 @@ Every operator computes its forward value with numpy, and when called under
 an active tape with at least one input requiring gradients it records a
 closure implementing the exact reverse-mode rule. Every forward value is
 scanned, and a NaN or infinity raises NonFiniteError naming the operator.
-Convolution exposes two forward routes: an im2col+GEMM fast path and a
-direct nested-loop oracle path, selectable per call; they must agree to
-float32 accuracy and the test suite holds them to that. Max pooling builds
-no window tensor: its forward is a separable running max, and the per-window
-winner its backward needs is found only under a tape.
+Convolution has one route, im2col+GEMM; the nested-loop reference it is
+held to lives in checksuite. Max pooling builds no window tensor: its
+forward is a separable running max, and the per-window winner its backward
+needs is found only under a tape.
 """
 
 from __future__ import annotations
@@ -141,15 +140,12 @@ def conv3d(
     bias: Optional[Tensor] = None,
     stride=1,
     padding=0,
-    method: str = "im2col",
 ) -> Tensor:
     """3-D cross-correlation of (N,C,F,H,W) input with (Co,Ci,kf,kh,kw) weight.
 
-    method selects the forward route: "im2col" (GEMM fast path) or "direct"
-    (nested-loop oracle). Both share the same contract and must agree.
+    The windows are gathered into columns (im2col) and contracted with the
+    weight in one GEMM; the columns are kept for the weight gradient.
     """
-    if method not in ("im2col", "direct"):
-        raise ValueError(f"conv3d: unknown method {method!r}")
     if x.ndim != 5:
         raise ValueError(f"conv3d: input must be rank 5, got shape {x.shape}")
     if weight.ndim != 5:
@@ -172,48 +168,24 @@ def conv3d(
 
     xp = _pad5(x.data, padding)
     w2 = weight.data.reshape(cout, kdim)
-
-    cols2 = None
-    if method == "im2col":
-        cols2 = _gather_windows(xp, kernel, stride, out_shape).reshape(n, kdim, loc)
-        out = np.matmul(w2, cols2)  # (N, Co, L)
-        if bias is not None:
-            out += bias.data[:, None]
-        out = out.reshape(n, cout, fo, ho, wo)
-    else:
-        out = np.empty((n, cout, fo, ho, wo), dtype=xp.dtype)
-        for ni in range(n):
-            for co in range(cout):
-                wk = weight.data[co]
-                for fi in range(fo):
-                    f0 = fi * stride[0]
-                    for hi in range(ho):
-                        h0 = hi * stride[1]
-                        for wi in range(wo):
-                            w0 = wi * stride[2]
-                            window = xp[ni, :, f0 : f0 + kf, h0 : h0 + kh, w0 : w0 + kw]
-                            acc = np.vdot(wk, window)
-                            if bias is not None:
-                                acc += bias.data[co]
-                            out[ni, co, fi, hi, wi] = acc
+    cols2 = _gather_windows(xp, kernel, stride, out_shape).reshape(n, kdim, loc)
+    out = np.matmul(w2, cols2)  # (N, Co, L)
+    if bias is not None:
+        out += bias.data[:, None]
+    out = out.reshape(n, cout, fo, ho, wo)
 
     inputs = [x, weight] if bias is None else [x, weight, bias]
 
     def make_backward(needs):
-        saved_cols = cols2
         padded_shape = xp.shape
 
         def backward_fn(g):
             g2 = g.reshape(n, cout, loc)
             dx = dw = db = None
             if needs[1]:
-                if saved_cols is not None:
-                    gflat = g2.transpose(1, 0, 2).reshape(cout, n * loc)
-                    cflat = saved_cols.transpose(1, 0, 2).reshape(kdim, n * loc)
-                    dw2 = gflat @ cflat.T
-                else:
-                    cols = _gather_windows(xp, kernel, stride, out_shape).reshape(n, kdim, loc)
-                    dw2 = np.einsum("ncl,nkl->ck", g2, cols)
+                gflat = g2.transpose(1, 0, 2).reshape(cout, n * loc)
+                cflat = cols2.transpose(1, 0, 2).reshape(kdim, n * loc)
+                dw2 = gflat @ cflat.T
                 if _mutated("conv3d"):
                     dw2 = dw2 * 2.0
                 dw = dw2.reshape(weight.shape)

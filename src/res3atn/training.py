@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -32,19 +33,28 @@ _STREAM_SHUFFLE = 1
 _STREAM_AUGMENT = 2
 
 
+_OPTIMIZER = {"section": "optimizer"}
+_RUN = {"section": "run"}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """One training run: architecture, preprocessing, optimizer, loop knobs."""
+    """One training run: architecture, preprocessing, optimizer, loop knobs.
+
+    The fields are the config schema (see config_schema): network and
+    augment are sections of their own, and each other field names its
+    section in its metadata.
+    """
 
     network: NetworkSpec
     augment: AugmentConfig
-    lr: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 0.001
-    decay_bn: bool = True
-    batch_size: int = 6
-    epochs: int = 30
-    seed: int = 0
+    lr: float = field(default=0.01, metadata=_OPTIMIZER)
+    momentum: float = field(default=0.9, metadata=_OPTIMIZER)
+    weight_decay: float = field(default=0.001, metadata=_OPTIMIZER)
+    decay_bn: bool = field(default=True, metadata=_OPTIMIZER)
+    batch_size: int = field(default=6, metadata=_RUN)
+    epochs: int = field(default=30, metadata=_RUN)
+    seed: int = field(default=0, metadata=_RUN)
 
     def __post_init__(self):
         if self.augment.crop != self.network.input_size:
@@ -63,51 +73,52 @@ class RunConfig:
             raise ValueError("epochs must be >= 0")
 
     def to_dict(self) -> dict:
-        n = self.network
-        a = self.augment
+        """{section: {key: value}}, the layout of the INI file and of checkpoints."""
+        values = asdict(self)
         return {
-            "network": {
-                "num_classes": n.num_classes,
-                "input_frames": n.input_frames,
-                "input_size": n.input_size,
-                "input_channels": n.input_channels,
-                "attention_sites": list(n.attention_sites),
-                "channel_scale": n.channel_scale,
-            },
-            "augment": {
-                "crop": a.crop,
-                "elastic_sigma": a.elastic_sigma,
-                "elastic_alpha": a.elastic_alpha,
-                "frames_out": a.frames_out,
-            },
-            "optimizer": {
-                "lr": self.lr,
-                "momentum": self.momentum,
-                "weight_decay": self.weight_decay,
-                "decay_bn": self.decay_bn,
-            },
-            "run": {
-                "epochs": self.epochs,
-                "batch_size": self.batch_size,
-                "seed": self.seed,
-            },
+            section: values[section] if section in values else {k: values[k] for k in keys}
+            for section, keys in config_schema().items()
         }
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        known = {"network", "augment", "optimizer", "run"}
-        extra = set(d) - known
+        """Inverse of to_dict; missing keys take the dataclass defaults.
+
+        A missing augment crop or frames_out takes the network's input_size
+        or input_frames, which it must equal.
+        """
+        schema = config_schema()
+        extra = set(d) - set(schema)
         if extra:
             raise ValueError(f"unknown config sections: {sorted(extra)}")
-        net = dict(d.get("network", {}))
-        if "attention_sites" in net:
-            net["attention_sites"] = tuple(net["attention_sites"])
-        aug = dict(d.get("augment", {}))
-        opt = dict(d.get("optimizer", {}))
-        run = dict(d.get("run", {}))
-        return RunConfig(
-            network=NetworkSpec(**net), augment=AugmentConfig(**aug), **opt, **run
-        )
+        sections = {name: dict(d.get(name, {})) for name in schema}
+        network = NetworkSpec(**sections.pop("network"))
+        augment = AugmentConfig(**{
+            "crop": network.input_size,
+            "frames_out": network.input_frames,
+            **sections.pop("augment"),
+        })
+        flat = {}
+        for name, values in sections.items():
+            unknown = sorted(set(values) - set(schema[name]))
+            if unknown:
+                raise ValueError(f"unknown config key {name}.{unknown[0]}")
+            flat.update(values)
+        return RunConfig(network=network, augment=augment, **flat)
+
+
+def config_schema() -> dict[str, dict[str, object]]:
+    """Config section -> key -> type, read from the config dataclasses' fields."""
+    hints = get_type_hints(RunConfig)
+    schema: dict[str, dict[str, object]] = {}
+    for f in fields(RunConfig):
+        kind = hints[f.name]
+        if is_dataclass(kind):
+            nested = get_type_hints(kind)
+            schema[f.name] = {g.name: nested[g.name] for g in fields(kind)}
+        else:
+            schema.setdefault(f.metadata["section"], {})[f.name] = kind
+    return schema
 
 
 @dataclass
@@ -378,6 +389,20 @@ def format_ablation_table(rows: list[dict]) -> str:
     return "\n".join(out)
 
 
+def ablation_variants(base: RunConfig, sites_list) -> list[RunConfig]:
+    """One copy of `base` per attention-site subset; raises ValueError on a bad grid."""
+    variants = [
+        replace(base, network=replace(base.network, attention_sites=tuple(sites)))
+        for sites in sites_list
+    ]
+    if not variants:
+        raise ValueError("ablation grid is empty")
+    sites = [v.network.attention_sites for v in variants]
+    if len(set(sites)) != len(sites):
+        raise ValueError("ablation grid contains duplicate subsets")
+    return variants
+
+
 def ablation_run(
     base: RunConfig,
     sites_list,
@@ -386,17 +411,16 @@ def ablation_run(
     out_dir,
     log=None,
 ) -> list[dict]:
-    """Train one variant per attention-site subset under identical settings."""
-    sites_list = [tuple(sorted(s)) for s in sites_list]
-    if not sites_list:
-        raise ValueError("ablation grid is empty")
-    if len(set(sites_list)) != len(sites_list):
-        raise ValueError("ablation grid contains duplicate subsets")
+    """Train one variant per attention-site subset under identical settings.
+
+    Every variant's config is built, and so checked, before the first trains.
+    """
+    variants = ablation_variants(base, sites_list)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for sites in sites_list:
-        cfg = replace(base, network=replace(base.network, attention_sites=sites))
+    for cfg in variants:
+        sites = cfg.network.attention_sites
         run_dir = out_dir / f"sites_{_sites_tag(sites)}"
         if log:
             log(f"== attention sites {sites or '(none)'} ==")

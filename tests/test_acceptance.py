@@ -13,7 +13,7 @@ import pytest
 from res3atn import ops
 from res3atn.blocks import AttentionBlock, AttentionBlockSpec
 from res3atn.checkpoint import load_state, restore_network, save_checkpoint
-from res3atn.checksuite import OPERATOR_CHECKS, network_check, operator_suite
+from res3atn.checksuite import OPERATOR_CHECKS, conv3d_direct, network_check, operator_suite
 from res3atn.data import (
     AugmentConfig,
     eval_preprocess,
@@ -89,9 +89,10 @@ def test_conv3d_oracle_agreement():
         x = Tensor(rng.standard_normal((n, cin, f, h, w)).astype(np.float32))
         wt = Tensor(rng.standard_normal((cout, cin, k, k, k)).astype(np.float32))
         b = Tensor(rng.standard_normal(cout).astype(np.float32)) if rng.integers(2) else None
-        fast = ops.conv3d(x, wt, b, stride=stride, padding=pad, method="im2col")
-        slow = ops.conv3d(x, wt, b, stride=stride, padding=pad, method="direct")
-        worst = max(worst, float(np.abs(fast.data - slow.data).max()))
+        fast = ops.conv3d(x, wt, b, stride=stride, padding=pad)
+        slow = conv3d_direct(x.data, wt.data, None if b is None else b.data,
+                             stride=stride, padding=pad)
+        worst = max(worst, float(np.abs(fast.data - slow).max()))
     elapsed = time.monotonic() - start
     assert worst <= 1e-5, f"routes disagree by {worst:.2e}"
     assert elapsed < 60.0, f"oracle took {elapsed:.0f}s"

@@ -2,14 +2,20 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from res3atn import cli
 from res3atn.checkpoint import load_state, save_state
-from res3atn.data import save_clip, synth_dataset
+from res3atn.data import AugmentConfig, save_clip, synth_dataset
+from res3atn.network import NetworkSpec
+from res3atn.training import RunConfig, config_schema
 
 SYNTH = (
     "--synthetic", "--classes", "4", "--train-per-class", "2",
@@ -131,6 +137,22 @@ def test_ablate_custom_grid(tmp_path):
     assert [r["sites"] for r in rows] == [[], [1]]
 
 
+def test_ablate_unparsable_grid_subset_is_exit_2(tmp_path):
+    proc = run_cli("ablate", *SYNTH, *TINY, "--grid", "custom",
+                   "--sites-grid", "1;x", "--out", str(tmp_path / "ablation"))
+    assert proc.returncode == 2
+    assert "comma-separated site numbers" in proc.stderr
+
+
+def test_ablate_invalid_last_subset_trains_no_variant(tmp_path):
+    out = tmp_path / "ablation"
+    proc = run_cli("ablate", *SYNTH, *TINY, "--grid", "custom",
+                   "--sites-grid", "1;4", "--out", str(out))
+    assert proc.returncode == 2
+    assert "attention_sites must be a subset" in proc.stderr
+    assert list(out.glob("sites_*")) == []
+
+
 def test_ablate_custom_grid_requires_subsets():
     proc = run_cli("ablate", *SYNTH, *TINY, "--grid", "custom")
     assert proc.returncode == 2
@@ -158,6 +180,80 @@ def test_config_file_values_reach_the_run(tmp_path):
     assert proc.returncode == 0, proc.stderr
     records = (out / "metrics.jsonl").read_text().splitlines()
     assert len(records) == 1 and json.loads(records[0])["split"] == "eval"
+
+
+EVERY_KEY_INI = """
+[network]
+num_classes = 5
+input_frames = 16
+input_size = 24
+input_channels = 1
+attention_sites = 2,3
+channel_scale = 8
+
+[augment]
+crop = 24
+elastic_sigma = 1.5
+elastic_alpha = 0.5
+frames_out = 16
+
+[optimizer]
+lr = 0.05
+momentum = 0.8
+weight_decay = 0.0005
+decay_bn = off
+
+[run]
+epochs = 7
+batch_size = 3
+seed = 11
+"""
+
+
+def test_every_config_key_reaches_the_run_config(tmp_path):
+    ini = tmp_path / "every.ini"
+    ini.write_text(EVERY_KEY_INI)
+    args = cli._build_parser().parse_args(["train", "--synthetic", "--config", str(ini)])
+    config = cli._assemble_config(args, num_classes_hint=4)
+    expected = {
+        "network": {"num_classes": 5, "input_frames": 16, "input_size": 24,
+                    "input_channels": 1, "attention_sites": (2, 3), "channel_scale": 8},
+        "augment": {"crop": 24, "elastic_sigma": 1.5, "elastic_alpha": 0.5, "frames_out": 16},
+        "optimizer": {"lr": 0.05, "momentum": 0.8, "weight_decay": 0.0005, "decay_bn": False},
+        "run": {"batch_size": 3, "epochs": 7, "seed": 11},
+    }
+    assert config.to_dict() == expected
+    # the file covers the whole schema, and every value differs from its default
+    assert {s: list(v) for s, v in expected.items()} == {
+        s: list(v) for s, v in config_schema().items()
+    }
+    defaults = {f.name: f.default for cls in (NetworkSpec, AugmentConfig, RunConfig)
+                for f in fields(cls)}
+    for values in expected.values():
+        for key, value in values.items():
+            assert value != defaults[key], key
+    assert RunConfig.from_dict(config.to_dict()) == config
+    assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+def test_unset_keys_take_the_dataclass_defaults():
+    args = cli._build_parser().parse_args(["train", "--synthetic", "--input-size", "24"])
+    config = cli._assemble_config(args, num_classes_hint=4)
+    assert config == RunConfig(
+        network=NetworkSpec(num_classes=4, input_size=24),
+        augment=AugmentConfig(crop=24),
+    )
+
+
+def test_readme_ini_table_lists_the_config_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```\n(\[network\].*?)```", readme, re.S).group(1)
+    block = re.sub(r"\([^)]*\)", "", block)  # drop the attention_sites example
+    table = {
+        section: [key.strip() for key in keys.split(",")]
+        for section, keys in re.findall(r"\[(\w+)\]([^\[]*)", block)
+    }
+    assert table == {section: list(keys) for section, keys in config_schema().items()}
 
 
 def test_bad_sites_value_is_exit_2(tmp_path):

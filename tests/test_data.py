@@ -50,8 +50,6 @@ def test_clip_validation():
 
 
 def test_augment_config_validation():
-    with pytest.raises(ValueError, match="scale_set is fixed"):
-        AugmentConfig(crop=24, scale_set=(1.0, 0.5))
     with pytest.raises(ValueError, match="even extent >= 16"):
         AugmentConfig(crop=23)
     with pytest.raises(ValueError, match="frames_out"):
@@ -312,6 +310,19 @@ def test_dataset_directory_round_trip(tmp_path):
         match = by_name[f"{name}/{name}_{clip.clip_id.split('_')[-1]}"]
         assert match.label == lex[name]
         assert np.array_equal(match.frames, clip.frames)
+
+
+def test_dataset_names_of_clips_without_id_are_deterministic(tmp_path):
+    clips = [LabeledClip(c.frames, c.label) for c in synth_dataset(4, 2, frames=4, extent=16)]
+    names = synth_class_names(4)
+    saved = []
+    for run in ("a", "b"):
+        save_dataset(tmp_path / run, clips, names)
+        saved.append(sorted(p.relative_to(tmp_path / run).as_posix()
+                            for p in (tmp_path / run).rglob("*.r3clip")))
+    assert saved[0] == saved[1]
+    assert len(saved[0]) == len(clips)
+    assert f"{names[clips[5].label]}/clip_5.r3clip" in saved[0]
 
 
 def test_clip_dir_errors(tmp_path):

@@ -116,15 +116,21 @@ def test_attention_masks_echo_stage_shapes():
         assert np.all(mask.data > 0.0) and np.all(mask.data < 1.0)
 
 
-def test_capture_masks_via_forward():
-    net = build_res3atn(DESK_SPEC)
+def test_attention_masks_stop_after_the_deepest_site():
+    spec = NetworkSpec(num_classes=4, input_frames=16, input_size=24, input_channels=1,
+                       attention_sites=(1,), channel_scale=8)
+    net = build_res3atn(spec)
     net.train()
+    ran = []
+    for k, stage in enumerate(net.stages, start=1):
+        stage.forward = (lambda h, k=k, fwd=stage.forward: ran.append(k) or fwd(h))
     x = Tensor(np.random.default_rng(3).standard_normal(
         (2, 1, 16, 24, 24)).astype(np.float32))
-    captured = {}
-    logits = net(x, capture_masks=captured)
-    assert logits.shape == (2, 4)
-    assert sorted(captured) == [1, 2, 3]
+    masks = net.attention_masks(x)
+    assert sorted(masks) == [1]
+    assert ran == [1]
+    net(x)
+    assert ran == [1, 1, 2, 3, 4, 5, 6, 7]
 
 
 def test_no_attention_variant_has_no_attention_parameters():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from res3atn import ops
+from res3atn.checksuite import conv3d_direct
 from res3atn.gradcheck import grad_check
 from res3atn.tensor import Tape, Tensor, backward
 
@@ -62,9 +63,9 @@ def test_conv3d_bias_broadcasts(rng):
 def test_conv3d_dual_route_agreement(rng):
     x = Tensor(rng.normal(size=(2, 3, 4, 6, 6)).astype(np.float32))
     w = Tensor(rng.normal(size=(5, 3, 3, 3, 3)).astype(np.float32))
-    fast = ops.conv3d(x, w, stride=2, padding=1, method="im2col")
-    slow = ops.conv3d(x, w, stride=2, padding=1, method="direct")
-    assert np.max(np.abs(fast.data - slow.data)) <= 1e-5
+    fast = ops.conv3d(x, w, stride=2, padding=1)
+    slow = conv3d_direct(x.data, w.data, stride=2, padding=1)
+    assert np.max(np.abs(fast.data - slow)) <= 1e-5
 
 
 def test_conv3d_gradients_match_finite_differences(rng):
@@ -87,8 +88,6 @@ def test_conv3d_validation_errors(rng):
         ops.conv3d(Tensor(np.zeros((2, 4, 4, 4), dtype=np.float32)), Tensor(np.zeros((1, 2, 1, 1, 1), dtype=np.float32)))
     with pytest.raises(ValueError, match="channels"):
         ops.conv3d(x5, Tensor(np.zeros((1, 3, 1, 1, 1), dtype=np.float32)))
-    with pytest.raises(ValueError, match="unknown method"):
-        ops.conv3d(x5, Tensor(np.zeros((1, 2, 1, 1, 1), dtype=np.float32)), method="fft")
     with pytest.raises(ValueError, match="exceeds padded input"):
         ops.conv3d(x5, Tensor(np.zeros((1, 2, 5, 5, 5), dtype=np.float32)))
 

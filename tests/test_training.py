@@ -65,6 +65,8 @@ def test_run_config_round_trip_and_validation():
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ValueError, match="unknown config sections"):
         RunConfig.from_dict({"surprise": {}})
+    with pytest.raises(ValueError, match="unknown config key run.lr"):
+        RunConfig.from_dict({"network": {"num_classes": 4}, "run": {"lr": 0.1}})
     with pytest.raises(ValueError, match="crop 32 must equal"):
         RunConfig(network=TINY_NET, augment=AugmentConfig(crop=32, frames_out=8))
     with pytest.raises(ValueError, match="frames_out 16 must equal"):
@@ -208,6 +210,9 @@ def test_ablation_grid_validation(tmp_path):
         ablation_run(_tiny_config(), [], train_clips, eval_clips, tmp_path)
     with pytest.raises(ValueError, match="duplicate subsets"):
         ablation_run(_tiny_config(), [(1,), (1,)], train_clips, eval_clips, tmp_path)
+    with pytest.raises(ValueError, match="attention_sites must be a subset"):
+        ablation_run(_tiny_config(), [(), (1,), (4,)], train_clips, eval_clips, tmp_path)
+    assert list(tmp_path.glob("sites_*")) == []
 
 
 # ---------------------------------------------------------------------------
