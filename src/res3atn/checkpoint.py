@@ -12,6 +12,7 @@ config JSON's bytes widened to float32).
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -35,7 +36,12 @@ class CheckpointFormatError(ValueError):
 
 
 def save_state(path, state: dict[str, np.ndarray]) -> None:
-    """Write a name -> float32 array mapping in canonical sorted order."""
+    """Write a name -> float32 array mapping in canonical sorted order.
+
+    The bytes go to <name>.tmp in the same directory, are fsynced, and then
+    replace the target, so a crash mid-save leaves the previous file intact.
+    On any failure the temp file is removed.
+    """
     chunks = [_HEAD.pack(_MAGIC, _VERSION, len(state))]
     for name in sorted(state):
         arr = np.asarray(state[name], dtype=np.float32)
@@ -53,7 +59,17 @@ def save_state(path, state: dict[str, np.ndarray]) -> None:
         chunks.append(arr.tobytes())
     body = b"".join(chunks)
     body += _U32.pack(zlib.crc32(body) & 0xFFFFFFFF)
-    Path(path).write_bytes(body)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(body)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:

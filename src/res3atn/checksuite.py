@@ -1,14 +1,21 @@
 """Canonical gradient-check suites and the conv reference, shared by the CLI and tests.
 
-Each operator check projects the op output against a fixed random weight
+OPERATOR_CHECKS holds one row per operator in ops, all 14 of them: an rng
+tag, a maker that draws one case's inputs, and the cases. One runner checks
+every row. It projects a non-scalar op output against a fixed random weight
 tensor (so coordinate permutation bugs cannot cancel out) and compares the
-recorded gradient with central finite differences. The network check casts
-a reduced-width model to float64 and probes its parameters in place through
+recorded gradient with central finite differences. mutate_backward wraps
+ops.<name> from outside to double the gradients its recorded rule returns,
+proving the checks catch a wrong derivative. The network check casts a
+reduced-width model to float64 and probes its parameters in place through
 the cross-entropy loss. conv3d_direct is the nested-loop convolution that
 ops.conv3d's im2col route is held to.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from functools import partial, wraps
 
 import numpy as np
 
@@ -71,219 +78,225 @@ def conv3d_direct(
     return out
 
 
-def _check_conv3d(seed: int) -> list[GradCheckReport]:
-    rng = _rng(seed, 1)
+def _leaf(data: np.ndarray) -> Tensor:
+    return Tensor(data, requires_grad=True)
+
+
+def _conv3d_case(rng, n, cin, cout, f, h, w, k, s, p, use_bias):
+    x = _leaf(_randn(rng, (n, cin, f, h, w)))
+    wt = _leaf(_randn(rng, (cout, cin, k, k, k), scale=0.5))
+    bias = [_leaf(_randn(rng, (cout,)))] if use_bias else []
+    return (lambda *ts: ops.conv3d(*ts, stride=s, padding=p)), [x, wt] + bias
+
+
+def _maxpool3d_case(rng, n, c, f, h, w, k, s, p):
+    # A shuffled, evenly spaced grid with the spread of N(0, 10^2): no two
+    # values lie closer than 20*sqrt(3)/(size-1) >= 0.069, far beyond the
+    # FD step, so no probe can move a window's maximum onto another value.
+    size = n * c * f * h * w
+    grid = np.linspace(-10.0 * np.sqrt(3.0), 10.0 * np.sqrt(3.0), size)
+    x = _leaf(rng.permutation(grid).reshape(n, c, f, h, w).astype(np.float32))
+    return (lambda x: ops.maxpool3d(x, k, stride=s, padding=p)), [x]
+
+
+def _avgpool_case(rng, *shape):
+    return ops.avgpool3d_adaptive, [_leaf(_randn(rng, shape))]
+
+
+def _upsample_case(rng, shape, target):
+    return (lambda x: ops.trilinear_upsample(x, target)), [_leaf(_randn(rng, shape))]
+
+
+def _batchnorm_case(rng, shape, training):
+    c = shape[1]
+    x = _leaf(_randn(rng, shape))
+    gamma = _leaf(_randn(rng, (c,), scale=0.5) + 1.0)
+    beta = _leaf(_randn(rng, (c,), scale=0.5))
+    if training:
+        rm, rv = np.zeros(c, dtype=np.float32), np.ones(c, dtype=np.float32)
+    else:  # fixed running statistics
+        rm = _randn(rng, (c,), scale=0.3)
+        rv = (np.abs(_randn(rng, (c,))) + 0.5).astype(np.float32)
+
+    def op(x, gamma, beta):
+        return ops.batchnorm3d(x, gamma, beta, rm, rv, training=training,
+                               update_running=False)
+
+    return op, [x, gamma, beta]
+
+
+def _sigmoid_case(rng, *shape):
+    return ops.sigmoid, [_leaf(_randn(rng, shape, scale=2.0))]
+
+
+def _relu_case(rng, *shape):
+    # keep every coordinate away from the kink at zero
+    mag = rng.uniform(0.1, 2.0, shape).astype(np.float32)
+    sign = rng.choice([-1.0, 1.0], shape).astype(np.float32)
+    return ops.relu, [_leaf(mag * sign)]
+
+
+def _linear_case(rng, n, d_in, d_out):
+    x = _leaf(_randn(rng, (n, d_in)))
+    w = _leaf(_randn(rng, (d_out, d_in), scale=0.5))
+    b = _leaf(_randn(rng, (d_out,)))
+    return ops.linear, [x, w, b]
+
+
+def _softmax_ce_case(rng, n, k):
+    logits = _leaf(_randn(rng, (n, k), scale=2.0))
+    labels = rng.integers(0, k, size=n)
+    return (lambda logits: ops.softmax_cross_entropy(logits, labels)), [logits]
+
+
+def _binary_case(name: str):
+    """Cases for ops.add or ops.mul. operands is "both", "left" (the right
+    operand is a constant), or "same" (one tensor in both slots, so its two
+    gradients accumulate)."""
+
+    def make(rng, shape, operands):
+        op = getattr(ops, name)
+        a = _leaf(_randn(rng, shape))
+        if operands == "same":
+            return (lambda a: op(a, a)), [a]
+        b = Tensor(_randn(rng, shape), requires_grad=operands == "both")
+        return op, [a, b]
+
+    return make
+
+
+def _add_scalar_case(rng, shape, value):
+    return (lambda x: ops.add_scalar(x, value)), [_leaf(_randn(rng, shape))]
+
+
+def _reshape_case(rng, shape, target):
+    return (lambda x: ops.reshape(x, target)), [_leaf(_randn(rng, shape))]
+
+
+def _sum_all_case(rng, *shape):
+    return ops.sum_all, [_leaf(_randn(rng, shape))]
+
+
+def _check(tag: int, make, cases, seed: int, scalar: bool = False) -> list[GradCheckReport]:
+    """One report per case: make(rng, *case) draws the inputs and returns
+    (op, tensors); unless the op is scalar, its output is projected.
+
+    Makers look ops up when the check runs, so an op that mutate_backward
+    has replaced is the one checked."""
+    rng = _rng(seed, tag)
     reports = []
-    configs = [
+    for case in cases:
+        op, tensors = make(rng, *case)
+        proj = None if scalar else _proj_for(rng, op, *tensors)
+
+        def fn(*ts, op=op, proj=proj):
+            out = op(*ts)
+            return out if proj is None else _project(out, proj)
+
+        reports.append(grad_check(fn, tensors, rng=_rng(seed, 100 + tag)))
+    return reports
+
+
+# name -> check(seed), one row per operator: rng tag, case maker, cases, and
+# whether the op's output is already a scalar loss. Tags 10 and 11 belong to
+# network_check.
+OPERATOR_CHECKS = {
+    "conv3d": partial(_check, 1, _conv3d_case, [
         # (N, Cin, Cout, F, H, W, k, stride, pad, bias)
         (1, 1, 2, 4, 5, 5, 3, 1, 1, True),
         (2, 2, 3, 5, 4, 4, 3, 2, 1, True),
         (1, 3, 2, 4, 4, 4, 1, 1, 0, False),
         (2, 2, 2, 6, 5, 5, 3, 2, 0, True),
         (1, 2, 4, 5, 6, 4, 2, 1, 1, True),
-    ]
-    for n, cin, cout, f, h, w, k, s, p, use_bias in configs:
-        x = Tensor(_randn(rng, (n, cin, f, h, w)), requires_grad=True)
-        wt = Tensor(_randn(rng, (cout, cin, k, k, k), scale=0.5), requires_grad=True)
-        b = Tensor(_randn(rng, (cout,)), requires_grad=True) if use_bias else None
-        tensors = [x, wt] + ([b] if b is not None else [])
-
-        def op(x, wt, b=None, s=s, p=p):
-            return ops.conv3d(x, wt, b, stride=s, padding=p)
-
-        proj = _proj_for(rng, op, *tensors)
-
-        def fn(*ts, op=op, proj=proj):
-            return _project(op(*ts), proj)
-
-        reports.append(grad_check(fn, tensors, rng=_rng(seed, 101)))
-    return reports
-
-
-def _check_maxpool3d(seed: int) -> list[GradCheckReport]:
-    rng = _rng(seed, 2)
-    reports = []
-    configs = [
+    ]),
+    "maxpool3d": partial(_check, 2, _maxpool3d_case, [
         # (N, C, F, H, W, k, stride, pad)
         (1, 1, 4, 6, 6, 2, 2, 0),
         (2, 2, 5, 5, 5, 3, 2, 1),
         (1, 3, 6, 4, 4, 2, 1, 1),
         (2, 1, 4, 4, 6, 3, 3, 0),
         (1, 2, 5, 6, 5, 3, 2, 1),
-    ]
-    for n, c, f, h, w, k, s, p in configs:
-        # A shuffled, evenly spaced grid with the spread of N(0, 10^2): no two
-        # values lie closer than 20*sqrt(3)/(size-1) >= 0.069, far beyond the
-        # FD step, so no probe can move a window's maximum onto another value.
-        size = n * c * f * h * w
-        grid = np.linspace(-10.0 * np.sqrt(3.0), 10.0 * np.sqrt(3.0), size)
-        x = Tensor(rng.permutation(grid).reshape(n, c, f, h, w).astype(np.float32),
-                   requires_grad=True)
-
-        def op(x, k=k, s=s, p=p):
-            return ops.maxpool3d(x, k, stride=s, padding=p)
-
-        proj = _proj_for(rng, op, x)
-
-        def fn(x, op=op, proj=proj):
-            return _project(op(x), proj)
-
-        reports.append(grad_check(fn, [x], rng=_rng(seed, 102)))
-    return reports
-
-
-def _check_avgpool(seed: int) -> list[GradCheckReport]:
-    rng = _rng(seed, 3)
-    reports = []
-    for shape in [(1, 1, 2, 3, 3), (2, 3, 4, 4, 4), (1, 2, 5, 3, 6),
-                  (3, 1, 2, 2, 2), (1, 4, 3, 5, 4)]:
-        x = Tensor(_randn(rng, shape), requires_grad=True)
-        proj = _proj_for(rng, ops.avgpool3d_adaptive, x)
-
-        def fn(x, proj=proj):
-            return _project(ops.avgpool3d_adaptive(x), proj)
-
-        reports.append(grad_check(fn, [x], rng=_rng(seed, 103)))
-    return reports
-
-
-def _check_upsample(seed: int) -> list[GradCheckReport]:
-    rng = _rng(seed, 4)
-    reports = []
-    configs = [
+    ]),
+    "avgpool3d_adaptive": partial(_check, 3, _avgpool_case, [
+        (1, 1, 2, 3, 3), (2, 3, 4, 4, 4), (1, 2, 5, 3, 6), (3, 1, 2, 2, 2), (1, 4, 3, 5, 4),
+    ]),
+    "trilinear_upsample": partial(_check, 4, _upsample_case, [
         ((1, 1, 2, 3, 3), (4, 6, 6)),
         ((2, 2, 3, 4, 4), (6, 8, 8)),
         ((1, 3, 2, 2, 5), (4, 4, 7)),
         ((1, 1, 4, 4, 4), (4, 4, 4)),
         ((2, 1, 3, 5, 2), (5, 9, 4)),
-    ]
-    for shape, target in configs:
-        x = Tensor(_randn(rng, shape), requires_grad=True)
-
-        def op(x, target=target):
-            return ops.trilinear_upsample(x, target)
-
-        proj = _proj_for(rng, op, x)
-
-        def fn(x, op=op, proj=proj):
-            return _project(op(x), proj)
-
-        reports.append(grad_check(fn, [x], rng=_rng(seed, 104)))
-    return reports
-
-
-def _check_batchnorm(seed: int) -> list[GradCheckReport]:
-    rng = _rng(seed, 5)
-    reports = []
-    shapes = [(2, 2, 3, 4, 4), (1, 3, 4, 3, 3), (3, 1, 2, 5, 5), (2, 4, 3, 2, 2)]
-    for shape in shapes:
-        c = shape[1]
-        x = Tensor(_randn(rng, shape), requires_grad=True)
-        gamma = Tensor(_randn(rng, (c,), scale=0.5) + 1.0, requires_grad=True)
-        beta = Tensor(_randn(rng, (c,), scale=0.5), requires_grad=True)
-        rm = np.zeros(c, dtype=np.float32)
-        rv = np.ones(c, dtype=np.float32)
-
-        def op(x, gamma, beta, rm=rm, rv=rv):
-            return ops.batchnorm3d(x, gamma, beta, rm, rv, training=True,
-                                   update_running=False)
-
-        proj = _proj_for(rng, op, x, gamma, beta)
-
-        def fn(x, gamma, beta, op=op, proj=proj):
-            return _project(op(x, gamma, beta), proj)
-
-        reports.append(grad_check(fn, [x, gamma, beta], rng=_rng(seed, 105)))
-    # eval mode: fixed running statistics
-    shape = (2, 3, 3, 4, 4)
-    c = shape[1]
-    x = Tensor(_randn(rng, shape), requires_grad=True)
-    gamma = Tensor(_randn(rng, (c,), scale=0.5) + 1.0, requires_grad=True)
-    beta = Tensor(_randn(rng, (c,), scale=0.5), requires_grad=True)
-    rm = _randn(rng, (c,), scale=0.3)
-    rv = (np.abs(_randn(rng, (c,))) + 0.5).astype(np.float32)
-    proj = _randn(rng, shape)
-
-    def fn_eval(x, gamma, beta, rm=rm, rv=rv, proj=proj):
-        out = ops.batchnorm3d(x, gamma, beta, rm, rv, training=False)
-        return _project(out, proj)
-
-    reports.append(grad_check(fn_eval, [x, gamma, beta], rng=_rng(seed, 105)))
-    return reports
-
-
-def _check_sigmoid(seed: int) -> list[GradCheckReport]:
-    rng = _rng(seed, 6)
-    reports = []
-    for shape in [(3,), (2, 5), (1, 2, 3, 2, 2), (4, 4), (2, 2, 2)]:
-        x = Tensor(_randn(rng, shape, scale=2.0), requires_grad=True)
-        proj = _randn(rng, shape)
-
-        def fn(x, proj=proj):
-            return _project(ops.sigmoid(x), proj)
-
-        reports.append(grad_check(fn, [x], rng=_rng(seed, 106)))
-    return reports
-
-
-def _check_relu(seed: int) -> list[GradCheckReport]:
-    rng = _rng(seed, 7)
-    reports = []
-    for shape in [(4,), (3, 3), (2, 2, 2, 2, 2), (5, 2), (1, 6)]:
-        # keep every coordinate away from the kink at zero
-        mag = rng.uniform(0.1, 2.0, shape).astype(np.float32)
-        sign = rng.choice([-1.0, 1.0], shape).astype(np.float32)
-        x = Tensor(mag * sign, requires_grad=True)
-        proj = _randn(rng, shape)
-
-        def fn(x, proj=proj):
-            return _project(ops.relu(x), proj)
-
-        reports.append(grad_check(fn, [x], rng=_rng(seed, 107)))
-    return reports
-
-
-def _check_linear(seed: int) -> list[GradCheckReport]:
-    rng = _rng(seed, 8)
-    reports = []
-    for n, d_in, d_out in [(2, 3, 4), (1, 5, 2), (4, 2, 2), (3, 6, 5), (2, 4, 1)]:
-        x = Tensor(_randn(rng, (n, d_in)), requires_grad=True)
-        w = Tensor(_randn(rng, (d_out, d_in), scale=0.5), requires_grad=True)
-        b = Tensor(_randn(rng, (d_out,)), requires_grad=True)
-        proj = _randn(rng, (n, d_out))
-
-        def fn(x, w, b, proj=proj):
-            return _project(ops.linear(x, w, b), proj)
-
-        reports.append(grad_check(fn, [x, w, b], rng=_rng(seed, 108)))
-    return reports
-
-
-def _check_softmax_ce(seed: int) -> list[GradCheckReport]:
-    rng = _rng(seed, 9)
-    reports = []
-    for n, k in [(2, 3), (4, 2), (3, 5), (1, 4), (6, 7)]:
-        logits = Tensor(_randn(rng, (n, k), scale=2.0), requires_grad=True)
-        labels = rng.integers(0, k, size=n)
-
-        def fn(logits, labels=labels):
-            return ops.softmax_cross_entropy(logits, labels)
-
-        reports.append(grad_check(fn, [logits], rng=_rng(seed, 109)))
-    return reports
-
-
-OPERATOR_CHECKS = {
-    "conv3d": _check_conv3d,
-    "maxpool3d": _check_maxpool3d,
-    "avgpool3d_adaptive": _check_avgpool,
-    "trilinear_upsample": _check_upsample,
-    "batchnorm3d": _check_batchnorm,
-    "sigmoid": _check_sigmoid,
-    "relu": _check_relu,
-    "linear": _check_linear,
-    "softmax_cross_entropy": _check_softmax_ce,
+    ]),
+    "batchnorm3d": partial(_check, 5, _batchnorm_case, [
+        ((2, 2, 3, 4, 4), True),
+        ((1, 3, 4, 3, 3), True),
+        ((3, 1, 2, 5, 5), True),
+        ((2, 4, 3, 2, 2), True),
+        ((2, 3, 3, 4, 4), False),
+    ]),
+    "sigmoid": partial(_check, 6, _sigmoid_case, [
+        (3,), (2, 5), (1, 2, 3, 2, 2), (4, 4), (2, 2, 2),
+    ]),
+    "relu": partial(_check, 7, _relu_case, [
+        (4,), (3, 3), (2, 2, 2, 2, 2), (5, 2), (1, 6),
+    ]),
+    "linear": partial(_check, 8, _linear_case, [
+        # (N, D_in, D_out)
+        (2, 3, 4), (1, 5, 2), (4, 2, 2), (3, 6, 5), (2, 4, 1),
+    ]),
+    "softmax_cross_entropy": partial(_check, 9, _softmax_ce_case, [
+        # (N, classes)
+        (2, 3), (4, 2), (3, 5), (1, 4), (6, 7),
+    ], scalar=True),
+    "add": partial(_check, 12, _binary_case("add"), [
+        ((2, 3), "both"), ((1, 2, 3, 2, 2), "both"), ((4,), "left"), ((3, 3), "same"),
+        ((2, 2, 2, 3, 1), "both"),
+    ]),
+    "mul": partial(_check, 13, _binary_case("mul"), [
+        ((2, 3), "both"), ((1, 2, 3, 2, 2), "both"), ((4,), "left"), ((3, 3), "same"),
+        ((2, 2, 2, 3, 1), "both"),
+    ]),
+    "add_scalar": partial(_check, 14, _add_scalar_case, [
+        ((3,), 1.0), ((2, 4), -0.5), ((1, 2, 3, 2, 2), 1.0), ((5, 2), 0.0), ((2, 2, 2), 3.0),
+    ]),
+    "reshape": partial(_check, 15, _reshape_case, [
+        ((2, 3), (3, 2)), ((2, 3, 2, 2, 2), (2, -1)), ((6,), (1, 2, 3)),
+        ((1, 4, 1, 2, 2), (4, 4)), ((3, 4), (12,)),
+    ]),
+    "sum_all": partial(_check, 16, _sum_all_case, [
+        (3,), (2, 5), (1, 2, 3, 2, 2), (4, 4), (2, 2, 2),
+    ], scalar=True),
 }
+
+
+@contextmanager
+def mutate_backward(name: str):
+    """Double every gradient the named operator's recorded rule returns.
+
+    Inside the context ops.<name> is a wrapper that corrupts the backward
+    closure of each node the op records; it proves the checks can detect a
+    wrong derivative. The op itself is never edited.
+    """
+    if name not in OPERATOR_CHECKS:
+        raise ValueError(f"no backward mutation for unknown operator {name!r}")
+    original = getattr(ops, name)
+
+    def doubled(rule):
+        return lambda g: tuple(None if d is None else d * 2.0 for d in rule(g))
+
+    @wraps(original)
+    def mutated(*args, **kwargs):
+        out = original(*args, **kwargs)
+        if out.tape is not None and out.tape.nodes and out.tape.nodes[-1].output is out:
+            node = out.tape.nodes[-1]
+            node.backward_fn = doubled(node.backward_fn)
+        return out
+
+    setattr(ops, name, mutated)
+    try:
+        yield
+    finally:
+        setattr(ops, name, original)
 
 
 def operator_suite(seed: int = 0, only=None) -> dict[str, list[GradCheckReport]]:
@@ -293,14 +306,6 @@ def operator_suite(seed: int = 0, only=None) -> dict[str, list[GradCheckReport]]
     if unknown:
         raise ValueError(f"unknown operator names: {unknown}")
     return {name: OPERATOR_CHECKS[name](seed) for name in names}
-
-
-def suite_max_errors(results: dict[str, list[GradCheckReport]]) -> dict[str, float]:
-    return {name: max(r.max_rel_error for r in reps) for name, reps in results.items()}
-
-
-def suite_passed(results: dict[str, list[GradCheckReport]]) -> bool:
-    return all(r.passed for reps in results.values() for r in reps)
 
 
 def network_check(

@@ -77,6 +77,20 @@ def _parse_bool(raw: str) -> bool:
 # parser of a config value, by the type of the dataclass field that holds it
 _PARSERS = {int: int, float: float, bool: _parse_bool, tuple[int, ...]: _parse_sites}
 
+# train/ablate config flags: flag -> (section, key, type, help). argparse
+# applies int and float; --sites is parsed with the other values, in
+# _assemble_config, so a bad subset is reported as "expected ... site numbers".
+_CONFIG_FLAGS = {
+    "--epochs": ("run", "epochs", int, None),
+    "--batch-size": ("run", "batch_size", int, None),
+    "--seed": ("run", "seed", int, None),
+    "--lr": ("optimizer", "lr", float, None),
+    "--sites": ("network", "attention_sites", _parse_sites, "attention sites, e.g. 1,2,3 or none"),
+    "--channel-scale": ("network", "channel_scale", int, None),
+    "--input-size": ("network", "input_size", int, None),
+    "--frames": ("network", "input_frames", int, "network input frames"),
+}
+
 
 def _load_config_file(path) -> dict:
     from .training import config_schema
@@ -108,23 +122,13 @@ def _assemble_config(args, num_classes_hint: int | None):
     from .training import RunConfig
 
     cfg = _load_config_file(args.config) if args.config else {}
-    overrides = {
-        ("run", "epochs"): args.epochs,
-        ("run", "batch_size"): args.batch_size,
-        ("run", "seed"): args.seed,
-        ("optimizer", "lr"): args.lr,
-        ("network", "channel_scale"): args.channel_scale,
-        ("network", "input_size"): args.input_size,
-        ("network", "input_frames"): args.frames,
-    }
-    if args.sites is not None:
-        try:
-            overrides["network", "attention_sites"] = _parse_sites(args.sites)
-        except ValueError as exc:
-            raise CliError(str(exc), 2)
-    for (section, key), value in overrides.items():
+    for flag, (section, key, parse, _help) in _CONFIG_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            cfg.setdefault(section, {})[key] = value
+            try:
+                cfg.setdefault(section, {})[key] = parse(value)
+            except ValueError as exc:
+                raise CliError(str(exc), 2)
     network = cfg.setdefault("network", {})
     if "num_classes" not in network:
         if num_classes_hint is None:
@@ -249,11 +253,13 @@ def _cmd_eval(args) -> int:
 def _cmd_gradcheck(args) -> int:
     from contextlib import nullcontext
 
-    from . import ops
-    from .checksuite import network_check, operator_suite
+    from .checksuite import OPERATOR_CHECKS, mutate_backward, network_check, operator_suite
 
     only = args.ops.split(",") if args.ops else None
-    guard = ops.mutate_backward(args.mutate) if args.mutate else nullcontext()
+    if args.mutate and args.mutate not in OPERATOR_CHECKS:
+        raise CliError(f"argument --mutate: invalid choice: {args.mutate!r} "
+                       f"(choose from {', '.join(map(repr, OPERATOR_CHECKS))})", 2)
+    guard = mutate_backward(args.mutate) if args.mutate else nullcontext()
     failed = False
     with guard:
         try:
@@ -295,6 +301,9 @@ def _parse_grid(args) -> list[tuple]:
 def _cmd_ablate(args) -> int:
     from .training import ablation_run, ablation_variants, format_ablation_table
 
+    if args.sites is not None:
+        raise CliError("ablate: --sites is not accepted; each grid variant sets the "
+                       "attention sites (see --grid and --sites-grid)", 2)
     grid = _parse_grid(args)
     config = _assemble_config(args, _num_classes_hint(args))
     try:
@@ -338,14 +347,8 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="INI file with network/augment/optimizer/run")
     p.add_argument("--data", help="root with train/ and eval/ class trees")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--sites", help="attention sites, e.g. 1,2,3 or none")
-    p.add_argument("--channel-scale", type=int)
-    p.add_argument("--input-size", type=int)
-    p.add_argument("--frames", type=int, help="network input frames")
+    for flag, (_section, _key, parse, help_text) in _CONFIG_FLAGS.items():
+        p.add_argument(flag, type=None if parse is _parse_sites else parse, help=help_text)
     _add_synth_flags(p)
 
 
@@ -368,8 +371,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ops", help="comma-separated operator subset")
-    p.add_argument("--mutate", choices=("conv3d",),
-                   help="corrupt a backward rule to prove the suite detects it")
+    p.add_argument("--mutate", metavar="OP",
+                   help="corrupt a suite operator's backward rule to prove the "
+                        "checks detect it")
     p.add_argument("--no-network", dest="network", action="store_false",
                    help="skip the reduced-network parameter check")
     p.add_argument("--scale", type=int, default=16, help="network channel divisor")

@@ -12,7 +12,6 @@ needs is found only under a tape.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,26 +19,6 @@ import numpy as np
 from .tensor import Tensor, active_tape
 
 _AXIS_NAMES = ("frame", "height", "width")
-
-# Names whose backward rule is deliberately corrupted, used to prove the
-# gradient checker can detect a wrong derivative. Never set during training.
-_BACKWARD_MUTATIONS: set[str] = set()
-
-
-@contextmanager
-def mutate_backward(name: str):
-    """Corrupt the named operator's backward rule inside the context."""
-    if name not in ("conv3d",):
-        raise ValueError(f"no backward mutation implemented for {name!r}")
-    _BACKWARD_MUTATIONS.add(name)
-    try:
-        yield
-    finally:
-        _BACKWARD_MUTATIONS.discard(name)
-
-
-def _mutated(name: str) -> bool:
-    return name in _BACKWARD_MUTATIONS
 
 
 def _triple(value, what: str) -> tuple[int, int, int]:
@@ -185,10 +164,7 @@ def conv3d(
             if needs[1]:
                 gflat = g2.transpose(1, 0, 2).reshape(cout, n * loc)
                 cflat = cols2.transpose(1, 0, 2).reshape(kdim, n * loc)
-                dw2 = gflat @ cflat.T
-                if _mutated("conv3d"):
-                    dw2 = dw2 * 2.0
-                dw = dw2.reshape(weight.shape)
+                dw = (gflat @ cflat.T).reshape(weight.shape)
             if needs[0]:
                 dcols2 = np.matmul(w2.T, g2)  # (N, K, L)
                 dcols = dcols2.reshape(n, cin, kf, kh, kw, fo, ho, wo)

@@ -73,10 +73,6 @@ class NesterovSGD:
             p.data -= self.lr * (g + self.momentum * v)
             p.grad = None
 
-    def zero_grads(self) -> None:
-        for p in self.params:
-            p.grad = None
-
     def load_velocities(self, velocities: dict[str, np.ndarray]) -> None:
         for name, v in velocities.items():
             if name not in self.velocities:

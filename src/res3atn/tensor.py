@@ -58,9 +58,6 @@ class Tensor:
         """A view of the same storage with no gradient tracking."""
         return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if g.shape != self.data.shape:
             raise ValueError(

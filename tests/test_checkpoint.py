@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from res3atn import checkpoint
 from res3atn.checkpoint import (
     CheckpointFormatError,
     checkpoint_meta,
@@ -73,6 +74,49 @@ def test_insertion_order_does_not_change_bytes(tmp_path):
     save_state(tmp_path / "a.r3ck", state)
     save_state(tmp_path / "b.r3ck", reversed_state)
     assert (tmp_path / "a.r3ck").read_bytes() == (tmp_path / "b.r3ck").read_bytes()
+
+
+class _HalfWriteFile:
+    """A file whose write stores half the bytes, then fails like a full disk."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(bytes(data[: len(data) // 2]))
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("stage", ["write", "fsync", "replace"])
+def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch, stage):
+    path = tmp_path / "last.r3ck"
+    save_state(path, _state())
+    good = path.read_bytes()
+    assert [f.name for f in tmp_path.iterdir()] == ["last.r3ck"]
+
+    if stage == "write":
+        monkeypatch.setattr(checkpoint, "open", _HalfWriteFile, raising=False)
+    else:
+        def fail(*args):
+            raise OSError(5, f"{stage} failed")
+
+        monkeypatch.setattr(checkpoint.os, stage, fail)
+    newer = {name: arr + 1.0 for name, arr in _state().items()}
+    with pytest.raises(OSError):
+        save_state(path, newer)
+    monkeypatch.undo()
+
+    assert [f.name for f in tmp_path.iterdir()] == ["last.r3ck"]
+    assert path.read_bytes() == good
+    for name, arr in load_state(path).items():
+        np.testing.assert_array_equal(arr, _state()[name])
 
 
 def test_rank_zero_entries_are_rejected(tmp_path):

@@ -25,6 +25,8 @@ TINY = (
     "--epochs", "1", "--batch-size", "2", "--channel-scale", "64",
     "--input-size", "16", "--frames", "8", "--sites", "1", "--seed", "0",
 )
+# ablate sets the attention sites of each variant and rejects --sites
+TINY_ABLATE = TINY[:-4] + TINY[-2:]
 
 
 def run_cli(*args, env_extra=None):
@@ -124,10 +126,35 @@ def test_gradcheck_detects_a_mutated_backward():
     assert "FAIL" in proc.stdout
 
 
+def test_gradcheck_mutates_any_suite_op():
+    proc = run_cli("gradcheck", "--ops", "sigmoid,relu", "--no-network", "--mutate", "sigmoid")
+    assert proc.returncode == 1
+    lines = proc.stdout.strip().splitlines()
+    assert [ln.split()[-1] for ln in lines] == ["FAIL", "pass"]
+
+
+def test_gradcheck_unknown_mutation_is_exit_2():
+    proc = run_cli("gradcheck", "--ops", "relu", "--no-network", "--mutate", "conv9d")
+    assert proc.returncode == 2
+    assert "argument --mutate: invalid choice: 'conv9d'" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_ablate_rejects_sites(tmp_path):
+    out = tmp_path / "ablation"
+    proc = run_cli("ablate", *SYNTH, *TINY, "--grid", "custom",
+                   "--sites-grid", "none", "--out", str(out))
+    assert proc.returncode == 2
+    err_lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("r3atn: error: ablate: --sites is not accepted")
+    assert not out.exists()
+
+
 def test_ablate_custom_grid(tmp_path):
     out = tmp_path / "ablation"
     proc = run_cli(
-        "ablate", *SYNTH, *TINY, "--grid", "custom",
+        "ablate", *SYNTH, *TINY_ABLATE, "--grid", "custom",
         "--sites-grid", "none;1", "--out", str(out),
     )
     assert proc.returncode == 0, proc.stderr
@@ -138,7 +165,7 @@ def test_ablate_custom_grid(tmp_path):
 
 
 def test_ablate_unparsable_grid_subset_is_exit_2(tmp_path):
-    proc = run_cli("ablate", *SYNTH, *TINY, "--grid", "custom",
+    proc = run_cli("ablate", *SYNTH, *TINY_ABLATE, "--grid", "custom",
                    "--sites-grid", "1;x", "--out", str(tmp_path / "ablation"))
     assert proc.returncode == 2
     assert "comma-separated site numbers" in proc.stderr
@@ -146,7 +173,7 @@ def test_ablate_unparsable_grid_subset_is_exit_2(tmp_path):
 
 def test_ablate_invalid_last_subset_trains_no_variant(tmp_path):
     out = tmp_path / "ablation"
-    proc = run_cli("ablate", *SYNTH, *TINY, "--grid", "custom",
+    proc = run_cli("ablate", *SYNTH, *TINY_ABLATE, "--grid", "custom",
                    "--sites-grid", "1;4", "--out", str(out))
     assert proc.returncode == 2
     assert "attention_sites must be a subset" in proc.stderr
@@ -154,7 +181,7 @@ def test_ablate_invalid_last_subset_trains_no_variant(tmp_path):
 
 
 def test_ablate_custom_grid_requires_subsets():
-    proc = run_cli("ablate", *SYNTH, *TINY, "--grid", "custom")
+    proc = run_cli("ablate", *SYNTH, *TINY_ABLATE, "--grid", "custom")
     assert proc.returncode == 2
     assert "custom grid requires --sites-grid" in proc.stderr
 

@@ -1,10 +1,12 @@
 """Gradient checker contract: tolerance, determinism, and mutation detection."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from res3atn import ops
-from res3atn.checksuite import operator_suite
+from res3atn.checksuite import OPERATOR_CHECKS, mutate_backward, network_check, operator_suite
 from res3atn.gradcheck import grad_check
 from res3atn.tensor import Tensor
 
@@ -72,7 +74,7 @@ def test_mutated_conv_backward_is_detected(rng):
 
     clean = grad_check(fn, list([x, w]), rng=np.random.default_rng(1))
     assert clean.passed
-    with ops.mutate_backward("conv3d"):
+    with mutate_backward("conv3d"):
         dirty = grad_check(fn, [x, w], rng=np.random.default_rng(1))
     assert not dirty.passed
     assert dirty.max_rel_error > clean.max_rel_error * 10
@@ -109,8 +111,42 @@ def test_fixed_rng_gives_identical_reports(rng):
     assert r1.worst.coord == r2.worst.coord
 
 
-def test_maxpool_suite_has_no_near_ties_on_any_seed():
-    # seed 23 once drew two window values 1.2e-4 apart, closer than the FD step
+@pytest.mark.parametrize("name", ["maxpool3d", "add", "mul", "add_scalar", "reshape", "sum_all"])
+def test_maxpool_suite_has_no_near_ties_on_any_seed(name):
+    # maxpool3d: seed 23 once drew two window values 1.2e-4 apart, closer than
+    # the FD step; the rows added after it must pass on every seed as well
     for seed in range(60):
-        reports = operator_suite(seed, only=["maxpool3d"])["maxpool3d"]
+        reports = operator_suite(seed, only=[name])[name]
         assert all(r.passed for r in reports), (seed, [str(r) for r in reports])
+
+
+def test_every_operator_has_a_check_row():
+    public = {name for name, fn in vars(ops).items()
+              if inspect.isfunction(fn) and fn.__module__ == ops.__name__
+              and not name.startswith("_")}
+    assert set(OPERATOR_CHECKS) == public
+    assert len(OPERATOR_CHECKS) == 14
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_CHECKS))
+def test_mutated_backward_fails_its_own_checks(name):
+    original = getattr(ops, name)
+    with mutate_backward(name):
+        assert getattr(ops, name) is not original
+        reports = operator_suite(0, only=[name])[name]
+    assert getattr(ops, name) is original
+    assert len(reports) >= 5
+    assert not any(r.passed for r in reports), [str(r) for r in reports]
+    with pytest.raises(KeyError):
+        with mutate_backward(name):
+            raise KeyError("inside the block")
+    assert getattr(ops, name) is original
+    assert all(r.passed for r in operator_suite(0, only=[name])[name])
+
+
+@pytest.mark.parametrize("name", ["conv3d", "add_scalar"])
+def test_network_check_detects_a_mutated_backward(name):
+    # add_scalar is reached only through the attention fusion (1 + mask) * trunk
+    with mutate_backward(name):
+        report = network_check(seed=0)
+    assert not report.passed, str(report)
