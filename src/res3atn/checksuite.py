@@ -38,12 +38,6 @@ def _project(out: Tensor, weights: np.ndarray) -> Tensor:
     return ops.sum_all(ops.mul(out, w))
 
 
-def _proj_for(rng, fn, *tensors) -> np.ndarray:
-    """Draw a projection weight matching the op's output shape."""
-    out = fn(*tensors)
-    return _randn(rng, out.shape)
-
-
 def conv3d_direct(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None, stride=1, padding=0
 ) -> np.ndarray:
@@ -177,9 +171,9 @@ def _sum_all_case(rng, *shape):
     return ops.sum_all, [_leaf(_randn(rng, shape))]
 
 
-def _check(tag: int, make, cases, seed: int, scalar: bool = False) -> list[GradCheckReport]:
+def _check(tag: int, make, cases, seed: int) -> list[GradCheckReport]:
     """One report per case: make(rng, *case) draws the inputs and returns
-    (op, tensors); unless the op is scalar, its output is projected.
+    (op, tensors); an op output that is not 0-d is projected to a scalar.
 
     Makers look ops up when the check runs, so an op that mutate_backward
     has replaced is the one checked."""
@@ -187,7 +181,8 @@ def _check(tag: int, make, cases, seed: int, scalar: bool = False) -> list[GradC
     reports = []
     for case in cases:
         op, tensors = make(rng, *case)
-        proj = None if scalar else _proj_for(rng, op, *tensors)
+        out = op(*tensors)
+        proj = None if out.ndim == 0 else _randn(rng, out.shape)
 
         def fn(*ts, op=op, proj=proj):
             out = op(*ts)
@@ -197,9 +192,8 @@ def _check(tag: int, make, cases, seed: int, scalar: bool = False) -> list[GradC
     return reports
 
 
-# name -> check(seed), one row per operator: rng tag, case maker, cases, and
-# whether the op's output is already a scalar loss. Tags 10 and 11 belong to
-# network_check.
+# name -> check(seed), one row per operator: rng tag, case maker, and cases.
+# Tags 10 and 11 belong to network_check.
 OPERATOR_CHECKS = {
     "conv3d": partial(_check, 1, _conv3d_case, [
         # (N, Cin, Cout, F, H, W, k, stride, pad, bias)
@@ -247,7 +241,7 @@ OPERATOR_CHECKS = {
     "softmax_cross_entropy": partial(_check, 9, _softmax_ce_case, [
         # (N, classes)
         (2, 3), (4, 2), (3, 5), (1, 4), (6, 7),
-    ], scalar=True),
+    ]),
     "add": partial(_check, 12, _binary_case("add"), [
         ((2, 3), "both"), ((1, 2, 3, 2, 2), "both"), ((4,), "left"), ((3, 3), "same"),
         ((2, 2, 2, 3, 1), "both"),
@@ -265,7 +259,7 @@ OPERATOR_CHECKS = {
     ]),
     "sum_all": partial(_check, 16, _sum_all_case, [
         (3,), (2, 5), (1, 2, 3, 2, 2), (4, 4), (2, 2, 2),
-    ], scalar=True),
+    ]),
 }
 
 

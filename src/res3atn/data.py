@@ -87,7 +87,7 @@ def sample_frames(clip: LabeledClip, frames_out: int, rng: np.random.Generator) 
         idx = np.arange(offset, offset + frames_out)
     else:
         idx = np.arange(frames_out) % total
-    return LabeledClip(clip.frames[idx].copy(), clip.label, clip.clip_id)
+    return LabeledClip(clip.frames[idx], clip.label, clip.clip_id)
 
 
 def _resize_bilinear(frames: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -216,7 +216,7 @@ def eval_preprocess(clip: LabeledClip, cfg: AugmentConfig) -> np.ndarray:
         idx = np.arange(offset, offset + cfg.frames_out)
     else:
         idx = np.arange(cfg.frames_out) % total
-    window = LabeledClip(clip.frames[idx].copy(), clip.label, clip.clip_id)
+    window = LabeledClip(clip.frames[idx], clip.label, clip.clip_id)
     return normalize(center_crop(window, cfg.crop))
 
 

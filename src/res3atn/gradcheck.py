@@ -1,7 +1,7 @@
 """Central finite-difference verification of recorded gradients.
 
 The closure under test runs in its tensors' own dtype for the analytic pass;
-the finite-difference pass runs on float64 clones by default so the check is
+the finite-difference pass runs on float64 clones (FD_DTYPE) so the check is
 limited by the analytic path's precision, not the probe's. For parameters
 living inside a model, perturb_in_place=True probes the original tensors
 directly (cast the model to float64 first for tight tolerances).
@@ -15,6 +15,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .tensor import Tape, Tensor, zero_grads
+
+FD_DTYPE = np.float64
 
 
 @dataclass
@@ -87,7 +89,6 @@ def grad_check(
     tol: float = 1e-3,
     max_coords: int = 64,
     rng: Optional[np.random.Generator] = None,
-    fd_dtype=np.float64,
     perturb_in_place: bool = False,
     exclude_kinks: bool = False,
 ) -> GradCheckReport:
@@ -119,7 +120,7 @@ def grad_check(
     if not np.array_equal(first, second):
         raise RuntimeError("grad_check: closure is not deterministic (forward-twice mismatch)")
 
-    zero_grads(t for t in inputs if isinstance(t, Tensor))
+    zero_grads(inputs)
     with Tape() as tape:
         loss = fn(*inputs)
         if loss.size != 1:
@@ -134,12 +135,7 @@ def grad_check(
     if perturb_in_place:
         probes = inputs
     else:
-        probes = [
-            Tensor(t.data.astype(fd_dtype), requires_grad=False, dtype=fd_dtype)
-            if isinstance(t, Tensor)
-            else t
-            for t in inputs
-        ]
+        probes = [Tensor(t.data.astype(FD_DTYPE)) for t in inputs]
 
     budget = max_coords * 3 if exclude_kinks else max_coords
     plan = _plan_coords([inputs[i] for i in checked_idx], budget, rng)

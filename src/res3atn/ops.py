@@ -2,12 +2,15 @@
 
 Every operator computes its forward value with numpy, and when called under
 an active tape with at least one input requiring gradients it records a
-closure implementing the exact reverse-mode rule. Every forward value is
-scanned, and a NaN or infinity raises NonFiniteError naming the operator.
-Convolution has one route, im2col+GEMM; the nested-loop reference it is
-held to lives in checksuite. Max pooling builds no window tensor: its
-forward is a separable running max, and the per-window winner its backward
-needs is found only under a tape.
+closure g -> grads implementing the exact reverse-mode rule. A rule reads
+its inputs, which the tape holds anyway, and returns None for each input
+that does not require gradients. Every forward value is scanned, and a NaN
+or infinity raises NonFiniteError naming the operator. Convolution has one
+route, im2col+GEMM; for a 1x1x1 kernel the columns are a view of the
+(strided) input rather than a copy. The nested-loop reference it is held to
+lives in checksuite. Max pooling builds no window tensor: its forward is a
+separable running max, and the per-window winner its backward needs is
+found only under a tape.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, active_tape
+from .tensor import Tape, Tensor, active_tape
 
 _AXIS_NAMES = ("frame", "height", "width")
 
@@ -34,21 +37,24 @@ class NonFiniteError(FloatingPointError):
     """An operator produced NaN or infinity; the message names the operator."""
 
 
-def _finish(op: str, out_data: np.ndarray, inputs: Sequence[Tensor], make_backward) -> Tensor:
+def _recording(inputs: Sequence[Tensor]) -> Optional[Tape]:
+    """The active tape, if there is one and some input requires gradients."""
+    tape = active_tape()
+    if tape is not None and any(t.requires_grad for t in inputs):
+        return tape
+    return None
+
+
+def _finish(op: str, out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     """Wrap a forward result, checking finiteness and recording if needed."""
     if not np.all(np.isfinite(out_data)):
         raise NonFiniteError(f"{op} produced non-finite values")
-    tape = active_tape()
-    needs = tuple(isinstance(t, Tensor) and t.requires_grad for t in inputs)
-    if tape is None or not any(needs):
+    tape = _recording(inputs)
+    if tape is None:
         return Tensor(out_data, dtype=out_data.dtype)
     out = Tensor(out_data, requires_grad=True, dtype=out_data.dtype)
-    tape.record(out, [t for t in inputs if isinstance(t, Tensor)], make_backward(needs))
+    tape.record(out, inputs, backward_fn)
     return out
-
-
-def _out_extent(n: int, k: int, s: int, p: int) -> int:
-    return (n + 2 * p - k) // s + 1
 
 
 def _check_window_geometry(op: str, spatial, kernel, stride, padding) -> tuple[int, int, int]:
@@ -66,18 +72,21 @@ def _check_window_geometry(op: str, spatial, kernel, stride, padding) -> tuple[i
             raise ValueError(
                 f"{op}: window {k} exceeds padded input extent {n + 2 * p} along {_AXIS_NAMES[axis]}"
             )
-        o = _out_extent(n, k, s, p)
-        if o < 1:
-            raise ValueError(f"{op}: zero-sized output along {_AXIS_NAMES[axis]}")
-        out.append(o)
+        out.append((n + 2 * p - k) // s + 1)  # >= 1, as the window fits
     return tuple(out)
 
 
 def _gather_windows(xp: np.ndarray, kernel, stride, out_shape) -> np.ndarray:
-    """Stack sliding windows: (N, C, kf, kh, kw, Fo, Ho, Wo)."""
+    """Stack sliding windows: (N, C, kf, kh, kw, Fo, Ho, Wo).
+
+    A 1x1x1 window is one input cell, so the stack is the strided input
+    itself, returned as a view.
+    """
+    sf, sh, sw = stride
+    if kernel == (1, 1, 1):
+        return xp[:, :, None, None, None, ::sf, ::sh, ::sw]
     n, c = xp.shape[:2]
     kf, kh, kw = kernel
-    sf, sh, sw = stride
     fo, ho, wo = out_shape
     cols = np.empty((n, c, kf, kh, kw, fo, ho, wo), dtype=xp.dtype)
     for a in range(kf):
@@ -113,6 +122,12 @@ def _pad5(x: np.ndarray, padding, value=0.0) -> np.ndarray:
     )
 
 
+def _unpad5(xp: np.ndarray, padding) -> np.ndarray:
+    """Crop the border _pad5 added, as a contiguous array."""
+    crop = tuple(slice(p, e - p) for e, p in zip(xp.shape[2:], padding))
+    return np.ascontiguousarray(xp[(slice(None), slice(None)) + crop])
+
+
 def conv3d(
     x: Tensor,
     weight: Tensor,
@@ -123,7 +138,8 @@ def conv3d(
     """3-D cross-correlation of (N,C,F,H,W) input with (Co,Ci,kf,kh,kw) weight.
 
     The windows are gathered into columns (im2col) and contracted with the
-    weight in one GEMM; the columns are kept for the weight gradient.
+    weight in one GEMM; the columns are kept for the weight gradient. For a
+    1x1x1 kernel at stride 1 the columns are the input's own storage.
     """
     if x.ndim != 5:
         raise ValueError(f"conv3d: input must be rank 5, got shape {x.shape}")
@@ -146,6 +162,7 @@ def conv3d(
     loc = fo * ho * wo
 
     xp = _pad5(x.data, padding)
+    padded_shape = xp.shape
     w2 = weight.data.reshape(cout, kdim)
     cols2 = _gather_windows(xp, kernel, stride, out_shape).reshape(n, kdim, loc)
     out = np.matmul(w2, cols2)  # (N, Co, L)
@@ -155,30 +172,22 @@ def conv3d(
 
     inputs = [x, weight] if bias is None else [x, weight, bias]
 
-    def make_backward(needs):
-        padded_shape = xp.shape
+    def backward_fn(g):
+        g2 = g.reshape(n, cout, loc)
+        dx = dw = None
+        if weight.requires_grad:
+            gflat = g2.transpose(1, 0, 2).reshape(cout, n * loc)
+            cflat = cols2.transpose(1, 0, 2).reshape(kdim, n * loc)
+            dw = (gflat @ cflat.T).reshape(weight.shape)
+        if x.requires_grad:
+            dcols2 = np.matmul(w2.T, g2)  # (N, K, L)
+            dcols = dcols2.reshape(n, cin, kf, kh, kw, fo, ho, wo)
+            dx = _unpad5(_scatter_windows(dcols, padded_shape, kernel, stride, out_shape), padding)
+        if bias is None:
+            return (dx, dw)
+        return (dx, dw, g2.sum(axis=(0, 2)) if bias.requires_grad else None)
 
-        def backward_fn(g):
-            g2 = g.reshape(n, cout, loc)
-            dx = dw = db = None
-            if needs[1]:
-                gflat = g2.transpose(1, 0, 2).reshape(cout, n * loc)
-                cflat = cols2.transpose(1, 0, 2).reshape(kdim, n * loc)
-                dw = (gflat @ cflat.T).reshape(weight.shape)
-            if needs[0]:
-                dcols2 = np.matmul(w2.T, g2)  # (N, K, L)
-                dcols = dcols2.reshape(n, cin, kf, kh, kw, fo, ho, wo)
-                dxp = _scatter_windows(dcols, padded_shape, kernel, stride, out_shape)
-                pf, ph, pw = padding
-                dx = dxp[:, :, pf : pf + f, ph : ph + h, pw : pw + w]
-                dx = np.ascontiguousarray(dx)
-            if bias is not None and needs[2]:
-                db = g2.sum(axis=(0, 2))
-            return (dx, dw) if bias is None else (dx, dw, db)
-
-        return backward_fn
-
-    return _finish("conv3d", out, inputs, make_backward)
+    return _finish("conv3d", out, inputs, backward_fn)
 
 
 def _strided_max(a: np.ndarray, axis: int, k: int, s: int, o: int) -> np.ndarray:
@@ -219,7 +228,8 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
     for axis, (k, s, o) in enumerate(zip(kernel, stride, out_shape)):
         out = _strided_max(out, 2 + axis, k, s, o)
 
-    def make_backward(needs):
+    backward_fn = None
+    if _recording([x]):
         fp, hp, wp = xp.shape[2:]
         sf, sh, sw = stride
         am = np.zeros((n, c, fo, ho, wo), dtype=np.min_scalar_type(ksize - 1))
@@ -247,14 +257,9 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
             offset = (np.arange(n)[:, None, None] * c + np.arange(c)[None, :, None]) * plane
             dxp = np.zeros(n * c * plane, dtype=g.dtype)
             np.add.at(dxp, (offset + flat).ravel(), g2.ravel())
-            dxp = dxp.reshape(n, c, fp, hp, wp)
-            pf, ph, pw = padding
-            dx = dxp[:, :, pf : pf + f, ph : ph + h, pw : pw + w]
-            return (np.ascontiguousarray(dx),)
+            return (_unpad5(dxp.reshape(n, c, fp, hp, wp), padding),)
 
-        return backward_fn
-
-    return _finish("maxpool3d", out, [x], make_backward)
+    return _finish("maxpool3d", out, [x], backward_fn)
 
 
 def avgpool3d_adaptive(x: Tensor) -> Tensor:
@@ -265,14 +270,10 @@ def avgpool3d_adaptive(x: Tensor) -> Tensor:
     count = f * h * w
     out = x.data.mean(axis=(2, 3, 4), keepdims=True)
 
-    def make_backward(needs):
-        def backward_fn(g):
-            dx = np.broadcast_to(g / count, x.shape).astype(g.dtype, copy=True)
-            return (dx,)
+    def backward_fn(g):
+        return (np.broadcast_to(g / count, x.shape).astype(g.dtype, copy=True),)
 
-        return backward_fn
-
-    return _finish("avgpool3d_adaptive", out, [x], make_backward)
+    return _finish("avgpool3d_adaptive", out, [x], backward_fn)
 
 
 def _linear_axis_coeffs(in_extent: int, out_extent: int, dtype):
@@ -312,24 +313,21 @@ def trilinear_upsample(x: Tensor, target) -> Tensor:
         )
         coeffs.append((axis, i0, i1, w0, w1))
 
-    def make_backward(needs):
-        def backward_fn(g):
-            dg = g
-            # each axis was interpolated exactly once from its original extent,
-            # so undoing in reverse order scatters back to x.shape per axis
-            for axis, i0, i1, w0, w1 in reversed(coeffs):
-                src_extent = x.shape[axis]
-                gm = np.moveaxis(dg, axis, 0)
-                wshape = (-1,) + (1,) * (gm.ndim - 1)
-                dm = np.zeros((src_extent,) + gm.shape[1:], dtype=g.dtype)
-                np.add.at(dm, i0, gm * w0.reshape(wshape))
-                np.add.at(dm, i1, gm * w1.reshape(wshape))
-                dg = np.moveaxis(dm, 0, axis)
-            return (np.ascontiguousarray(dg),)
+    def backward_fn(g):
+        dg = g
+        # each axis was interpolated exactly once from its original extent,
+        # so undoing in reverse order scatters back to x.shape per axis
+        for axis, i0, i1, w0, w1 in reversed(coeffs):
+            src_extent = x.shape[axis]
+            gm = np.moveaxis(dg, axis, 0)
+            wshape = (-1,) + (1,) * (gm.ndim - 1)
+            dm = np.zeros((src_extent,) + gm.shape[1:], dtype=g.dtype)
+            np.add.at(dm, i0, gm * w0.reshape(wshape))
+            np.add.at(dm, i1, gm * w1.reshape(wshape))
+            dg = np.moveaxis(dm, 0, axis)
+        return (np.ascontiguousarray(dg),)
 
-        return backward_fn
-
-    return _finish("trilinear_upsample", out, [x], make_backward)
+    return _finish("trilinear_upsample", out, [x], backward_fn)
 
 
 def batchnorm3d(
@@ -380,47 +378,39 @@ def batchnorm3d(
     out = gamma.data.reshape(gshape) * xhat
     out += beta.data.reshape(gshape)
 
-    def make_backward(needs):
-        def backward_fn(g):
-            scratch = np.empty_like(xhat)
-            dgamma = np.multiply(g, xhat, out=scratch).sum(axis=axes) if needs[1] else None
-            dbeta = g.sum(axis=axes) if needs[2] else None
-            dx = None
-            if needs[0]:
-                # dx is built in place in dxhat, in the order of the expressions
-                # (inv_std / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
-                # in train mode and dxhat * inv_std in eval mode
-                dxhat = g * gamma.data.reshape(gshape)
-                if training:
-                    sum_dxhat = dxhat.sum(axis=axes).reshape(gshape)
-                    sum_dxhat_xhat = np.multiply(dxhat, xhat, out=scratch).sum(axis=axes)
-                    dxhat *= m
-                    dxhat -= sum_dxhat
-                    dxhat -= np.multiply(xhat, sum_dxhat_xhat.reshape(gshape), out=scratch)
-                    dxhat *= inv_std.reshape(gshape) / m
-                else:
-                    dxhat *= inv_std.reshape(gshape)
-                dx = dxhat.astype(g.dtype, copy=False)
-            return (dx, dgamma, dbeta)
+    def backward_fn(g):
+        scratch = np.empty_like(xhat)
+        dgamma = np.multiply(g, xhat, out=scratch).sum(axis=axes) if gamma.requires_grad else None
+        dbeta = g.sum(axis=axes) if beta.requires_grad else None
+        dx = None
+        if x.requires_grad:
+            # dx is built in place in dxhat, in the order of the expressions
+            # (inv_std / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+            # in train mode and dxhat * inv_std in eval mode
+            dxhat = g * gamma.data.reshape(gshape)
+            if training:
+                sum_dxhat = dxhat.sum(axis=axes).reshape(gshape)
+                sum_dxhat_xhat = np.multiply(dxhat, xhat, out=scratch).sum(axis=axes)
+                dxhat *= m
+                dxhat -= sum_dxhat
+                dxhat -= np.multiply(xhat, sum_dxhat_xhat.reshape(gshape), out=scratch)
+                dxhat *= inv_std.reshape(gshape) / m
+            else:
+                dxhat *= inv_std.reshape(gshape)
+            dx = dxhat.astype(g.dtype, copy=False)
+        return (dx, dgamma, dbeta)
 
-        return backward_fn
-
-    return _finish("batchnorm3d", out, [x, gamma, beta], make_backward)
+    return _finish("batchnorm3d", out, [x, gamma, beta], backward_fn)
 
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(x, 0); subgradient at 0 is taken as 0."""
     out = np.maximum(x.data, 0)
 
-    def make_backward(needs):
-        mask = x.data > 0
+    def backward_fn(g):
+        return (g * (x.data > 0),)
 
-        def backward_fn(g):
-            return (g * mask,)
-
-        return backward_fn
-
-    return _finish("relu", out, [x], make_backward)
+    return _finish("relu", out, [x], backward_fn)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -435,13 +425,10 @@ def sigmoid(x: Tensor) -> Tensor:
     zero = np.asarray(0.0, dtype=out.dtype)
     np.clip(out, np.nextafter(zero, one), np.nextafter(one, zero), out=out)
 
-    def make_backward(needs):
-        def backward_fn(g):
-            return (g * out * (1.0 - out),)
+    def backward_fn(g):
+        return (g * out * (1.0 - out),)
 
-        return backward_fn
-
-    return _finish("sigmoid", out, [x], make_backward)
+    return _finish("sigmoid", out, [x], backward_fn)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -459,18 +446,14 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         out = out + bias.data
     inputs = [x, weight] if bias is None else [x, weight, bias]
 
-    def make_backward(needs):
-        def backward_fn(g):
-            dx = g @ weight.data if needs[0] else None
-            dw = g.T @ x.data if needs[1] else None
-            if bias is None:
-                return (dx, dw)
-            db = g.sum(axis=0) if needs[2] else None
-            return (dx, dw, db)
+    def backward_fn(g):
+        dx = g @ weight.data if x.requires_grad else None
+        dw = g.T @ x.data if weight.requires_grad else None
+        if bias is None:
+            return (dx, dw)
+        return (dx, dw, g.sum(axis=0) if bias.requires_grad else None)
 
-        return backward_fn
-
-    return _finish("linear", out, inputs, make_backward)
+    return _finish("linear", out, inputs, backward_fn)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -491,18 +474,13 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     logp = shifted - np.log(denom)
     loss = np.asarray(-logp[np.arange(n), y].mean(), dtype=logits.dtype)
 
-    def make_backward(needs):
-        softmax = expz / denom
+    def backward_fn(g):
+        d = expz / denom
+        d[np.arange(n), y] -= 1.0
+        d *= g / n
+        return (d,)
 
-        def backward_fn(g):
-            d = softmax.copy()
-            d[np.arange(n), y] -= 1.0
-            d *= g / n
-            return (d,)
-
-        return backward_fn
-
-    return _finish("softmax_cross_entropy", loss, [logits], make_backward)
+    return _finish("softmax_cross_entropy", loss, [logits], backward_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -511,14 +489,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"add: shapes {a.shape} and {b.shape} differ")
     out = a.data + b.data
 
-    def make_backward(needs):
-        def backward_fn(g):
-            # copies so accumulation into either input never aliases g
-            return (g.copy() if needs[0] else None, g.copy() if needs[1] else None)
+    def backward_fn(g):
+        # copies so accumulation into either input never aliases g
+        return (g.copy() if a.requires_grad else None, g.copy() if b.requires_grad else None)
 
-        return backward_fn
-
-    return _finish("add", out, [a, b], make_backward)
+    return _finish("add", out, [a, b], backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -527,50 +502,36 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"mul: shapes {a.shape} and {b.shape} differ")
     out = a.data * b.data
 
-    def make_backward(needs):
-        def backward_fn(g):
-            da = g * b.data if needs[0] else None
-            db = g * a.data if needs[1] else None
-            return (da, db)
+    def backward_fn(g):
+        return (g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None)
 
-        return backward_fn
-
-    return _finish("mul", out, [a, b], make_backward)
+    return _finish("mul", out, [a, b], backward_fn)
 
 
 def add_scalar(x: Tensor, value: float) -> Tensor:
     """Elementwise x + value."""
     out = x.data + np.asarray(value, dtype=x.dtype)
 
-    def make_backward(needs):
-        def backward_fn(g):
-            return (g.copy(),)
+    def backward_fn(g):
+        return (g.copy(),)
 
-        return backward_fn
-
-    return _finish("add_scalar", out, [x], make_backward)
+    return _finish("add_scalar", out, [x], backward_fn)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     out = x.data.reshape(shape)
 
-    def make_backward(needs):
-        def backward_fn(g):
-            return (g.reshape(x.shape).copy(),)
+    def backward_fn(g):
+        return (g.reshape(x.shape).copy(),)
 
-        return backward_fn
-
-    return _finish("reshape", out, [x], make_backward)
+    return _finish("reshape", out, [x], backward_fn)
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Scalar sum of all elements."""
     out = np.asarray(x.data.sum(), dtype=x.dtype)
 
-    def make_backward(needs):
-        def backward_fn(g):
-            return (np.broadcast_to(g, x.shape).astype(g.dtype, copy=True),)
+    def backward_fn(g):
+        return (np.broadcast_to(g, x.shape).astype(g.dtype, copy=True),)
 
-        return backward_fn
-
-    return _finish("sum_all", out, [x], make_backward)
+    return _finish("sum_all", out, [x], backward_fn)

@@ -19,12 +19,11 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 
 
 def _coerce(data, dtype) -> np.ndarray:
-    if dtype is not None:
-        return np.ascontiguousarray(data, dtype=dtype)
+    """C-ordered storage of data; a 0-d value stays 0-d."""
     arr = np.asarray(data)
-    if arr.dtype not in _FLOAT_DTYPES:
-        arr = arr.astype(DEFAULT_DTYPE)
-    return np.ascontiguousarray(arr)
+    if dtype is None:
+        dtype = arr.dtype if arr.dtype in _FLOAT_DTYPES else DEFAULT_DTYPE
+    return np.asarray(arr, dtype=dtype, order="C")
 
 
 class Tensor:

@@ -68,6 +68,7 @@ def test_sample_frames_takes_contiguous_window():
     clip = _clip(frames=10)
     out = sample_frames(clip, 4, np.random.default_rng(3))
     assert out.frames.shape[0] == 4
+    assert not np.shares_memory(out.frames, clip.frames)
     starts = [
         np.array_equal(out.frames, clip.frames[o : o + 4]) for o in range(7)
     ]

@@ -1,9 +1,11 @@
 """Operator forward oracles, gradient spot checks, and error paths."""
 
+import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,29 @@ def _sum_backward(out_fn, *tensors):
         loss = ops.sum_all(out_fn())
     backward(loss)
     return [t.grad for t in tensors]
+
+
+def _assert_grads_follow_requires_grad(op, arrays, proj):
+    """Over every requires_grad pattern of op's inputs, a frozen input's grad
+    stays None and every other gradient equals the all-true run's bitwise."""
+
+    def run(needs):
+        tensors = [Tensor(a, requires_grad=need) for a, need in zip(arrays, needs)]
+        with Tape() as tape:
+            loss = ops.sum_all(ops.mul(op(*tensors), Tensor(proj)))
+        if any(needs):
+            backward(loss)
+        else:
+            assert not tape.nodes
+        return [t.grad for t in tensors]
+
+    want = run((True,) * len(arrays))
+    for needs in itertools.product((True, False), repeat=len(arrays)):
+        for need, got, ref in zip(needs, run(needs), want):
+            if need:
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            else:
+                assert got is None
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +105,28 @@ def test_conv3d_gradients_match_finite_differences(rng):
 
     report = grad_check(fn, [x, w, b], rng=rng)
     assert report.passed, report.max_rel_error
+
+
+def test_conv3d_gradients_follow_requires_grad(rng):
+    x = rng.normal(size=(2, 2, 3, 4, 4)).astype(np.float32)
+    w = rng.normal(size=(3, 2, 3, 3, 3)).astype(np.float32)
+    b = rng.normal(size=3).astype(np.float32)
+    proj = rng.normal(size=(2, 3, 2, 2, 2)).astype(np.float32)
+
+    def conv(x, w, b):
+        return ops.conv3d(x, w, b, stride=2, padding=1)
+
+    _assert_grads_follow_requires_grad(conv, [x, w, b], proj)
+
+
+@pytest.mark.parametrize("stride, shared", [(1, True), (2, False)])
+def test_conv3d_pointwise_columns_view_the_input(stride, shared):
+    x = np.arange(2 * 3 * 4 * 5 * 6, dtype=np.float32).reshape(2, 3, 4, 5, 6)
+    strides = (stride,) * 3
+    out_shape = ops._check_window_geometry("conv3d", x.shape[2:], (1, 1, 1), strides, (0, 0, 0))
+    cols2 = ops._gather_windows(x, (1, 1, 1), strides, out_shape).reshape(2, 3, -1)
+    assert np.shares_memory(cols2, x) == shared
+    assert np.array_equal(cols2, x[:, :, ::stride, ::stride, ::stride].reshape(2, 3, -1))
 
 
 def test_conv3d_validation_errors(rng):
@@ -427,6 +474,20 @@ def test_relu_oracle_and_zero_subgradient():
     assert gx.tolist() == [0.0, 0.0, 1.0]
 
 
+def test_taped_relu_keeps_only_its_output(rng):
+    x = Tensor(rng.normal(size=2**16).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape():
+            before, _ = tracemalloc.get_traced_memory()
+            out = ops.relu(x)
+            grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the rule rebuilds the mask x > 0 from its input; a kept mask adds x.size bytes
+    assert out.data.nbytes <= grown < out.data.nbytes + x.size // 2
+
+
 def test_sigmoid_midpoint_and_strict_range():
     assert ops.sigmoid(Tensor(np.array([0.0], dtype=np.float32))).item() == 0.5
     hi = ops.sigmoid(Tensor(np.array([100.0], dtype=np.float32))).item()
@@ -451,6 +512,14 @@ def test_linear_oracle():
     assert gx.tolist() == [[1.0, 1.0, 1.0]]
     assert gw.tolist() == [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]
     assert gb.tolist() == [1.0, 1.0]
+
+
+def test_linear_gradients_follow_requires_grad(rng):
+    x = rng.normal(size=(3, 5)).astype(np.float32)
+    w = rng.normal(size=(4, 5)).astype(np.float32)
+    b = rng.normal(size=4).astype(np.float32)
+    proj = rng.normal(size=(3, 4)).astype(np.float32)
+    _assert_grads_follow_requires_grad(ops.linear, [x, w, b], proj)
 
 
 def test_linear_validation():
@@ -510,6 +579,12 @@ def test_add_scalar_and_reshape_and_sum():
     (gx,) = _sum_backward(lambda: ops.reshape(x, (2, 1)), x)
     assert gx.tolist() == [1.0, 1.0]
     assert ops.sum_all(Tensor(np.ones((2, 2)))).item() == 4.0
+
+
+def test_scalar_outputs_are_zero_dim():
+    x = Tensor(np.ones((2, 3), dtype=np.float32))
+    assert ops.sum_all(x).shape == ()
+    assert ops.softmax_cross_entropy(x, np.array([0, 2])).shape == ()
 
 
 def test_mul_gradients_swap_operands(rng):
