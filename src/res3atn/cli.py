@@ -364,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", help="class tree of .r3clip files")
-    p.add_argument("--topk", type=int, default=5)
+    p.add_argument("--topk", type=int, choices=(1, 5), default=5)
     _add_synth_flags(p)
     p.set_defaults(func=_cmd_eval)
 

@@ -99,7 +99,13 @@ def _gather_windows(xp: np.ndarray, kernel, stride, out_shape) -> np.ndarray:
 
 
 def _scatter_windows(dcols: np.ndarray, padded_shape, kernel, stride, out_shape) -> np.ndarray:
-    """Adjoint of _gather_windows: sum window gradients into the padded array."""
+    """Adjoint of _gather_windows: sum window gradients into the padded array.
+
+    A 1x1x1 window at stride 1 covers every input cell once, so its one tap
+    is the whole gradient, returned as a view.
+    """
+    if kernel == (1, 1, 1) and stride == (1, 1, 1):
+        return dcols[:, :, 0, 0, 0]
     kf, kh, kw = kernel
     sf, sh, sw = stride
     fo, ho, wo = out_shape

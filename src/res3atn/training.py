@@ -5,7 +5,9 @@ epoch, split, loss, top1, top5, wall_seconds. Everything except
 wall_seconds is deterministic for a fixed seed and config; timing is
 informational and excluded from determinism comparisons. Checkpoints are
 written every epoch: last.r3ck always, best.r3ck whenever eval top-1
-strictly improves.
+strictly improves. train checks every input before it writes anything
+under out_dir, and a 0-epoch run writes its eval record and checkpoints
+through the same end-of-epoch step as a trained epoch.
 """
 
 from __future__ import annotations
@@ -132,18 +134,12 @@ class MetricsRecord:
 
     def content(self) -> dict:
         """Deterministic portion, i.e. everything but wall_seconds."""
-        return {
-            "epoch": self.epoch,
-            "split": self.split,
-            "loss": self.loss,
-            "top1": self.top1,
-            "top5": self.top5,
-        }
+        d = asdict(self)
+        del d["wall_seconds"]
+        return d
 
     def to_json(self) -> str:
-        d = self.content()
-        d["wall_seconds"] = self.wall_seconds
-        return json.dumps(d)
+        return json.dumps(asdict(self))
 
     @staticmethod
     def from_json(line: str) -> "MetricsRecord":
@@ -161,16 +157,24 @@ def read_metrics(path) -> list[MetricsRecord]:
     return [MetricsRecord.from_json(ln) for ln in lines if ln.strip()]
 
 
-def _check_labels(clips: list[LabeledClip], num_classes: int, split: str) -> None:
-    if not clips:
-        raise ValueError(f"{split} split is empty")
-    labels = {c.label for c in clips}
-    bad = sorted(l for l in labels if l < 0 or l >= num_classes)
-    if bad:
-        raise ValueError(f"{split} split has labels {bad} outside 0..{num_classes - 1}")
-    if split == "train" and len(labels) != num_classes:
+def _check_inputs(config: RunConfig, train_clips, eval_clips) -> None:
+    """Every check train makes before it writes anything under out_dir."""
+    num_classes = config.network.num_classes
+    for split, clips in (("train", train_clips), ("eval", eval_clips)):
+        if not clips:
+            raise ValueError(f"{split} split is empty")
+        labels = {c.label for c in clips}
+        bad = sorted(l for l in labels if l < 0 or l >= num_classes)
+        if bad:
+            raise ValueError(f"{split} split has labels {bad} outside 0..{num_classes - 1}")
+        if split == "train" and len(labels) != num_classes:
+            raise ValueError(
+                f"train split covers {len(labels)} classes, network expects {num_classes}"
+            )
+    if config.epochs and len(train_clips) < config.batch_size:
         raise ValueError(
-            f"train split covers {len(labels)} classes, network expects {num_classes}"
+            f"train split ({len(train_clips)} clips) smaller than one batch "
+            f"of {config.batch_size}"
         )
 
 
@@ -178,6 +182,35 @@ def _topk_hits(logits: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     # stable sort on negated logits ranks tied classes by lower index
     ranked = np.argsort(-logits, axis=1, kind="stable")[:, :k]
     return (ranked == labels[:, None]).any(axis=1)
+
+
+class _Score:
+    """Running mean loss and top-1/top-k hit counts over the clips scored so far."""
+
+    def __init__(self, num_classes: int):
+        self.k = min(5, num_classes)
+        self.start = time.perf_counter()
+        self.loss_sum = 0.0
+        self.hit1 = 0
+        self.hitk = 0
+        self.seen = 0
+
+    def add(self, loss: float, logits: np.ndarray, labels: np.ndarray) -> None:
+        self.loss_sum += loss * len(labels)
+        self.hit1 += int(_topk_hits(logits, labels, 1).sum())
+        self.hitk += int(_topk_hits(logits, labels, self.k).sum())
+        self.seen += len(labels)
+
+    def record(self, epoch: int, split: str) -> MetricsRecord:
+        n = self.seen
+        return MetricsRecord(
+            epoch=epoch,
+            split=split,
+            loss=self.loss_sum / n,
+            top1=100.0 * self.hit1 / n,
+            top5=100.0 * self.hitk / n,
+            wall_seconds=time.perf_counter() - self.start,
+        )
 
 
 def evaluate(
@@ -190,31 +223,15 @@ def evaluate(
     """Center-window, center-crop forward pass; partial batches kept."""
     if not clips:
         raise ValueError("evaluate: eval split is empty")
-    start = time.perf_counter()
-    num_classes = net.spec.num_classes
-    k = min(5, num_classes)
+    score = _Score(net.spec.num_classes)
     net.eval()
-    loss_sum = 0.0
-    hit1 = 0
-    hitk = 0
     for lo in range(0, len(clips), batch_size):
         batch = clips[lo : lo + batch_size]
         x = np.concatenate([eval_preprocess(c, augment) for c in batch])
         y = np.array([c.label for c in batch], dtype=np.int64)
         logits = net(Tensor(x))
-        loss = softmax_cross_entropy(logits, y)
-        loss_sum += float(loss.item()) * len(batch)
-        hit1 += int(_topk_hits(logits.data, y, 1).sum())
-        hitk += int(_topk_hits(logits.data, y, k).sum())
-    n = len(clips)
-    return MetricsRecord(
-        epoch=epoch,
-        split="eval",
-        loss=loss_sum / n,
-        top1=100.0 * hit1 / n,
-        top5=100.0 * hitk / n,
-        wall_seconds=time.perf_counter() - start,
-    )
+        score.add(float(softmax_cross_entropy(logits, y).item()), logits.data, y)
+    return score.record(epoch, "eval")
 
 
 def _augment_rng(seed: int, epoch: int, position: int) -> np.random.Generator:
@@ -231,6 +248,46 @@ def _prime_batchnorm(net: Res3ATN, clips, config: RunConfig) -> None:
     net(Tensor(x))
 
 
+def _train_epoch(
+    net: Res3ATN, opt: NesterovSGD, config: RunConfig, clips: list[LabeledClip], epoch: int
+) -> MetricsRecord:
+    """One shuffled pass over the whole batches of `clips`; returns its train record.
+
+    Raises RuntimeError naming the epoch, batch and clip ids if the loss or
+    an operator leaves the finite range.
+    """
+    score = _Score(config.network.num_classes)
+    net.train()
+    order = np.random.default_rng(
+        np.random.SeedSequence((config.seed, _STREAM_SHUFFLE, epoch))
+    ).permutation(len(clips))
+    size = config.batch_size
+    for b in range(len(clips) // size):
+        positions = range(b * size, (b + 1) * size)
+        batch = [clips[order[pos]] for pos in positions]
+        x = Tensor(np.concatenate([
+            augment_clip(clip, config.augment, _augment_rng(config.seed, epoch, pos))
+            for pos, clip in zip(positions, batch)
+        ]))
+        y = np.array([c.label for c in batch], dtype=np.int64)
+        try:
+            with Tape():
+                logits = net(x)
+                loss = softmax_cross_entropy(logits, y)
+            loss_value = float(loss.item())
+            if not np.isfinite(loss_value):
+                raise FloatingPointError(f"loss = {loss_value}")
+            backward(loss)
+            opt.step()
+        except FloatingPointError as exc:
+            raise RuntimeError(
+                f"training aborted at epoch {epoch} batch {b} "
+                f"(clips {[c.clip_id for c in batch]}): {exc}"
+            ) from exc
+        score.add(loss_value, logits.data, y)
+    return score.record(epoch, "train")
+
+
 def train(
     config: RunConfig,
     train_clips: list[LabeledClip],
@@ -240,16 +297,15 @@ def train(
 ) -> dict:
     """Run the full loop and return a summary dict.
 
-    Writes metrics.jsonl, last.r3ck, best.r3ck, and summary.txt under
-    out_dir. Aborts with the offending epoch/batch id if the loss leaves
-    the finite range. epochs=0 still emits an initialization checkpoint
-    and one eval record (running stats primed by a single forward pass).
+    Checks every input, then writes metrics.jsonl, last.r3ck, best.r3ck and
+    summary.txt under out_dir. Each epoch is one _train_epoch pass and one
+    end-of-epoch step: eval record, last.r3ck, and best.r3ck on a strictly
+    better eval top-1. epochs=0 primes the running stats with one forward
+    pass, then takes that end-of-epoch step once.
     """
+    _check_inputs(config, train_clips, eval_clips)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _check_labels(train_clips, config.network.num_classes, "train")
-    _check_labels(eval_clips, config.network.num_classes, "eval")
-
     net = build_res3atn(config.network, seed=config.seed)
     opt = NesterovSGD(
         net.parameters(),
@@ -259,115 +315,45 @@ def train(
         decay_bn=config.decay_bn,
     )
     config_dict = config.to_dict()
-    metrics_path = out_dir / "metrics.jsonl"
-    records: list[MetricsRecord] = []
-    best_top1 = float("-inf")
-    best_epoch = -1
+    best = None
 
-    def emit(rec: MetricsRecord, fh) -> None:
-        records.append(rec)
-        fh.write(rec.to_json() + "\n")
-        fh.flush()
-        if log:
-            log(str(rec))
+    with open(out_dir / "metrics.jsonl", "w") as fh:
+        def emit(rec: MetricsRecord) -> None:
+            fh.write(rec.to_json() + "\n")
+            fh.flush()
+            if log:
+                log(str(rec))
 
-    with open(metrics_path, "w") as fh:
-        if config.epochs == 0:
-            _prime_batchnorm(net, train_clips, config)
-            rec = evaluate(net, eval_clips, config.augment, config.batch_size, epoch=0)
-            emit(rec, fh)
-            save_checkpoint(out_dir / "last.r3ck", net, optimizer=opt, epoch=0,
-                            run_config=config_dict)
-            save_checkpoint(out_dir / "best.r3ck", net, optimizer=opt, epoch=0,
-                            run_config=config_dict)
-            best_top1, best_epoch = rec.top1, 0
-
-        for epoch in range(config.epochs):
-            start = time.perf_counter()
-            net.train()
-            shuffle_rng = np.random.default_rng(
-                np.random.SeedSequence((config.seed, _STREAM_SHUFFLE, epoch))
-            )
-            order = shuffle_rng.permutation(len(train_clips))
-            n_batches = len(order) // config.batch_size
-            if n_batches == 0:
-                raise ValueError(
-                    f"train split ({len(order)} clips) smaller than one batch "
-                    f"of {config.batch_size}"
-                )
-            loss_sum = 0.0
-            hit1 = 0
-            hitk = 0
-            seen = 0
-            k = min(5, config.network.num_classes)
-            for b in range(n_batches):
-                positions = range(b * config.batch_size, (b + 1) * config.batch_size)
-                xs, ys, ids = [], [], []
-                for pos in positions:
-                    clip = train_clips[order[pos]]
-                    xs.append(augment_clip(clip, config.augment,
-                                           _augment_rng(config.seed, epoch, pos)))
-                    ys.append(clip.label)
-                    ids.append(clip.clip_id)
-                x = Tensor(np.concatenate(xs))
-                y = np.array(ys, dtype=np.int64)
-                try:
-                    with Tape():
-                        logits = net(x)
-                        loss = softmax_cross_entropy(logits, y)
-                    loss_value = float(loss.item())
-                    if not np.isfinite(loss_value):
-                        raise FloatingPointError(f"loss = {loss_value}")
-                    backward(loss)
-                    opt.step()
-                except FloatingPointError as exc:
-                    raise RuntimeError(
-                        f"training aborted at epoch {epoch} batch {b} "
-                        f"(clips {ids}): {exc}"
-                    ) from exc
-                loss_sum += loss_value * len(ys)
-                hit1 += int(_topk_hits(logits.data, y, 1).sum())
-                hitk += int(_topk_hits(logits.data, y, k).sum())
-                seen += len(ys)
-            emit(
-                MetricsRecord(
-                    epoch=epoch,
-                    split="train",
-                    loss=loss_sum / seen,
-                    top1=100.0 * hit1 / seen,
-                    top5=100.0 * hitk / seen,
-                    wall_seconds=time.perf_counter() - start,
-                ),
-                fh,
-            )
-            rec = evaluate(net, eval_clips, config.augment, config.batch_size, epoch)
-            emit(rec, fh)
+        for epoch in range(max(config.epochs, 1)):
+            if config.epochs:
+                emit(_train_epoch(net, opt, config, train_clips, epoch))
+            else:
+                _prime_batchnorm(net, train_clips, config)
+            final = evaluate(net, eval_clips, config.augment, config.batch_size, epoch)
+            emit(final)
             save_checkpoint(out_dir / "last.r3ck", net, optimizer=opt, epoch=epoch,
                             run_config=config_dict)
-            if rec.top1 > best_top1:
-                best_top1, best_epoch = rec.top1, epoch
+            if best is None or final.top1 > best.top1:
+                best = final
                 save_checkpoint(out_dir / "best.r3ck", net, optimizer=opt,
                                 epoch=epoch, run_config=config_dict)
 
-    summary = {
+    scores = {
         "parameters": net.parameter_count(),
         "epochs_run": config.epochs,
-        "best_epoch": best_epoch,
-        "best_eval_top1": best_top1,
-        "final_eval_top1": records[-1].top1 if records else float("nan"),
-        "final_eval_top5": records[-1].top5 if records else float("nan"),
-        "final_eval_loss": records[-1].loss if records else float("nan"),
-        "last_checkpoint": str(out_dir / "last.r3ck"),
-        "best_checkpoint": str(out_dir / "best.r3ck"),
+        "best_epoch": best.epoch,
+        "best_eval_top1": best.top1,
+        "final_eval_top1": final.top1,
+        "final_eval_top5": final.top5,
+        "final_eval_loss": final.loss,
     }
     lines = ["metric                value", "-" * 34]
-    for key in ("parameters", "epochs_run", "best_epoch", "best_eval_top1",
-                "final_eval_top1", "final_eval_top5", "final_eval_loss"):
-        value = summary[key]
+    for key, value in scores.items():
         text = f"{value:.4f}" if isinstance(value, float) else str(value)
         lines.append(f"{key:<20s}  {text}")
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n")
-    return summary
+    return {**scores, "last_checkpoint": str(out_dir / "last.r3ck"),
+            "best_checkpoint": str(out_dir / "best.r3ck")}
 
 
 # ---------------------------------------------------------------------------

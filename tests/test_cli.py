@@ -67,6 +67,16 @@ def test_eval_reproduces_the_logged_final_metrics(train_run):
     assert proc.stdout.strip() == expected
 
 
+def test_eval_topk_outside_its_choices_is_exit_2(train_run):
+    out, _ = train_run
+    proc = run_cli("eval", "--checkpoint", str(out / "last.r3ck"), "--topk", "3", *SYNTH)
+    assert proc.returncode == 2
+    err_lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("r3atn: error: argument --topk: invalid choice: 3")
+    assert proc.stdout == ""
+
+
 def test_eval_missing_checkpoint_is_exit_3(tmp_path):
     proc = run_cli("eval", "--checkpoint", str(tmp_path / "none.r3ck"), *SYNTH)
     assert proc.returncode == 3

@@ -129,6 +129,30 @@ def test_conv3d_pointwise_columns_view_the_input(stride, shared):
     assert np.array_equal(cols2, x[:, :, ::stride, ::stride, ::stride].reshape(2, 3, -1))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv3d_pointwise_input_gradient_matches_the_zero_filled_scatter(stride, dtype, rng):
+    """A 1x1x1 conv's dx is bitwise the one tap added into a zeroed input-sized buffer."""
+    x = Tensor(rng.standard_normal((2, 3, 5, 6, 7)), requires_grad=True, dtype=dtype)
+    w = Tensor(rng.standard_normal((4, 3, 1, 1, 1)), requires_grad=True, dtype=dtype)
+    out_extents = tuple(-(-e // stride) for e in x.shape[2:])
+    proj = rng.standard_normal((2, 4) + out_extents).astype(dtype)
+    with Tape():
+        loss = ops.sum_all(ops.mul(ops.conv3d(x, w, stride=stride), Tensor(proj)))
+    backward(loss)
+
+    dcols2 = np.matmul(w.data.reshape(4, 3).T, proj.reshape(2, 4, -1))
+    expected = np.zeros(x.shape, dtype=dtype)
+    expected[:, :, ::stride, ::stride, ::stride] += dcols2.reshape((2, 3) + out_extents)
+    assert x.grad.dtype == dtype
+    assert x.grad.shape == x.shape
+    assert x.grad.tobytes() == expected.tobytes()
+    # at stride 1 the scatter is the tap itself, with no zero-filled buffer
+    dcols = dcols2.reshape((2, 3, 1, 1, 1) + out_extents)
+    scattered = ops._scatter_windows(dcols, x.shape, (1, 1, 1), (stride,) * 3, out_extents)
+    assert np.shares_memory(scattered, dcols) == (stride == 1)
+
+
 def test_conv3d_validation_errors(rng):
     x5 = Tensor(np.zeros((1, 2, 4, 4, 4), dtype=np.float32))
     with pytest.raises(ValueError, match="rank 5"):

@@ -1,6 +1,8 @@
 """Training loop, metrics, ablation harness, and mask export."""
 
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +171,60 @@ def test_label_and_batch_validation(tmp_path):
         train(_tiny_config(), only_two_classes, eval_clips, tmp_path)
     with pytest.raises(ValueError, match="smaller than one batch"):
         train(_tiny_config(batch_size=50), train_clips, eval_clips, tmp_path)
+
+
+def test_zero_epochs_accepts_a_split_smaller_than_a_batch(tmp_path):
+    train_clips, eval_clips = _tiny_splits()
+    train(_tiny_config(epochs=0, batch_size=50), train_clips, eval_clips, tmp_path)
+    assert [r.split for r in read_metrics(tmp_path / "metrics.jsonl")] == ["eval"]
+
+
+def test_failing_rerun_keeps_the_previous_run_files(tmp_path):
+    train_clips, eval_clips = _tiny_splits()
+    train(_tiny_config(epochs=1), train_clips, eval_clips, tmp_path)
+    names = ("metrics.jsonl", "last.r3ck", "best.r3ck", "summary.txt")
+    before = {name: (tmp_path / name).read_bytes() for name in names}
+    assert before["metrics.jsonl"].count(b"\n") == 2
+    with pytest.raises(ValueError, match="smaller than one batch"):
+        train(_tiny_config(epochs=1, batch_size=50), train_clips, eval_clips, tmp_path)
+    assert {name: (tmp_path / name).read_bytes() for name in names} == before
+
+
+def test_train_calls_its_seams_through_module_globals(tmp_path, monkeypatch):
+    """The benchmark tracer and the tests patch these names on the module."""
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(training, name)
+
+        def counted(*args, **kwargs):
+            calls[Path(args[0]).name if name == "save_checkpoint" else name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    class CountedTape(training.Tape):
+        def __init__(self):
+            calls["Tape"] += 1
+            super().__init__()
+
+    for name in ("augment_clip", "evaluate", "save_checkpoint", "backward"):
+        monkeypatch.setattr(training, name, counting(name))
+    monkeypatch.setattr(training, "Tape", CountedTape)
+
+    train_clips, eval_clips = _tiny_splits()
+    train(_tiny_config(epochs=2, batch_size=3), train_clips, eval_clips, tmp_path)
+    evals = [r.top1 for r in read_metrics(tmp_path / "metrics.jsonl") if r.split == "eval"]
+    best_saves = sum(top1 > max(evals[:i], default=-1.0) for i, top1 in enumerate(evals))
+    # 8 train clips at batch 3: 2 whole batches (6 clips) per epoch
+    assert calls == {
+        "augment_clip": 2 * 6,
+        "Tape": 2 * 2,
+        "backward": 2 * 2,
+        "evaluate": 2,
+        "last.r3ck": 2,
+        "best.r3ck": best_saves,
+    }
 
 
 # ---------------------------------------------------------------------------
