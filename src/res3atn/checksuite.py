@@ -281,7 +281,7 @@ def mutate_backward(name: str):
     @wraps(original)
     def mutated(*args, **kwargs):
         out = original(*args, **kwargs)
-        if out.tape is not None and out.tape.nodes and out.tape.nodes[-1].output is out:
+        if out.tape is not None and out.tape.nodes and out.tape.nodes[-1].output is out.cell:
             node = out.tape.nodes[-1]
             node.backward_fn = doubled(node.backward_fn)
         return out

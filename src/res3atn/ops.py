@@ -2,9 +2,11 @@
 
 Every operator computes its forward value with numpy, and when called under
 an active tape with at least one input requiring gradients it records a
-closure g -> grads implementing the exact reverse-mode rule. A rule reads
-its inputs, which the tape holds anyway, and returns None for each input
-that does not require gradients. Every forward value is scanned, and a NaN
+closure g -> grads implementing the exact reverse-mode rule. The tape holds
+gradient cells, not tensors, so a rule keeps alive only what it closes over:
+the arrays it reads, shapes, and the inputs' requires_grad flags as plain
+bools, never an input Tensor. It returns None for each input that does not
+require gradients. Every forward value is scanned, and a NaN
 or infinity raises NonFiniteError naming the operator. Convolution has one
 route, im2col+GEMM; for a 1x1x1 kernel the columns are a view of the
 (strided) input rather than a copy. The nested-loop reference it is held to
@@ -177,21 +179,23 @@ def conv3d(
     out = out.reshape(n, cout, fo, ho, wo)
 
     inputs = [x, weight] if bias is None else [x, weight, bias]
+    need_x, need_w = x.requires_grad, weight.requires_grad
+    need_b = None if bias is None else bias.requires_grad
 
     def backward_fn(g):
         g2 = g.reshape(n, cout, loc)
         dx = dw = None
-        if weight.requires_grad:
+        if need_w:
             gflat = g2.transpose(1, 0, 2).reshape(cout, n * loc)
             cflat = cols2.transpose(1, 0, 2).reshape(kdim, n * loc)
-            dw = (gflat @ cflat.T).reshape(weight.shape)
-        if x.requires_grad:
+            dw = (gflat @ cflat.T).reshape(cout, cin, kf, kh, kw)
+        if need_x:
             dcols2 = np.matmul(w2.T, g2)  # (N, K, L)
             dcols = dcols2.reshape(n, cin, kf, kh, kw, fo, ho, wo)
             dx = _unpad5(_scatter_windows(dcols, padded_shape, kernel, stride, out_shape), padding)
-        if bias is None:
+        if need_b is None:
             return (dx, dw)
-        return (dx, dw, g2.sum(axis=(0, 2)) if bias.requires_grad else None)
+        return (dx, dw, g2.sum(axis=(0, 2)) if need_b else None)
 
     return _finish("conv3d", out, inputs, backward_fn)
 
@@ -217,6 +221,9 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
     tensor is built. Under a tape the winner of each window is found by
     comparing every window offset with the output, from the last offset to
     the first, so ties resolve to the lowest linear index in the window.
+    A winner never lies in the -inf border: the padding is narrower than the
+    window and a recorded output is finite. So backward indexes the unpadded
+    input directly and scatters into a gradient of its shape.
     """
     if x.ndim != 5:
         raise ValueError(f"maxpool3d: input must be rank 5, got shape {x.shape}")
@@ -236,7 +243,6 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
 
     backward_fn = None
     if _recording([x]):
-        fp, hp, wp = xp.shape[2:]
         sf, sh, sw = stride
         am = np.zeros((n, c, fo, ho, wo), dtype=np.min_scalar_type(ksize - 1))
         hit = np.empty(am.shape, dtype=bool)
@@ -245,25 +251,22 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
             tap = xp[:, :, a : a + sf * fo : sf, b : b + sh * ho : sh, d : d + sw * wo : sw]
             np.equal(tap, out, out=hit)
             np.copyto(am, j, where=hit)
-        am = am.reshape(n, c, loc)
-        # Translate (window, in-window) indices to padded flat coordinates once.
-        ka, kb, kd = np.unravel_index(np.arange(ksize), kernel)
-        lf, lh, lw = np.unravel_index(np.arange(loc), (fo, ho, wo))
-        base_f = lf * sf
-        base_h = lh * sh
-        base_w = lw * sw
 
         def backward_fn(g):
-            g2 = g.reshape(n, c, loc)
-            fpos = base_f[None, None, :] + ka[am]
-            hpos = base_h[None, None, :] + kb[am]
-            wpos = base_w[None, None, :] + kd[am]
-            flat = (fpos * hp + hpos) * wp + wpos
-            plane = fp * hp * wp
-            offset = (np.arange(n)[:, None, None] * c + np.arange(c)[None, :, None]) * plane
-            dxp = np.zeros(n * c * plane, dtype=g.dtype)
-            np.add.at(dxp, (offset + flat).ravel(), g2.ravel())
-            return (_unpad5(dxp.reshape(n, c, fp, hp, wp), padding),)
+            # A winner's flat index in x is its window's origin (which may lie
+            # in the border) plus its offset inside the window, both unpadded.
+            ka, kb, kd = np.unravel_index(np.arange(ksize), kernel)
+            lf, lh, lw = np.unravel_index(np.arange(loc), out_shape)
+            tap_offset = (ka * h + kb) * w + kd
+            pf, ph, pw = padding
+            origin = ((lf * sf - pf) * h + (lh * sh - ph)) * w + (lw * sw - pw)
+            plane = f * h * w
+            index = tap_offset[am.reshape(n, c, loc)]  # the one index plane, built in place
+            index += origin
+            index += (np.arange(n * c) * plane).reshape(n, c, 1)
+            dx = np.zeros(n * c * plane, dtype=g.dtype)
+            np.add.at(dx, index.ravel(), g.ravel())
+            return (dx.reshape(n, c, f, h, w),)
 
     return _finish("maxpool3d", out, [x], backward_fn)
 
@@ -277,7 +280,7 @@ def avgpool3d_adaptive(x: Tensor) -> Tensor:
     out = x.data.mean(axis=(2, 3, 4), keepdims=True)
 
     def backward_fn(g):
-        return (np.broadcast_to(g / count, x.shape).astype(g.dtype, copy=True),)
+        return (np.broadcast_to(g / count, (n, c, f, h, w)).astype(g.dtype, copy=True),)
 
     return _finish("avgpool3d_adaptive", out, [x], backward_fn)
 
@@ -308,6 +311,7 @@ def trilinear_upsample(x: Tensor, target) -> Tensor:
                 f"trilinear_upsample: target extent along {_AXIS_NAMES[axis]} must be >= 1"
             )
     coeffs = []
+    src_shape = x.shape
     out = x.data
     for axis_off, t in enumerate(target):
         axis = 2 + axis_off
@@ -324,7 +328,7 @@ def trilinear_upsample(x: Tensor, target) -> Tensor:
         # each axis was interpolated exactly once from its original extent,
         # so undoing in reverse order scatters back to x.shape per axis
         for axis, i0, i1, w0, w1 in reversed(coeffs):
-            src_extent = x.shape[axis]
+            src_extent = src_shape[axis]
             gm = np.moveaxis(dg, axis, 0)
             wshape = (-1,) + (1,) * (gm.ndim - 1)
             dm = np.zeros((src_extent,) + gm.shape[1:], dtype=g.dtype)
@@ -381,19 +385,21 @@ def batchnorm3d(
 
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std.reshape(gshape)
-    out = gamma.data.reshape(gshape) * xhat
+    scale = gamma.data.reshape(gshape)
+    out = scale * xhat
     out += beta.data.reshape(gshape)
+    need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def backward_fn(g):
         scratch = np.empty_like(xhat)
-        dgamma = np.multiply(g, xhat, out=scratch).sum(axis=axes) if gamma.requires_grad else None
-        dbeta = g.sum(axis=axes) if beta.requires_grad else None
+        dgamma = np.multiply(g, xhat, out=scratch).sum(axis=axes) if need_gamma else None
+        dbeta = g.sum(axis=axes) if need_beta else None
         dx = None
-        if x.requires_grad:
+        if need_x:
             # dx is built in place in dxhat, in the order of the expressions
             # (inv_std / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
             # in train mode and dxhat * inv_std in eval mode
-            dxhat = g * gamma.data.reshape(gshape)
+            dxhat = g * scale
             if training:
                 sum_dxhat = dxhat.sum(axis=axes).reshape(gshape)
                 sum_dxhat_xhat = np.multiply(dxhat, xhat, out=scratch).sum(axis=axes)
@@ -410,11 +416,14 @@ def batchnorm3d(
 
 
 def relu(x: Tensor) -> Tensor:
-    """Elementwise max(x, 0); subgradient at 0 is taken as 0."""
+    """Elementwise max(x, 0); subgradient at 0 is taken as 0.
+
+    The rule reads its output: out > 0 is exactly x > 0.
+    """
     out = np.maximum(x.data, 0)
 
     def backward_fn(g):
-        return (g * (x.data > 0),)
+        return (g * (out > 0),)
 
     return _finish("relu", out, [x], backward_fn)
 
@@ -451,13 +460,16 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             raise ValueError(f"linear: bias shape {bias.shape} does not match {weight.shape[0]}")
         out = out + bias.data
     inputs = [x, weight] if bias is None else [x, weight, bias]
+    x_data, w_data = x.data, weight.data
+    need_x, need_w = x.requires_grad, weight.requires_grad
+    need_b = None if bias is None else bias.requires_grad
 
     def backward_fn(g):
-        dx = g @ weight.data if x.requires_grad else None
-        dw = g.T @ x.data if weight.requires_grad else None
-        if bias is None:
+        dx = g @ w_data if need_x else None
+        dw = g.T @ x_data if need_w else None
+        if need_b is None:
             return (dx, dw)
-        return (dx, dw, g.sum(axis=0) if bias.requires_grad else None)
+        return (dx, dw, g.sum(axis=0) if need_b else None)
 
     return _finish("linear", out, inputs, backward_fn)
 
@@ -494,10 +506,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"add: shapes {a.shape} and {b.shape} differ")
     out = a.data + b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward_fn(g):
         # copies so accumulation into either input never aliases g
-        return (g.copy() if a.requires_grad else None, g.copy() if b.requires_grad else None)
+        return (g.copy() if need_a else None, g.copy() if need_b else None)
 
     return _finish("add", out, [a, b], backward_fn)
 
@@ -506,10 +519,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two same-shape tensors (mask fusion uses this)."""
     if a.shape != b.shape:
         raise ValueError(f"mul: shapes {a.shape} and {b.shape} differ")
-    out = a.data * b.data
+    a_data, b_data = a.data, b.data
+    out = a_data * b_data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward_fn(g):
-        return (g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None)
+        return (g * b_data if need_a else None, g * a_data if need_b else None)
 
     return _finish("mul", out, [a, b], backward_fn)
 
@@ -525,19 +540,21 @@ def add_scalar(x: Tensor, value: float) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
+    src_shape = x.shape
     out = x.data.reshape(shape)
 
     def backward_fn(g):
-        return (g.reshape(x.shape).copy(),)
+        return (g.reshape(src_shape).copy(),)
 
     return _finish("reshape", out, [x], backward_fn)
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Scalar sum of all elements."""
+    src_shape = x.shape
     out = np.asarray(x.data.sum(), dtype=x.dtype)
 
     def backward_fn(g):
-        return (np.broadcast_to(g, x.shape).astype(g.dtype, copy=True),)
+        return (np.broadcast_to(g, src_shape).astype(g.dtype, copy=True),)
 
     return _finish("sum_all", out, [x], backward_fn)

@@ -26,16 +26,49 @@ def _coerce(data, dtype) -> np.ndarray:
     return np.asarray(arr, dtype=dtype, order="C")
 
 
-class Tensor:
-    """A dense n-d float array with an optional gradient buffer."""
+class GradCell:
+    """The gradient slot of one tensor: its value's shape and its gradient.
 
-    __slots__ = ("data", "grad", "requires_grad", "tape", "__weakref__")
+    Tape nodes hold cells rather than tensors, so recording an operation
+    keeps no tensor's data alive.
+    """
+
+    __slots__ = ("shape", "grad")
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.grad: Optional[np.ndarray] = None
+
+    def accumulate(self, g: np.ndarray) -> None:
+        if g.shape != self.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match value shape {self.shape}")
+        if self.grad is None:
+            self.grad = g
+        else:
+            self.grad += g
+
+
+class Tensor:
+    """A dense n-d float array with an optional gradient buffer.
+
+    The gradient lives in the tensor's GradCell; `grad` reads and writes it.
+    """
+
+    __slots__ = ("data", "cell", "requires_grad", "tape", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _coerce(data, dtype)
-        self.grad: Optional[np.ndarray] = None
+        self.cell = GradCell(self.data.shape)
         self.requires_grad = bool(requires_grad)
         self.tape: Optional["Tape"] = None
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return self.cell.grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:
+        self.cell.grad = value
 
     @property
     def shape(self):
@@ -58,14 +91,7 @@ class Tensor:
         return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if g.shape != self.data.shape:
-            raise ValueError(
-                f"gradient shape {g.shape} does not match value shape {self.data.shape}"
-            )
-        if self.grad is None:
-            self.grad = g
-        else:
-            self.grad += g
+        self.cell.accumulate(g)
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -96,13 +122,19 @@ class Parameter(Tensor):
 
 
 class _Node:
-    """One recorded operation: output, inputs, and the gradient rule."""
+    """One recorded operation: the gradient cells of its output and inputs,
+    and the gradient rule.
+
+    An input that does not require gradients has None for a cell. The node
+    holds no tensor, so what it keeps for backward is exactly what its rule
+    closes over.
+    """
 
     __slots__ = ("output", "inputs", "backward_fn")
 
-    def __init__(self, output: Tensor, inputs: Sequence[Tensor], backward_fn: Callable):
+    def __init__(self, output: GradCell, inputs: tuple, backward_fn: Callable):
         self.output = output
-        self.inputs = tuple(inputs)
+        self.inputs = inputs
         self.backward_fn = backward_fn
 
 
@@ -126,10 +158,12 @@ class Tape:
     """Ordered record of executed operations for one backward pass.
 
     Operations append nodes in execution order, which is already a valid
-    topological order, so backward simply pops the list from the end. A
-    node is dropped as soon as its rule has run: every consumer of its output
-    was recorded later and has already run. A tape is consumed by its
-    backward pass and cannot be replayed.
+    topological order, so backward simply pops the list from the end. A node
+    keeps gradient cells and its rule, never a tensor: an intermediate whose
+    data no rule reads is freed during the forward as soon as the caller lets
+    go of it. A node is dropped as soon as its rule has run: every consumer
+    of its output was recorded later and has already run. A tape is consumed
+    by its backward pass and cannot be replayed.
     """
 
     def __init__(self):
@@ -150,7 +184,8 @@ class Tape:
         if self.consumed:
             raise RuntimeError("cannot record onto a consumed tape")
         output.tape = self
-        self.nodes.append(_Node(output, inputs, backward_fn))
+        cells = tuple(t.cell if t.requires_grad else None for t in inputs)
+        self.nodes.append(_Node(output.cell, cells, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(t) into t.grad for every recorded tensor."""
@@ -167,20 +202,18 @@ class Tape:
 
 
 def _apply(node: _Node) -> None:
-    """Run one popped node's rule and accumulate into its inputs.
+    """Run one popped node's rule and accumulate into its input cells.
 
-    Once this returns nothing references the node, so its saved forward
-    state is freed, and so is its output with that output's gradient unless
-    user code still holds the output.
+    Once this returns nothing references the node, so the arrays its rule
+    closed over are freed, and so is its output's gradient unless user code
+    still holds the output tensor.
     """
     g = node.output.grad
     if g is None:
         return
-    grads = node.backward_fn(g)
-    for inp, gi in zip(node.inputs, grads):
-        if gi is None or not inp.requires_grad:
-            continue
-        inp.accumulate_grad(gi)
+    for cell, gi in zip(node.inputs, node.backward_fn(g)):
+        if cell is not None and gi is not None:
+            cell.accumulate(gi)
 
 
 def backward(loss: Tensor) -> None:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,25 @@ def _maxpool_window_oracle(x, g, kernel, stride, padding):
     return out, dxp[crop]
 
 
+def test_maxpool3d_winners_bordering_the_padding_match_the_oracle(rng):
+    # every value falls with its distance from the nearest face, so each
+    # window's winner lies on a face of the input, next to the -inf border
+    shape = (2, 2, 3, 4, 4)
+    grids = np.meshgrid(*(np.arange(e) for e in shape[2:]), indexing="ij")
+    depth = np.minimum.reduce([np.minimum(i, e - 1 - i) for i, e in zip(grids, shape[2:])])
+    data = np.broadcast_to(-1.0 - depth, shape) - 0.25 * rng.random(shape)
+    x = Tensor(data.astype(np.float32), requires_grad=True)
+    with Tape():
+        out = ops.maxpool3d(x, 3, stride=2, padding=1)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        loss = ops.sum_all(ops.mul(out, Tensor(g)))
+    backward(loss)
+    want_out, want_dx = _maxpool_window_oracle(x.data, g, (3, 3, 3), (2, 2, 2), (1, 1, 1))
+    assert np.array_equal(out.data, want_out)
+    assert np.array_equal(x.grad, want_dx)
+    assert np.all(x.grad[..., depth > 0] == 0)
+
+
 MAXPOOL_GEOMETRIES = [
     # (N, C, F, H, W, kernel, stride, padding): the gradient-check suite's five
     # plus the network's stem pool
@@ -508,7 +528,7 @@ def test_taped_relu_keeps_only_its_output(rng):
             grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # the rule rebuilds the mask x > 0 from its input; a kept mask adds x.size bytes
+    # the rule rebuilds the mask from its output; a kept mask adds x.size bytes
     assert out.data.nbytes <= grown < out.data.nbytes + x.size // 2
 
 
@@ -628,3 +648,46 @@ def test_mutate_backward_requires_known_op():
     with pytest.raises(ValueError, match="no backward mutation"):
         with mutate_backward("sigmoid_x"):
             pass
+
+
+# ---------------------------------------------------------------------------
+# what a taped call keeps for backward
+
+RELEASING_CALLS = {
+    "batchnorm3d": lambda x: ops.batchnorm3d(
+        x, Tensor(np.ones(2, np.float32), requires_grad=True),
+        Tensor(np.zeros(2, np.float32), requires_grad=True),
+        np.zeros(2, np.float32), np.ones(2, np.float32), training=True),
+    "relu": ops.relu,
+    "add": lambda x: ops.add(x, x),
+    "add_scalar": lambda x: ops.add_scalar(x, 1.0),
+    "sigmoid": ops.sigmoid,
+    "maxpool3d": lambda x: ops.maxpool3d(x, 3, stride=2, padding=1),
+    "avgpool3d_adaptive": ops.avgpool3d_adaptive,
+    "trilinear_upsample": lambda x: ops.trilinear_upsample(x, (6, 8, 8)),
+    "conv3d": lambda x: ops.conv3d(
+        x, Tensor(np.ones((3, 2, 3, 3, 3), np.float32), requires_grad=True), padding=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELEASING_CALLS))
+def test_taped_call_releases_its_input(name, rng):
+    x = Tensor(rng.normal(size=(2, 2, 3, 4, 4)).astype(np.float32), requires_grad=True)
+    cell, data = x.cell, weakref.ref(x.data)
+    with Tape():
+        out = RELEASING_CALLS[name](x)
+        loss = ops.sum_all(ops.mul(out, Tensor(rng.normal(size=out.shape).astype(out.dtype))))
+    del x
+    assert data() is None  # no rule closed over the input or its array
+    backward(loss)
+    assert cell.grad is not None and np.all(np.isfinite(cell.grad))
+
+
+def test_taped_pointwise_conv_keeps_its_input_as_columns():
+    # a 1x1x1 stride-1 conv reads its input as its weight-gradient columns
+    x = Tensor(np.ones((1, 2, 2, 3, 3), np.float32), requires_grad=True)
+    data = weakref.ref(x.data)
+    with Tape() as tape:
+        ops.conv3d(x, Tensor(np.ones((3, 2, 1, 1, 1)), requires_grad=True))
+    del x
+    assert len(tape.nodes) == 1 and data() is not None

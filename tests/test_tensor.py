@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from res3atn import ops
+from res3atn.network import NetworkSpec, build_res3atn
 from res3atn.tensor import Parameter, Tape, Tensor, active_tape, backward, zero_grads
 
 
@@ -200,3 +201,17 @@ def test_zero_grads():
     assert x.grad is not None
     zero_grads([x])
     assert x.grad is None
+
+
+def test_taped_network_nodes_hold_no_tensor():
+    spec = NetworkSpec(num_classes=4, input_frames=8, input_size=16, input_channels=1,
+                       channel_scale=64)
+    net = build_res3atn(spec, seed=0)
+    x = Tensor(np.random.default_rng(0).normal(size=(2, 1, 8, 16, 16)))
+    with Tape() as tape:
+        ops.softmax_cross_entropy(net(x), np.array([0, 1]))
+    assert len(tape.nodes) > 100
+    for node in tape.nodes:
+        held = [node.output, *node.inputs]
+        held += [c.cell_contents for c in node.backward_fn.__closure__ or ()]
+        assert not any(isinstance(v, Tensor) for v in held)
