@@ -317,6 +317,64 @@ def test_maxpool3d_bitwise_equals_window_oracle(geometry, dtype):
     assert np.array_equal(eval_out.data, want_out)
 
 
+ANISOTROPIC_MAXPOOL_GEOMETRIES = [
+    # (N, C, (F, H, W), kernel, stride, padding): per-axis geometries, p < k on
+    # every axis, so each axis indexes its stride-phase planes differently
+    (2, 2, (3, 6, 5), (1, 3, 2), (2, 1, 3), (0, 1, 1)),
+    (1, 3, (6, 5, 7), (3, 2, 3), (1, 2, 2), (1, 0, 1)),
+    (2, 1, (7, 4, 6), (2, 3, 2), (3, 1, 2), (1, 1, 0)),  # stride > kernel along frames
+    (1, 2, (1, 5, 4), (3, 2, 2), (2, 3, 1), (2, 1, 1)),  # one frame phase is all border
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("geometry", ANISOTROPIC_MAXPOOL_GEOMETRIES)
+def test_maxpool3d_anisotropic_geometries_match_the_window_oracle(geometry, dtype):
+    n, c, spatial, kernel, stride, padding = geometry
+    rng = np.random.default_rng(11)
+    # a relu'd coarse grid: zero ties are common
+    data = np.maximum(np.round(rng.normal(size=(n, c, *spatial)) * 2.0) / 2.0, 0.0)
+    x = Tensor(data, dtype=dtype, requires_grad=True)
+    with Tape():
+        out = ops.maxpool3d(x, kernel, stride=stride, padding=padding)
+        g = rng.normal(size=out.shape).astype(dtype)
+        loss = ops.sum_all(ops.mul(out, Tensor(g)))
+    backward(loss)
+    want_out, want_dx = _maxpool_window_oracle(x.data, g, kernel, stride, padding)
+    assert out.dtype == x.dtype and x.grad.dtype == x.dtype
+    assert np.array_equal(out.data, want_out)
+    assert np.array_equal(x.grad, want_dx)
+    eval_out = ops.maxpool3d(Tensor(x.data), kernel, stride=stride, padding=padding)
+    assert np.array_equal(eval_out.data, want_out)
+
+
+def test_taped_maxpool_keeps_only_its_winner_index(rng):
+    x = Tensor(rng.normal(size=(1, 8, 16, 32, 32)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape():
+            before, _ = tracemalloc.get_traced_memory()
+            out = ops.maxpool3d(x, 3, stride=2, padding=1)
+            grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the output plus a one-byte winner per window; planes or scan buffers
+    # left alive would add about x.nbytes or out.size more
+    assert out.data.nbytes + out.size <= grown < out.data.nbytes + out.size + out.size // 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_taped_maxpool_rejects_non_finite_input_before_recording(bad):
+    data = np.zeros((1, 1, 4, 4, 4), dtype=np.float32)
+    data[0, 0, 1, 2, 1] = bad
+    x = Tensor(data, requires_grad=True)
+    # a NaN window matches no offset, so its winner would be out of range
+    with Tape() as tape:
+        with pytest.raises(ops.NonFiniteError, match="maxpool3d"):
+            ops.maxpool3d(x, 3, stride=2, padding=1)
+    assert not tape.nodes
+
+
 def test_avgpool_is_plain_mean(rng):
     x = Tensor(rng.normal(size=(2, 2048, 1, 4, 4)).astype(np.float32), requires_grad=True)
     out = ops.avgpool3d_adaptive(x)
@@ -350,6 +408,38 @@ def test_upsample_frames_axis(rng):
     x = Tensor(np.array([0.0, 2.0], dtype=np.float32).reshape(1, 1, 2, 1, 1))
     out = ops.trilinear_upsample(x, (4, 1, 1))
     assert np.allclose(out.data.ravel(), [0.0, 0.5, 1.5, 2.0], atol=1e-6)
+
+
+def _upsample_backward_add_at(g, src_spatial):
+    """The two-np.add.at-per-axis adjoint of trilinear_upsample."""
+    dg = g
+    for axis in (4, 3, 2):
+        i0, i1, w0, w1 = ops._linear_axis_coeffs(src_spatial[axis - 2], g.shape[axis], g.dtype)
+        gm = np.moveaxis(dg, axis, 0)
+        wshape = (-1,) + (1,) * (gm.ndim - 1)
+        dm = np.zeros((src_spatial[axis - 2],) + gm.shape[1:], dtype=g.dtype)
+        np.add.at(dm, i0, gm * w0.reshape(wshape))
+        np.add.at(dm, i1, gm * w1.reshape(wshape))
+        dg = np.moveaxis(dm, 0, axis)
+    return dg
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("src, target", [
+    # every extent pair the network resamples, plus an identity axis
+    ((1, 2, 2), (2, 3, 4)),
+    ((4, 4, 7), (7, 8, 14)),
+    ((14, 3, 5), (28, 3, 5)),
+])
+def test_trilinear_backward_bitwise_equals_add_at(src, target, dtype):
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(2, 3, *src)), dtype=dtype, requires_grad=True)
+    g = rng.normal(size=(2, 3, *target)).astype(dtype)
+    with Tape():
+        loss = ops.sum_all(ops.mul(ops.trilinear_upsample(x, target), Tensor(g)))
+    backward(loss)
+    want = _upsample_backward_add_at(g, src)
+    assert x.grad.dtype == want.dtype and np.array_equal(x.grad, want)
 
 
 def test_upsample_validation():
