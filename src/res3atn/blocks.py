@@ -97,7 +97,6 @@ class AttentionBlockSpec:
     channels: int
     depth: int
     skip_count: int
-    site: int = 0
 
     def __post_init__(self):
         if self.channels < 1:

@@ -113,8 +113,7 @@ def _batchnorm_case(rng, shape, training):
         rv = (np.abs(_randn(rng, (c,))) + 0.5).astype(np.float32)
 
     def op(x, gamma, beta):
-        return ops.batchnorm3d(x, gamma, beta, rm, rv, training=training,
-                               update_running=False)
+        return ops.batchnorm3d(x, gamma, beta, rm, rv, training=training)
 
     return op, [x, gamma, beta]
 
@@ -309,17 +308,15 @@ def network_check(
     channel_scale: int = 16,
     seed: int = 0,
     max_coords: int = 64,
-    eps: float = 1e-4,
-    tol: float = 2e-3,
 ) -> GradCheckReport:
     """End-to-end parameter gradient check on a reduced-width network.
 
-    The whole model runs in float64 and parameters are perturbed in place,
-    so the comparison is limited by finite-difference truncation only. The
-    loss is piecewise smooth (relu, max pooling); coordinates whose probe
-    interval straddles a switching point are excluded and replaced, which
-    never masks a wrong backward because exclusion only compares the two
-    finite-difference estimates against each other.
+    The whole model runs in float64, so grad_check perturbs its parameters
+    in place and the comparison is limited by finite-difference truncation
+    only. The loss is piecewise smooth (relu, max pooling); coordinates whose
+    probe interval straddles a switching point are excluded and replaced,
+    which never masks a wrong backward because exclusion only compares the
+    two finite-difference estimates against each other.
     """
     spec = NetworkSpec(
         num_classes=num_classes,
@@ -340,10 +337,9 @@ def network_check(
     return grad_check(
         fn,
         net.parameters(),
-        eps=eps,
-        tol=tol,
+        eps=1e-4,
+        tol=2e-3,
         max_coords=max_coords,
         rng=_rng(seed, 11),
-        perturb_in_place=True,
         exclude_kinks=True,
     )

@@ -272,13 +272,9 @@ def _cmd_gradcheck(args) -> int:
             failed = failed or not ok
             print(f"{name:<24s} max_rel {worst:.3e}  {'pass' if ok else 'FAIL'}")
         if args.network:
-            rep = network_check(
-                frames=args.frames,
-                size=args.size,
-                channel_scale=args.scale,
-                seed=args.seed,
-                max_coords=args.coords,
-            )
+            geometry = {key: value for key, value in vars(args).items()
+                        if key in ("channel_scale", "frames", "size", "max_coords")}
+            rep = network_check(seed=args.seed, **geometry)
             failed = failed or not rep.passed
             print(f"{'network':<24s} max_rel {rep.max_rel_error:.3e}  "
                   f"{'pass' if rep.passed else 'FAIL'}")
@@ -376,10 +372,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         "checks detect it")
     p.add_argument("--no-network", dest="network", action="store_false",
                    help="skip the reduced-network parameter check")
-    p.add_argument("--scale", type=int, default=16, help="network channel divisor")
-    p.add_argument("--frames", type=int, default=8)
-    p.add_argument("--size", type=int, default=32)
-    p.add_argument("--coords", type=int, default=64)
+    # an unset geometry flag leaves network_check's own default in force
+    unset = argparse.SUPPRESS
+    p.add_argument("--scale", dest="channel_scale", metavar="SCALE", type=int,
+                   default=unset, help="network channel divisor")
+    p.add_argument("--frames", type=int, default=unset)
+    p.add_argument("--size", type=int, default=unset)
+    p.add_argument("--coords", dest="max_coords", metavar="COORDS", type=int, default=unset)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="train attention-site variants")

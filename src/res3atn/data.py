@@ -69,25 +69,35 @@ class AugmentConfig:
             raise ValueError(f"crop must be an even extent >= 16, got {self.crop}")
         if self.frames_out < 1:
             raise ValueError("frames_out must be >= 1")
-        if self.elastic_sigma <= 0:
-            raise ValueError("elastic_sigma must be positive")
-        if self.elastic_alpha < 0:
-            raise ValueError("elastic_alpha must be >= 0")
+        if not 0 < self.elastic_sigma < math.inf:
+            raise ValueError("elastic_sigma must be positive and finite")
+        if not 0 <= self.elastic_alpha < math.inf:
+            raise ValueError("elastic_alpha must be >= 0 and finite")
+        taps = 2 * _gaussian_radius(self.elastic_sigma) + 1
+        if self.elastic_alpha > 0 and taps > self.crop:
+            raise ValueError(f"elastic_sigma {self.elastic_sigma} gives a {taps}-tap kernel, "
+                             f"wider than the {self.crop} crop")
 
 
 # ---------------------------------------------------------------------------
 # augmentation steps
 
 
-def sample_frames(clip: LabeledClip, frames_out: int, rng: np.random.Generator) -> LabeledClip:
-    """Take a contiguous window at a uniform random offset; short clips wrap."""
+def _window(clip: LabeledClip, frames_out: int, offset: int) -> LabeledClip:
+    """frames_out frames from offset on; a clip shorter than that repeats cyclically."""
     total = clip.frames.shape[0]
     if total >= frames_out:
-        offset = int(rng.integers(0, total - frames_out + 1))
         idx = np.arange(offset, offset + frames_out)
     else:
         idx = np.arange(frames_out) % total
     return LabeledClip(clip.frames[idx], clip.label, clip.clip_id)
+
+
+def sample_frames(clip: LabeledClip, frames_out: int, rng: np.random.Generator) -> LabeledClip:
+    """Take a contiguous window at a uniform random offset; short clips wrap."""
+    total = clip.frames.shape[0]
+    offset = int(rng.integers(0, total - frames_out + 1)) if total >= frames_out else 0
+    return _window(clip, frames_out, offset)
 
 
 def _resize_bilinear(frames: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -101,26 +111,24 @@ def _resize_bilinear(frames: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return np.clip(np.rint(x), 0, 255).astype(np.uint8)
 
 
-def random_scale(
-    clip: LabeledClip, scale_set, rng: np.random.Generator, crop: int | None = None
-) -> LabeledClip:
-    """Rescale both spatial axes by one factor drawn uniformly from scale_set.
+def random_scale(clip: LabeledClip, rng: np.random.Generator, crop: int) -> LabeledClip:
+    """Rescale both spatial axes by one factor drawn uniformly from SCALE_SET.
 
-    New extents round to nearest (half away from zero). When `crop` is
-    given, scaling below the crop size is a configuration error.
+    New extents round to nearest (half away from zero); scaling below the
+    crop size is a configuration error. Factor 1 returns the clip itself.
     """
-    factor = float(scale_set[int(rng.integers(0, len(scale_set)))])
+    factor = SCALE_SET[int(rng.integers(0, len(SCALE_SET)))]
     _, h, w, _ = clip.frames.shape
     nh = int(math.floor(h * factor + 0.5))
     nw = int(math.floor(w * factor + 0.5))
-    if crop is not None and (nh < crop or nw < crop):
-        min_src = int(math.ceil(crop / min(scale_set)))
+    if nh < crop or nw < crop:
+        min_src = int(math.ceil(crop / min(SCALE_SET)))
         raise ValueError(
             f"scaled extent {nh}x{nw} is below the {crop} crop; "
             f"sources must be at least {min_src}x{min_src}"
         )
     if (nh, nw) == (h, w):
-        return LabeledClip(clip.frames.copy(), clip.label, clip.clip_id)
+        return clip
     return LabeledClip(_resize_bilinear(clip.frames, nh, nw), clip.label, clip.clip_id)
 
 
@@ -146,8 +154,13 @@ def center_crop(clip: LabeledClip, crop: int) -> LabeledClip:
     return _crop(clip, (h - crop) // 2, (w - crop) // 2, crop)
 
 
+def _gaussian_radius(sigma: float) -> int:
+    """Half-width of the elastic blur kernel, which is truncated at 3 sigma."""
+    return int(round(3.0 * sigma))
+
+
 def _gaussian_kernel1d(sigma: float) -> np.ndarray:
-    radius = int(round(3.0 * sigma))
+    radius = _gaussian_radius(sigma)
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
     return (k / k.sum()).astype(np.float32)
@@ -201,7 +214,7 @@ def normalize(clip: LabeledClip) -> np.ndarray:
 def augment_clip(clip: LabeledClip, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
     """Full training chain: sample, scale, crop, elastic, normalize."""
     out = sample_frames(clip, cfg.frames_out, rng)
-    out = random_scale(out, SCALE_SET, rng, crop=cfg.crop)
+    out = random_scale(out, rng, cfg.crop)
     out = random_crop(out, cfg.crop, rng)
     if cfg.elastic_alpha > 0:
         out = elastic_displacement(out, cfg.elastic_sigma, cfg.elastic_alpha, rng)
@@ -210,14 +223,8 @@ def augment_clip(clip: LabeledClip, cfg: AugmentConfig, rng: np.random.Generator
 
 def eval_preprocess(clip: LabeledClip, cfg: AugmentConfig) -> np.ndarray:
     """Deterministic eval chain: centered window, center crop, normalize."""
-    total = clip.frames.shape[0]
-    if total >= cfg.frames_out:
-        offset = (total - cfg.frames_out) // 2
-        idx = np.arange(offset, offset + cfg.frames_out)
-    else:
-        idx = np.arange(cfg.frames_out) % total
-    window = LabeledClip(clip.frames[idx], clip.label, clip.clip_id)
-    return normalize(center_crop(window, cfg.crop))
+    offset = (clip.frames.shape[0] - cfg.frames_out) // 2
+    return normalize(center_crop(_window(clip, cfg.frames_out, offset), cfg.crop))
 
 
 # ---------------------------------------------------------------------------
@@ -301,21 +308,11 @@ def synth_dataset(
 
 
 def synthetic_splits(
-    num_classes: int,
-    train_per_class: int,
-    eval_per_class: int,
-    frames: int = 16,
-    extent: int = 48,
-    noise_level: float = 0.1,
-    channels: int = 1,
-    seed: int = 0,
+    num_classes: int, train_per_class: int, eval_per_class: int, **options
 ) -> tuple[list[LabeledClip], list[LabeledClip]]:
-    """Disjoint train/eval splits generated from separate seed streams."""
-    common = dict(
-        frames=frames, extent=extent, noise_level=noise_level, channels=channels, seed=seed
-    )
-    train = synth_dataset(num_classes, train_per_class, stream=0, **common)
-    evals = synth_dataset(num_classes, eval_per_class, stream=1, **common)
+    """Disjoint train/eval splits from separate seed streams; options go to synth_dataset."""
+    train = synth_dataset(num_classes, train_per_class, stream=0, **options)
+    evals = synth_dataset(num_classes, eval_per_class, stream=1, **options)
     return train, evals
 
 

@@ -1,10 +1,11 @@
 """Central finite-difference verification of recorded gradients.
 
 The closure under test runs in its tensors' own dtype for the analytic pass;
-the finite-difference pass runs on float64 clones (FD_DTYPE) so the check is
-limited by the analytic path's precision, not the probe's. For parameters
-living inside a model, perturb_in_place=True probes the original tensors
-directly (cast the model to float64 first for tight tolerances).
+the finite-difference pass runs in float64 (FD_DTYPE) so the check is
+limited by the analytic path's precision, not the probe's. An input already
+in FD_DTYPE is probed in place, any other through a float64 clone. So the
+parameters of a model cast to float64 are perturbed where the model reads
+them, and a closure may ignore its arguments and read the model instead.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ def grad_check(
     tol: float = 1e-3,
     max_coords: int = 64,
     rng: Optional[np.random.Generator] = None,
-    perturb_in_place: bool = False,
     exclude_kinks: bool = False,
 ) -> GradCheckReport:
     """Compare recorded gradients of scalar fn(*inputs) against central differences.
@@ -132,10 +132,7 @@ def grad_check(
             raise RuntimeError(f"grad_check: input {i} received no gradient")
         analytic[i] = inputs[i].grad.reshape(-1).astype(np.float64)
 
-    if perturb_in_place:
-        probes = inputs
-    else:
-        probes = [Tensor(t.data.astype(FD_DTYPE)) for t in inputs]
+    probes = [t if t.dtype == FD_DTYPE else Tensor(t.data.astype(FD_DTYPE)) for t in inputs]
 
     budget = max_coords * 3 if exclude_kinks else max_coords
     plan = _plan_coords([inputs[i] for i in checked_idx], budget, rng)

@@ -144,61 +144,38 @@ class Conv3d(Module):
 
 
 class BatchNorm3d(Module):
-    """Per-channel batchnorm (eps 1e-5, EMA momentum 0.1).
+    """Per-channel batchnorm (ops.BN_EPS, EMA momentum ops.BN_MOMENTUM).
 
-    Running buffers hold the biased batch statistics EMA; the steps buffer
-    counts updates so eval before any update (and before a checkpoint load,
-    which restores steps) fails loudly instead of normalizing with the
-    untouched init values. Setting update_running=False freezes the buffers
-    while still normalizing with batch statistics.
+    Running buffers hold the biased batch statistics EMA, moved by every
+    train-mode forward; the steps buffer counts those updates so eval before
+    any update (and before a checkpoint load, which restores steps) fails
+    loudly instead of normalizing with the untouched init values.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, channels: int):
         super().__init__()
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Parameter(np.ones(channels, dtype=np.float32))
         self.beta = Parameter(np.zeros(channels, dtype=np.float32))
         self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
         self.register_buffer("running_var", np.ones(channels, dtype=np.float32))
         self.register_buffer("steps", np.zeros(1, dtype=np.float32))
-        self.update_running = True
 
     @property
     def stats_ready(self) -> bool:
         return float(self.steps[0]) > 0
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            out = ops.batchnorm3d(
-                x,
-                self.gamma,
-                self.beta,
-                self.running_mean,
-                self.running_var,
-                training=True,
-                momentum=self.momentum,
-                eps=self.eps,
-                update_running=self.update_running,
-            )
-            if self.update_running:
-                self.steps[0] += 1
-            return out
-        if not self.stats_ready:
+        if not self.training and not self.stats_ready:
             raise RuntimeError(
                 "batchnorm eval requested before any running-stat update; "
                 "train first or load statistics from a checkpoint"
             )
-        return ops.batchnorm3d(
-            x,
-            self.gamma,
-            self.beta,
-            self.running_mean,
-            self.running_var,
-            training=False,
-            momentum=self.momentum,
-            eps=self.eps,
+        out = ops.batchnorm3d(
+            x, self.gamma, self.beta, self.running_mean, self.running_var, training=self.training
         )
+        if self.training:
+            self.steps[0] += 1
+        return out
 
 
 class Linear(Module):

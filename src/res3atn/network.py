@@ -93,7 +93,6 @@ class NetworkSpec:
             channels=self.scaled(STAGE_TABLE[site - 1][2]),
             depth=depth,
             skip_count=min(skip_cfg, depth),
-            site=site,
         )
 
 

@@ -15,7 +15,9 @@ forward is a separable running max. Under a tape it reads the input as
 stride-phase planes, on which every window offset is a unit-stride slice;
 it takes the running max over the offsets and finds each window's winner
 (the lowest offset equal to the max) with plain integer arithmetic, no
-masked copy.
+masked copy. Batchnorm's EMA momentum and variance epsilon are the module
+constants BN_MOMENTUM and BN_EPS, and every train-mode call moves the
+running buffers it is given.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ import numpy as np
 from .tensor import Tape, Tensor, active_tape
 
 _AXIS_NAMES = ("frame", "height", "width")
+
+# batchnorm's running-statistics EMA weight and variance floor
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 
 def _triple(value, what: str) -> tuple[int, int, int]:
@@ -408,15 +414,12 @@ def batchnorm3d(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-    update_running: bool = True,
 ) -> Tensor:
     """Per-channel normalization over (N,F,H,W) with EMA running statistics.
 
-    Train mode normalizes with biased batch statistics and, when
-    update_running is set, moves the running buffers by `momentum` toward
-    them. Eval mode normalizes with the running buffers.
+    Train mode normalizes with biased batch statistics and moves the running
+    buffers in place by BN_MOMENTUM toward them. Eval mode normalizes with
+    the running buffers. BN_EPS is added to the variance.
     """
     if x.ndim != 5:
         raise ValueError(f"batchnorm3d: input must be rank 5, got shape {x.shape}")
@@ -436,15 +439,14 @@ def batchnorm3d(
     if training:
         # np.var's own steps (centre, square, add-reduce, divide), so equal to it bitwise
         var = np.add.reduce(xhat * xhat, axis=axes) / m
-        if update_running:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mean.astype(running_mean.dtype)
-            running_var *= 1.0 - momentum
-            running_var += momentum * var.astype(running_var.dtype)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean.astype(running_mean.dtype)
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var.astype(running_var.dtype)
     else:
         var = running_var.astype(x.dtype)
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std.reshape(gshape)
     scale = gamma.data.reshape(gshape)
     out = scale * xhat

@@ -443,32 +443,28 @@ def _write_pgm(path, image: np.ndarray) -> None:
 def export_attention_masks(net: Res3ATN, clip: LabeledClip, out_dir) -> list[Path]:
     """Write each site's channel-averaged soft mask as one PGM per frame.
 
-    Uses eval mode when running statistics exist; otherwise falls back to a
-    train-mode forward with frozen running buffers so a freshly initialized
-    network can still be inspected.
+    Uses eval mode when running statistics exist. Otherwise a freshly
+    initialized network can still be inspected: the forward runs in train
+    mode, and every buffer it moves is written back afterwards, so the
+    network's running statistics and step counts are left as they were.
     """
     if not net.spec.attention_sites:
         raise ValueError("network has no attention sites enabled")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = AugmentConfig(
-        crop=net.spec.input_size, frames_out=net.spec.input_frames, elastic_alpha=0.0
-    )
+    cfg = AugmentConfig(crop=net.spec.input_size, frames_out=net.spec.input_frames)
     x = Tensor(eval_preprocess(clip, cfg))
-    bns = [m for m in net.modules() if isinstance(m, BatchNorm3d)]
-    ready = all(bn.stats_ready for bn in bns)
-    if ready:
+    if all(m.stats_ready for m in net.modules() if isinstance(m, BatchNorm3d)):
         net.eval()
         captured = net.attention_masks(x)
     else:
         net.train()
-        for bn in bns:
-            bn.update_running = False
+        saved = [(buf, buf.copy()) for _, buf in net.named_buffers()]
         try:
             captured = net.attention_masks(x)
         finally:
-            for bn in bns:
-                bn.update_running = True
+            for buf, kept in saved:
+                np.copyto(buf, kept)
     paths = []
     for site in sorted(captured):
         mask = captured[site].data[0]  # (C, F, H, W)

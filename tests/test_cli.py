@@ -1,5 +1,6 @@
 """End-to-end command-line checks through real subprocesses."""
 
+import inspect
 import json
 import os
 import re
@@ -11,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from res3atn import cli
+from res3atn import checksuite, cli
 from res3atn.checkpoint import load_state, save_state
 from res3atn.data import AugmentConfig, save_clip, synth_dataset
+from res3atn.gradcheck import GradCheckReport
 from res3atn.network import NetworkSpec
 from res3atn.training import RunConfig, config_schema
 
@@ -141,6 +143,29 @@ def test_gradcheck_mutates_any_suite_op():
     assert proc.returncode == 1
     lines = proc.stdout.strip().splitlines()
     assert [ln.split()[-1] for ln in lines] == ["FAIL", "pass"]
+
+
+def test_gradcheck_network_geometry_defaults_live_in_network_check(monkeypatch):
+    signature = inspect.signature(checksuite.network_check)
+    defaults = {name: p.default for name, p in signature.parameters.items()}
+    seen = []
+
+    def fake_network_check(**kwargs):
+        bound = signature.bind(**kwargs)
+        bound.apply_defaults()
+        seen.append(dict(bound.arguments))
+        return GradCheckReport(0.0, 1.0, 0)
+
+    monkeypatch.setattr(checksuite, "operator_suite", lambda seed, only: {})
+    monkeypatch.setattr(checksuite, "network_check", fake_network_check)
+    assert cli.main(["gradcheck"]) == 0
+    assert cli.main(["gradcheck", "--size", "16"]) == 0
+    assert cli.main(["gradcheck", "--scale", "8", "--frames", "16", "--coords", "5"]) == 0
+    assert seen == [
+        defaults,
+        {**defaults, "size": 16},
+        {**defaults, "channel_scale": 8, "frames": 16, "max_coords": 5},
+    ]
 
 
 def test_gradcheck_unknown_mutation_is_exit_2():
@@ -291,6 +316,18 @@ def test_readme_ini_table_lists_the_config_schema():
         for section, keys in re.findall(r"\[(\w+)\]([^\[]*)", block)
     }
     assert table == {section: list(keys) for section, keys in config_schema().items()}
+
+
+def test_elastic_kernel_wider_than_the_crop_is_exit_2(tmp_path):
+    ini = tmp_path / "wide.ini"
+    ini.write_text("[augment]\nelastic_sigma = 2.5\n")
+    out = tmp_path / "out"
+    proc = run_cli("train", *SYNTH, *TINY, "--config", str(ini), "--out", str(out))
+    assert proc.returncode == 2
+    err_lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("r3atn: error: elastic_sigma 2.5")
+    assert not out.exists()
 
 
 def test_bad_sites_value_is_exit_2(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from res3atn.data import (
-    SCALE_SET,
     AugmentConfig,
     ClipFormatError,
     LabeledClip,
@@ -54,10 +53,25 @@ def test_augment_config_validation():
         AugmentConfig(crop=23)
     with pytest.raises(ValueError, match="frames_out"):
         AugmentConfig(crop=24, frames_out=0)
-    with pytest.raises(ValueError, match="elastic_sigma"):
-        AugmentConfig(crop=24, elastic_sigma=0.0)
-    with pytest.raises(ValueError, match="elastic_alpha"):
-        AugmentConfig(crop=24, elastic_alpha=-1.0)
+    for sigma in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="elastic_sigma must be positive and finite"):
+            AugmentConfig(crop=24, elastic_sigma=sigma)
+    for alpha in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="elastic_alpha must be >= 0 and finite"):
+            AugmentConfig(crop=24, elastic_alpha=alpha)
+
+
+def test_elastic_kernel_wider_than_the_crop_is_rejected():
+    # the kernel is truncated at round(3 * 2.5) = 8 taps a side: 17 taps
+    with pytest.raises(ValueError, match="elastic_sigma 2.5 gives a 17-tap kernel"):
+        AugmentConfig(crop=16, elastic_sigma=2.5)
+
+
+def test_elastic_kernel_width_only_binds_when_elastic_is_on():
+    AugmentConfig(crop=16, elastic_sigma=2.5, elastic_alpha=0.0)
+    cfg = AugmentConfig(crop=16, elastic_sigma=2.0, frames_out=4)  # 13 taps
+    out = augment_clip(_clip(frames=6), cfg, np.random.default_rng(0))
+    assert out.shape == (1, 1, 4, 16, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +111,9 @@ def test_random_scale_extents_match_the_factor_set():
     clip = _clip(h=48, w=48)
     seen = set()
     for seed in range(60):
-        out = random_scale(clip, SCALE_SET, np.random.default_rng(seed))
+        out = random_scale(clip, np.random.default_rng(seed), 24)
         assert out.frames.shape[1] == out.frames.shape[2]
+        assert (out is clip) == (out.frames.shape == clip.frames.shape)  # factor 1: no copy
         seen.add(out.frames.shape[1])
     assert seen == {48, 40, 29, 24}
 
@@ -108,7 +123,7 @@ def test_random_scale_rejects_sources_below_the_crop():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="sources must be at least 48x48"):
         for _ in range(60):  # keep drawing until the 0.5 factor comes up
-            random_scale(clip, SCALE_SET, rng, crop=24)
+            random_scale(clip, rng, 24)
 
 
 def test_random_crop_window_and_bounds():
@@ -167,6 +182,14 @@ def test_augment_clip_is_deterministic_per_rng_state():
     assert np.array_equal(a, b)
     assert a.shape == (1, 1, 8, 24, 24)
     assert not np.array_equal(a, c)
+
+
+def test_eval_preprocess_wraps_short_clips():
+    frames = np.stack([np.full((24, 24, 1), i, dtype=np.uint8) for i in range(3)])
+    x = eval_preprocess(LabeledClip(frames, 0), AugmentConfig(crop=24, frames_out=8))
+    np.testing.assert_allclose(
+        x[0, 0].mean(axis=(1, 2)), (np.arange(8) % 3).astype(np.float32) / 255.0
+    )
 
 
 def test_eval_preprocess_uses_the_centered_window():

@@ -7,7 +7,7 @@ import pytest
 
 from res3atn import ops
 from res3atn.checksuite import OPERATOR_CHECKS, mutate_backward, network_check, operator_suite
-from res3atn.gradcheck import grad_check
+from res3atn.gradcheck import FD_DTYPE, grad_check
 from res3atn.tensor import Tensor
 
 
@@ -98,9 +98,32 @@ def test_perturb_in_place_checks_float64_parameters(rng):
     def fn(w):
         return ops.sum_all(ops.mul(ops.linear(x, w), proj))
 
-    report = grad_check(fn, [w], rng=rng, perturb_in_place=True)
+    report = grad_check(fn, [w], rng=rng)
     assert report.passed
     assert report.max_rel_error < 1e-3
+
+
+def test_the_input_dtype_picks_in_place_or_clone_probing(rng):
+    # a float64 input is probed in place: this closure reads w, not its argument
+    w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    x = Tensor(rng.normal(size=(4, 3)))
+    report = grad_check(lambda _w: ops.sum_all(ops.linear(x, w)), [w], rng=rng)
+    assert report.passed and report.max_rel_error < 1e-6
+
+    # float32 inputs are probed through float64 clones and never written
+    v = Tensor(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
+    x32 = Tensor(x.data.astype(np.float32))
+    original = v.data.copy()
+    seen = []
+
+    def fn(arg, xin):
+        seen.append((arg is v, arg.dtype))
+        return ops.sum_all(ops.linear(xin, arg))
+
+    assert grad_check(fn, [v, x32], rng=rng).passed
+    assert {(False, np.dtype(FD_DTYPE))} <= set(seen)
+    assert all(is_v for is_v, dtype in seen if dtype != FD_DTYPE)
+    assert np.array_equal(v.data, original)
 
 
 def test_fixed_rng_gives_identical_reports(rng):

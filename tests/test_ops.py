@@ -483,19 +483,11 @@ def test_batchnorm_running_stats_follow_ema(rng):
     beta = Tensor(np.zeros(2, dtype=np.float32))
     rm = np.full(2, 10.0, dtype=np.float32)
     rv = np.full(2, 4.0, dtype=np.float32)
-    ops.batchnorm3d(x, gamma, beta, rm, rv, training=True, momentum=0.1)
+    ops.batchnorm3d(x, gamma, beta, rm, rv, training=True)
     batch_mean = x.data.mean(axis=(0, 2, 3, 4))
     batch_var = x.data.var(axis=(0, 2, 3, 4))  # biased
     assert np.allclose(rm, 0.9 * 10.0 + 0.1 * batch_mean, atol=1e-5)
     assert np.allclose(rv, 0.9 * 4.0 + 0.1 * batch_var, atol=1e-5)
-
-
-def test_batchnorm_update_running_flag_freezes_buffers(rng):
-    x = Tensor(rng.normal(size=(2, 1, 2, 2, 2)).astype(np.float32))
-    gamma, beta = Tensor(np.ones(1, dtype=np.float32)), Tensor(np.zeros(1, dtype=np.float32))
-    rm, rv = np.full(1, 7.0, dtype=np.float32), np.full(1, 5.0, dtype=np.float32)
-    ops.batchnorm3d(x, gamma, beta, rm, rv, training=True, update_running=False)
-    assert rm[0] == 7.0 and rv[0] == 5.0
 
 
 def test_batchnorm_eval_uses_running_buffers():
@@ -524,7 +516,7 @@ def test_batchnorm_gradients_match_finite_differences(rng):
 
     def fn(x, gamma, beta):
         rm, rv = np.zeros(2, dtype=np.float32), np.ones(2, dtype=np.float32)
-        out = ops.batchnorm3d(x, gamma, beta, rm, rv, training=True, update_running=False)
+        out = ops.batchnorm3d(x, gamma, beta, rm, rv, training=True)
         return ops.sum_all(ops.mul(out, Tensor(proj)))
 
     report = grad_check(fn, [x, gamma, beta], rng=rng)

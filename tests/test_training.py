@@ -9,7 +9,8 @@ import pytest
 
 import res3atn.training as training
 from res3atn.data import AugmentConfig, synth_dataset, synthetic_splits
-from res3atn.network import NetworkSpec, build_res3atn
+from res3atn.modules import BatchNorm3d
+from res3atn.network import NetworkSpec, Res3ATN, build_res3atn
 from res3atn.tensor import Tensor
 from res3atn.training import (
     MetricsRecord,
@@ -301,6 +302,47 @@ def test_fresh_network_mask_export(tmp_path):
     ]).astype(np.float64)
     assert values.min() >= 96 and values.max() <= 160
     assert abs(values.mean() - 127.5) < 16
+
+
+def _buffer_bytes(net):
+    return {name: buf.tobytes() for name, buf in net.named_buffers()}
+
+
+def test_fresh_mask_export_leaves_every_buffer_unchanged(tmp_path):
+    net = build_res3atn(MASK_NET, seed=0)
+    clip = synth_dataset(4, 1, frames=16, extent=48, channels=1)[0]
+    before = _buffer_bytes(net)
+    assert any(name.endswith(".steps") for name in before)
+    export_attention_masks(net, clip, tmp_path)
+    assert net.training  # statistics were not ready: a train-mode forward
+    assert _buffer_bytes(net) == before
+
+
+def test_fresh_mask_export_restores_buffers_when_the_forward_fails(tmp_path, monkeypatch):
+    net = build_res3atn(MASK_NET, seed=0)
+    clip = synth_dataset(4, 1, frames=16, extent=48, channels=1)[0]
+    before = _buffer_bytes(net)
+
+    def forward_then_fail(self, x, _masks=Res3ATN.attention_masks):
+        _masks(self, x)
+        raise RuntimeError("late failure")
+
+    monkeypatch.setattr(Res3ATN, "attention_masks", forward_then_fail)
+    with pytest.raises(RuntimeError, match="late failure"):
+        export_attention_masks(net, clip, tmp_path)
+    assert _buffer_bytes(net) == before
+
+
+def test_mask_export_with_ready_statistics_runs_in_eval_mode(tmp_path):
+    net = build_res3atn(MASK_NET, seed=0)
+    for bn in net.modules():
+        if isinstance(bn, BatchNorm3d):
+            bn.steps[0] = 1
+    clip = synth_dataset(4, 1, frames=16, extent=48, channels=1)[0]
+    before = _buffer_bytes(net)
+    export_attention_masks(net, clip, tmp_path)
+    assert not net.training
+    assert _buffer_bytes(net) == before
 
 
 def test_mask_export_requires_attention_sites(tmp_path):
