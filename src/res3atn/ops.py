@@ -6,8 +6,11 @@ closure g -> grads implementing the exact reverse-mode rule. The tape holds
 gradient cells, not tensors, so a rule keeps alive only what it closes over:
 the arrays it reads, shapes, and the inputs' requires_grad flags as plain
 bools, never an input Tensor. It returns None for each input that does not
-require gradients. Every forward value is scanned, and a NaN
-or infinity raises NonFiniteError naming the operator. Convolution has one
+require gradients. A rule owns the gradient g it is handed (see tensor): it
+may overwrite g in place or return it as an input's gradient, so the
+elementwise rules (relu, batchnorm3d's dx, add, add_scalar, reshape) make no
+full-size array of their own. Every forward value is scanned, and a NaN or
+infinity raises NonFiniteError naming the operator. Convolution has one
 route, im2col+GEMM; for a 1x1x1 kernel the columns are a view of the
 (strided) input rather than a copy. The nested-loop reference it is held to
 lives in checksuite. Max pooling builds no window tensor. Untaped, its
@@ -462,7 +465,7 @@ def batchnorm3d(
             # dx is built in place in dxhat, in the order of the expressions
             # (inv_std / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
             # in train mode and dxhat * inv_std in eval mode
-            dxhat = g * scale
+            dxhat = np.multiply(g, scale, out=g)  # dgamma and dbeta have read g
             if training:
                 sum_dxhat = dxhat.sum(axis=axes).reshape(gshape)
                 sum_dxhat_xhat = np.multiply(dxhat, xhat, out=scratch).sum(axis=axes)
@@ -472,7 +475,7 @@ def batchnorm3d(
                 dxhat *= inv_std.reshape(gshape) / m
             else:
                 dxhat *= inv_std.reshape(gshape)
-            dx = dxhat.astype(g.dtype, copy=False)
+            dx = dxhat
         return (dx, dgamma, dbeta)
 
     return _finish("batchnorm3d", out, [x, gamma, beta], backward_fn)
@@ -486,7 +489,7 @@ def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0)
 
     def backward_fn(g):
-        return (g * (out > 0),)
+        return (np.multiply(g, out > 0, out=g),)
 
     return _finish("relu", out, [x], backward_fn)
 
@@ -572,8 +575,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     need_a, need_b = a.requires_grad, b.requires_grad
 
     def backward_fn(g):
-        # copies so accumulation into either input never aliases g
-        return (g.copy() if need_a else None, g.copy() if need_b else None)
+        # the inputs never share a buffer, so accumulating into one leaves the other
+        if need_a and need_b:
+            return (g, g.copy())
+        return (g if need_a else None, g if need_b else None)
 
     return _finish("add", out, [a, b], backward_fn)
 
@@ -597,7 +602,7 @@ def add_scalar(x: Tensor, value: float) -> Tensor:
     out = x.data + np.asarray(value, dtype=x.dtype)
 
     def backward_fn(g):
-        return (g.copy(),)
+        return (g,)
 
     return _finish("add_scalar", out, [x], backward_fn)
 
@@ -607,7 +612,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     out = x.data.reshape(shape)
 
     def backward_fn(g):
-        return (g.reshape(src_shape).copy(),)
+        return (g.reshape(src_shape),)
 
     return _finish("reshape", out, [x], backward_fn)
 

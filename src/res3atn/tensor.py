@@ -4,11 +4,17 @@ Activations use the axis order (batch, channel, frame, height, width) in
 row-major float32 storage; fully connected layers and losses use lower ranks.
 Gradients are plain numpy arrays of the same shape as the value they belong
 to and accumulate by summation when a tensor fans out into several consumers.
+
+A gradient rule owns the g it is handed: it may overwrite g or return it
+(or a view of it) as an input's gradient. Backward hands a rule its output's
+own gradient buffer once the output tensor is gone, and a copy while the
+caller still holds the tensor, so a held intermediate keeps its .grad.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -123,17 +129,18 @@ class Parameter(Tensor):
 
 class _Node:
     """One recorded operation: the gradient cells of its output and inputs,
-    and the gradient rule.
+    a weak reference to its output tensor, and the gradient rule.
 
     An input that does not require gradients has None for a cell. The node
     holds no tensor, so what it keeps for backward is exactly what its rule
     closes over.
     """
 
-    __slots__ = ("output", "inputs", "backward_fn")
+    __slots__ = ("output", "tensor", "inputs", "backward_fn")
 
-    def __init__(self, output: GradCell, inputs: tuple, backward_fn: Callable):
-        self.output = output
+    def __init__(self, output: Tensor, inputs: tuple, backward_fn: Callable):
+        self.output = output.cell
+        self.tensor = weakref.ref(output)
         self.inputs = inputs
         self.backward_fn = backward_fn
 
@@ -185,7 +192,7 @@ class Tape:
             raise RuntimeError("cannot record onto a consumed tape")
         output.tape = self
         cells = tuple(t.cell if t.requires_grad else None for t in inputs)
-        self.nodes.append(_Node(output.cell, cells, backward_fn))
+        self.nodes.append(_Node(output, cells, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(t) into t.grad for every recorded tensor."""
@@ -204,13 +211,19 @@ class Tape:
 def _apply(node: _Node) -> None:
     """Run one popped node's rule and accumulate into its input cells.
 
+    Every consumer of the output has already run, so if the output tensor is
+    gone nothing can read its gradient: the cell gives up its buffer and the
+    rule owns it. A held output keeps its gradient and the rule gets a copy.
     Once this returns nothing references the node, so the arrays its rule
-    closed over are freed, and so is its output's gradient unless user code
-    still holds the output tensor.
+    closed over are freed.
     """
     g = node.output.grad
     if g is None:
         return
+    if node.tensor() is None:
+        node.output.grad = None
+    else:
+        g = g.copy()
     for cell, gi in zip(node.inputs, node.backward_fn(g)):
         if cell is not None and gi is not None:
             cell.accumulate(gi)

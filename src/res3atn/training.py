@@ -447,6 +447,7 @@ def export_attention_masks(net: Res3ATN, clip: LabeledClip, out_dir) -> list[Pat
     initialized network can still be inspected: the forward runs in train
     mode, and every buffer it moves is written back afterwards, so the
     network's running statistics and step counts are left as they were.
+    Either way each module's train/eval mode is restored afterwards.
     """
     if not net.spec.attention_sites:
         raise ValueError("network has no attention sites enabled")
@@ -454,17 +455,17 @@ def export_attention_masks(net: Res3ATN, clip: LabeledClip, out_dir) -> list[Pat
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = AugmentConfig(crop=net.spec.input_size, frames_out=net.spec.input_frames)
     x = Tensor(eval_preprocess(clip, cfg))
-    if all(m.stats_ready for m in net.modules() if isinstance(m, BatchNorm3d)):
-        net.eval()
+    ready = all(m.stats_ready for m in net.modules() if isinstance(m, BatchNorm3d))
+    modes = [(m, m.training) for m in net.modules()]
+    saved = [] if ready else [(buf, buf.copy()) for _, buf in net.named_buffers()]
+    net.train(not ready)
+    try:
         captured = net.attention_masks(x)
-    else:
-        net.train()
-        saved = [(buf, buf.copy()) for _, buf in net.named_buffers()]
-        try:
-            captured = net.attention_masks(x)
-        finally:
-            for buf, kept in saved:
-                np.copyto(buf, kept)
+    finally:
+        for buf, kept in saved:
+            np.copyto(buf, kept)
+        for m, mode in modes:
+            m.training = mode
     paths = []
     for site in sorted(captured):
         mask = captured[site].data[0]  # (C, F, H, W)

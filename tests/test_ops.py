@@ -363,6 +363,28 @@ def test_taped_maxpool_keeps_only_its_winner_index(rng):
     assert out.data.nbytes + out.size <= grown < out.data.nbytes + out.size + out.size // 2
 
 
+def test_relu_after_maxpool_equals_relu_before_it_bitwise(rng):
+    # small integers tie often; one corner holds only negative windows
+    data = rng.integers(-3, 4, size=(2, 3, 6, 9, 9)).astype(np.float32)
+    data[:, :, :3, :4, :4] = -rng.integers(1, 3, size=(2, 3, 3, 4, 4))
+    weight = Tensor(rng.normal(size=(2, 3, 3, 5, 5)).astype(np.float32))
+    results = []
+    for first_pool in (True, False):
+        x = Tensor(data, requires_grad=True)
+
+        def pooled():
+            if first_pool:
+                return ops.relu(ops.maxpool3d(x, 3, stride=2, padding=1))
+            return ops.maxpool3d(ops.relu(x), 3, stride=2, padding=1)
+
+        (gx,) = _sum_backward(lambda: ops.mul(pooled(), weight), x)
+        results.append((pooled().data, gx))
+    (out_a, gx_a), (out_b, gx_b) = results
+    assert np.any(out_a == 0.0) and np.any(gx_a != 0.0)
+    assert np.array_equal(out_a, out_b)
+    assert np.array_equal(gx_a, gx_b)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_taped_maxpool_rejects_non_finite_input_before_recording(bad):
     data = np.zeros((1, 1, 4, 4, 4), dtype=np.float32)

@@ -130,6 +130,53 @@ def test_backward_frees_each_node_once_its_rule_has_run():
     assert np.allclose(x.grad, 2.0 * s * (1.0 - s) * (x.data > 0))
 
 
+def _record_rule(tape, x, g_loss, rule):
+    """y = x through `rule`, then a scalar loss whose rule hands y `g_loss`."""
+    y = Tensor(x.data.copy(), requires_grad=True)
+    tape.record(y, [x], rule)
+    loss = Tensor(np.asarray(y.data.sum(), dtype=np.float32), requires_grad=True)
+    tape.record(loss, [y], lambda g: (g_loss,))
+    return y, loss
+
+
+def test_rule_owns_the_gradient_of_a_dropped_output():
+    x = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+    g_loss = np.array([4.0, 5.0], dtype=np.float32)
+    handed = []
+
+    def rule(g):
+        handed.append(g)
+        g *= 3.0
+        return (g,)
+
+    with Tape() as tape:
+        y, loss = _record_rule(tape, x, g_loss, rule)
+        cell = y.cell
+        del y
+    backward(loss)
+    assert handed[0] is g_loss
+    assert cell.grad is None
+    assert x.grad is g_loss and x.grad.tolist() == [12.0, 15.0]
+
+
+def test_rule_gets_a_copy_of_the_gradient_of_a_held_output():
+    x = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+    g_loss = np.array([4.0, 5.0], dtype=np.float32)
+    handed = []
+
+    def rule(g):
+        handed.append(g)
+        g *= 3.0
+        return (g,)
+
+    with Tape() as tape:
+        y, loss = _record_rule(tape, x, g_loss, rule)
+    backward(loss)
+    assert handed[0] is not g_loss
+    assert y.grad is g_loss and y.grad.tolist() == [4.0, 5.0]
+    assert x.grad.tolist() == [12.0, 15.0]
+
+
 def test_consumed_tape_rejects_recording():
     x = Tensor([1.0], requires_grad=True)
     with Tape() as tape:
@@ -209,9 +256,49 @@ def test_taped_network_nodes_hold_no_tensor():
     net = build_res3atn(spec, seed=0)
     x = Tensor(np.random.default_rng(0).normal(size=(2, 1, 8, 16, 16)))
     with Tape() as tape:
-        ops.softmax_cross_entropy(net(x), np.array([0, 1]))
+        logits = net(x)
+        loss = ops.softmax_cross_entropy(logits, np.array([0, 1]))
     assert len(tape.nodes) > 100
     for node in tape.nodes:
         held = [node.output, *node.inputs]
         held += [c.cell_contents for c in node.backward_fn.__closure__ or ()]
         assert not any(isinstance(v, Tensor) for v in held)
+    # the outputs the caller holds are the only live ones; once it lets go
+    # of them, nothing the tape keeps holds any output alive
+    alive = [node.tensor() for node in tape.nodes if node.tensor() is not None]
+    assert len(alive) == 2 and alive[0] is logits and alive[1] is loss
+    del alive, logits, loss
+    assert all(node.tensor() is None for node in tape.nodes)
+
+
+DESK_NET = NetworkSpec(num_classes=4, input_frames=16, input_size=24, input_channels=1,
+                       channel_scale=8)
+
+
+def _desk_param_grads(monkeypatch, hold_outputs: bool) -> dict:
+    held = []
+    if hold_outputs:
+        record = Tape.record
+
+        def holding(tape, output, inputs, backward_fn):
+            held.append(output)
+            record(tape, output, inputs, backward_fn)
+
+        monkeypatch.setattr(Tape, "record", holding)
+    net = build_res3atn(DESK_NET, seed=0)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(6, 1, 16, 24, 24)).astype(np.float32))
+    with Tape():
+        loss = ops.softmax_cross_entropy(net(x), rng.integers(0, 4, size=6))
+    backward(loss)
+    monkeypatch.undo()
+    assert len(held) > 200 if hold_outputs else not held
+    return {name: p.grad for name, p in net.named_parameters()}
+
+
+def test_held_intermediates_leave_parameter_gradients_bitwise_equal(monkeypatch):
+    handed_off = _desk_param_grads(monkeypatch, hold_outputs=False)
+    copied = _desk_param_grads(monkeypatch, hold_outputs=True)
+    assert handed_off.keys() == copied.keys()
+    for name, g in handed_off.items():
+        assert g.tobytes() == copied[name].tobytes(), name

@@ -333,16 +333,46 @@ def test_fresh_mask_export_restores_buffers_when_the_forward_fails(tmp_path, mon
     assert _buffer_bytes(net) == before
 
 
-def test_mask_export_with_ready_statistics_runs_in_eval_mode(tmp_path):
-    net = build_res3atn(MASK_NET, seed=0)
+def _ready_statistics(net):
     for bn in net.modules():
         if isinstance(bn, BatchNorm3d):
             bn.steps[0] = 1
+    return net
+
+
+def _export_seeing_modes(net, tmp_path, monkeypatch) -> list:
+    """Export masks; returns the set of module modes the forward ran under."""
+    seen = []
+
+    def recording(self, x, _masks=Res3ATN.attention_masks):
+        seen.append({m.training for m in self.modules()})
+        return _masks(self, x)
+
+    monkeypatch.setattr(Res3ATN, "attention_masks", recording)
     clip = synth_dataset(4, 1, frames=16, extent=48, channels=1)[0]
-    before = _buffer_bytes(net)
     export_attention_masks(net, clip, tmp_path)
-    assert not net.training
+    return seen
+
+
+def test_mask_export_with_ready_statistics_runs_in_eval_mode(tmp_path, monkeypatch):
+    net = _ready_statistics(build_res3atn(MASK_NET, seed=0))
+    before = _buffer_bytes(net)
+    assert _export_seeing_modes(net, tmp_path, monkeypatch) == [{False}]
     assert _buffer_bytes(net) == before
+
+
+def test_mask_export_with_ready_statistics_keeps_train_mode(tmp_path, monkeypatch):
+    net = _ready_statistics(build_res3atn(MASK_NET, seed=0))
+    net.stage1.eval()  # a mixed state is restored module by module
+    want = [m.training for m in net.modules()]
+    assert _export_seeing_modes(net, tmp_path, monkeypatch) == [{False}]
+    assert [m.training for m in net.modules()] == want
+
+
+def test_fresh_mask_export_keeps_eval_mode(tmp_path, monkeypatch):
+    net = build_res3atn(MASK_NET, seed=0).eval()
+    assert _export_seeing_modes(net, tmp_path, monkeypatch) == [{True}]
+    assert not any(m.training for m in net.modules())
 
 
 def test_mask_export_requires_attention_sites(tmp_path):
