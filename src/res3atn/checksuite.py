@@ -312,11 +312,11 @@ def network_check(
     """End-to-end parameter gradient check on a reduced-width network.
 
     The whole model runs in float64, so grad_check perturbs its parameters
-    in place and the comparison is limited by finite-difference truncation
-    only. The loss is piecewise smooth (relu, max pooling); coordinates whose
-    probe interval straddles a switching point are excluded and replaced,
-    which never masks a wrong backward because exclusion only compares the
-    two finite-difference estimates against each other.
+    in place by eps 1e-6, small enough that few switching points of the
+    piecewise-smooth loss (relu, max pooling) lie within reach of a probe.
+    A coordinate whose one-sided slopes disagree beyond tol sits at such a
+    point and is excluded and replaced; that never masks a wrong backward,
+    because exclusion compares finite differences only with each other.
     """
     spec = NetworkSpec(
         num_classes=num_classes,
@@ -337,7 +337,7 @@ def network_check(
     return grad_check(
         fn,
         net.parameters(),
-        eps=1e-4,
+        eps=1e-6,
         tol=2e-3,
         max_coords=max_coords,
         rng=_rng(seed, 11),

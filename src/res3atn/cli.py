@@ -274,7 +274,10 @@ def _cmd_gradcheck(args) -> int:
         if args.network:
             geometry = {key: value for key, value in vars(args).items()
                         if key in ("channel_scale", "frames", "size", "max_coords")}
-            rep = network_check(seed=args.seed, **geometry)
+            try:
+                rep = network_check(seed=args.seed, **geometry)
+            except ValueError as exc:
+                raise CliError(str(exc), 2)
             failed = failed or not rep.passed
             print(f"{'network':<24s} max_rel {rep.max_rel_error:.3e}  "
                   f"{'pass' if rep.passed else 'FAIL'}")
@@ -285,6 +288,8 @@ def _parse_grid(args) -> list[tuple]:
     from .training import PAPER_GRID
 
     if args.grid == "paper":
+        if args.sites_grid is not None:
+            raise CliError("--sites-grid requires --grid custom", 2)
         return [tuple(s) for s in PAPER_GRID]
     if not args.sites_grid:
         raise CliError("custom grid requires --sites-grid", 2)

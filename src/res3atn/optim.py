@@ -23,6 +23,16 @@ from .tensor import Parameter
 _BN_SUFFIXES = (".gamma", ".beta")
 
 
+def check_hyperparameters(lr: float, momentum: float, weight_decay: float) -> None:
+    """Raise ValueError unless lr > 0, 0 <= momentum < 1 and weight_decay >= 0, all finite."""
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be positive and finite, got {lr}")
+    if not 0 <= momentum < 1:
+        raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
+    if not (np.isfinite(weight_decay) and weight_decay >= 0):
+        raise ValueError(f"weight_decay must be >= 0 and finite, got {weight_decay}")
+
+
 class NesterovSGD:
     def __init__(
         self,
@@ -40,12 +50,7 @@ class NesterovSGD:
             raise ValueError("duplicate parameter passed to optimizer")
         if any(not n for n in names) or len(set(names)) != len(names):
             raise ValueError("optimizer parameters must carry unique names")
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        if not 0 <= momentum < 1:
-            raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+        check_hyperparameters(lr, momentum, weight_decay)
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay

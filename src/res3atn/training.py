@@ -25,7 +25,7 @@ from .data import AugmentConfig, LabeledClip, augment_clip, eval_preprocess
 from .modules import BatchNorm3d
 from .network import NetworkSpec, Res3ATN, build_res3atn
 from .ops import softmax_cross_entropy
-from .optim import NesterovSGD
+from .optim import NesterovSGD, check_hyperparameters
 from .tensor import Tape, Tensor, backward
 
 PAPER_GRID = ((), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3))
@@ -69,6 +69,7 @@ class RunConfig:
                 f"augment frames_out {self.augment.frames_out} must equal "
                 f"network input_frames {self.network.input_frames}"
             )
+        check_hyperparameters(self.lr, self.momentum, self.weight_decay)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:

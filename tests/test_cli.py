@@ -154,7 +154,7 @@ def test_gradcheck_network_geometry_defaults_live_in_network_check(monkeypatch):
         bound = signature.bind(**kwargs)
         bound.apply_defaults()
         seen.append(dict(bound.arguments))
-        return GradCheckReport(0.0, 1.0, 0)
+        return GradCheckReport(0.0, 1.0, 1)
 
     monkeypatch.setattr(checksuite, "operator_suite", lambda seed, only: {})
     monkeypatch.setattr(checksuite, "network_check", fake_network_check)
@@ -166,6 +166,15 @@ def test_gradcheck_network_geometry_defaults_live_in_network_check(monkeypatch):
         {**defaults, "size": 16},
         {**defaults, "channel_scale": 8, "frames": 16, "max_coords": 5},
     ]
+
+
+@pytest.mark.parametrize("coords", ["0", "-3"])
+def test_gradcheck_that_checks_no_coordinate_is_exit_2(coords):
+    proc = run_cli("gradcheck", "--ops", "relu", "--coords", coords)
+    assert proc.returncode == 2
+    err_lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
+    assert err_lines == [f"r3atn: error: max_coords must be >= 1, got {coords}"]
+    assert "network" not in proc.stdout
 
 
 def test_gradcheck_unknown_mutation_is_exit_2():
@@ -213,6 +222,25 @@ def test_ablate_invalid_last_subset_trains_no_variant(tmp_path):
     assert proc.returncode == 2
     assert "attention_sites must be a subset" in proc.stderr
     assert list(out.glob("sites_*")) == []
+
+
+def test_ablate_sites_grid_requires_custom_grid(tmp_path):
+    out = tmp_path / "ablation"
+    proc = run_cli("ablate", *SYNTH, *TINY_ABLATE, "--sites-grid", "none;1", "--out", str(out))
+    assert proc.returncode == 2
+    err_lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
+    assert err_lines == ["r3atn: error: --sites-grid requires --grid custom"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lr", ["-1", "nan"])
+def test_train_rejects_a_bad_lr_before_writing(tmp_path, lr):
+    out = tmp_path / "out"
+    proc = run_cli("train", *SYNTH, *TINY, "--lr", lr, "--out", str(out))
+    assert proc.returncode == 2
+    err_lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
+    assert err_lines == [f"r3atn: error: lr must be positive and finite, got {float(lr)}"]
+    assert not out.exists()
 
 
 def test_ablate_custom_grid_requires_subsets():

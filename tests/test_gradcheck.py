@@ -90,6 +90,57 @@ def test_relu_checks_pass_away_from_the_kink(rng):
     assert report.passed
 
 
+def _relu_kink_closure():
+    # two pre-activations sit exactly on relu's kink at zero
+    x = Tensor(np.array([0.0, 0.5, -0.7, 0.0, 1.2]), requires_grad=True)
+    proj = Tensor(np.array([2.0, -1.5, 3.0, 1.0, -2.5]))
+    return (lambda x: ops.sum_all(ops.mul(ops.relu(x), proj))), x
+
+
+def test_a_kink_at_the_point_is_excluded():
+    fn, x = _relu_kink_closure()
+    report = grad_check(fn, [x], eps=1e-6, exclude_kinks=True)
+    assert report.passed, str(report)
+    assert (report.coords_checked, report.coords_excluded) == (3, 2)
+    # the central difference there averages the two one-sided slopes
+    assert not grad_check(fn, [x], eps=1e-6).passed
+
+
+def test_a_smooth_loss_keeps_every_coordinate(rng):
+    x = Tensor(rng.normal(size=(3, 4)) * 2.0, requires_grad=True)
+    proj = Tensor(rng.normal(size=(3, 4)))
+    report = grad_check(lambda x: ops.sum_all(ops.mul(ops.sigmoid(x), proj)), [x],
+                        eps=1e-6, exclude_kinks=True)
+    assert report.passed, str(report)
+    assert (report.coords_checked, report.coords_excluded) == (12, 0)
+
+
+@pytest.mark.parametrize("name", ["relu", "mul"])
+def test_kink_exclusion_still_fails_a_doubled_gradient(name):
+    fn, x = _relu_kink_closure()
+    with mutate_backward(name):
+        report = grad_check(fn, [x], eps=1e-6, exclude_kinks=True)
+    assert report.coords_checked == 3
+    assert not report.passed, str(report)
+
+
+def test_a_report_that_checks_no_coordinate_fails():
+    x = Tensor(np.zeros(4), requires_grad=True)
+    report = grad_check(lambda x: ops.sum_all(ops.relu(x)), [x], eps=1e-6, exclude_kinks=True)
+    assert (report.coords_checked, report.coords_excluded) == (0, 4)
+    assert not report.passed
+    assert str(report).startswith("FAIL")
+
+
+def test_max_coords_below_one_is_rejected():
+    fn, x = _relu_kink_closure()
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_coords must be >= 1"):
+            grad_check(fn, [x], max_coords=bad)
+    with pytest.raises(ValueError, match="max_coords must be >= 1, got 0"):
+        network_check(max_coords=0)
+
+
 def test_perturb_in_place_checks_float64_parameters(rng):
     w = Tensor(rng.normal(size=(2, 3)).astype(np.float64), requires_grad=True)
     x = Tensor(rng.normal(size=(4, 3)).astype(np.float64))
@@ -165,6 +216,14 @@ def test_mutated_backward_fails_its_own_checks(name):
             raise KeyError("inside the block")
     assert getattr(ops, name) is original
     assert all(r.passed for r in operator_suite(0, only=[name])[name])
+
+
+@pytest.mark.parametrize("seed", [49, 29001])
+def test_network_check_passes_where_a_kink_lies_near_the_point(seed):
+    # both seeds failed when kinks were told apart by an eps and an eps/2 probe
+    report = network_check(seed=seed)
+    assert report.passed, str(report)
+    assert report.coords_checked >= 64
 
 
 @pytest.mark.parametrize("name", ["conv3d", "add_scalar"])

@@ -139,6 +139,11 @@ def test_load_velocities_round_trip():
         (dict(momentum=1.0), "momentum must lie"),
         (dict(momentum=-0.1), "momentum must lie"),
         (dict(weight_decay=-1e-3), "weight_decay must be >= 0"),
+        (dict(lr=float("nan")), "lr must be positive and finite"),
+        (dict(lr=float("inf")), "lr must be positive and finite"),
+        (dict(momentum=float("nan")), "momentum must lie"),
+        (dict(weight_decay=float("nan")), "weight_decay must be >= 0 and finite"),
+        (dict(weight_decay=float("inf")), "weight_decay must be >= 0 and finite"),
     ],
 )
 def test_hyperparameter_validation(kwargs, message):

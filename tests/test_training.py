@@ -76,6 +76,15 @@ def test_run_config_round_trip_and_validation():
         RunConfig(network=TINY_NET, augment=AugmentConfig(crop=16, frames_out=16))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("lr", -1.0), ("lr", float("nan")), ("momentum", 1.0),
+    ("weight_decay", float("inf")),
+])
+def test_run_config_rejects_optimizer_settings_the_optimizer_rejects(key, value):
+    with pytest.raises(ValueError, match=f"{key} must"):
+        _tiny_config(**{key: value})
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
