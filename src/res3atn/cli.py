@@ -250,6 +250,11 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+# gradcheck's network_check settings: argparse dest -> flag
+_NETWORK_FLAGS = {"channel_scale": "--scale", "frames": "--frames", "size": "--size",
+                  "max_coords": "--coords"}
+
+
 def _cmd_gradcheck(args) -> int:
     from contextlib import nullcontext
 
@@ -259,6 +264,12 @@ def _cmd_gradcheck(args) -> int:
     if args.mutate and args.mutate not in OPERATOR_CHECKS:
         raise CliError(f"argument --mutate: invalid choice: {args.mutate!r} "
                        f"(choose from {', '.join(map(repr, OPERATOR_CHECKS))})", 2)
+    geometry = {dest: value for dest, value in vars(args).items() if dest in _NETWORK_FLAGS}
+    if geometry and not args.network:
+        flags = ", ".join(_NETWORK_FLAGS[dest] for dest in geometry)
+        raise CliError(f"{flags} set the network check, which --no-network skips", 2)
+    if geometry.get("max_coords", 1) < 1:  # checked here, before the suite runs
+        raise CliError(f"max_coords must be >= 1, got {geometry['max_coords']}", 2)
     guard = mutate_backward(args.mutate) if args.mutate else nullcontext()
     failed = False
     with guard:
@@ -272,8 +283,6 @@ def _cmd_gradcheck(args) -> int:
             failed = failed or not ok
             print(f"{name:<24s} max_rel {worst:.3e}  {'pass' if ok else 'FAIL'}")
         if args.network:
-            geometry = {key: value for key, value in vars(args).items()
-                        if key in ("channel_scale", "frames", "size", "max_coords")}
             try:
                 rep = network_check(seed=args.seed, **geometry)
             except ValueError as exc:

@@ -21,6 +21,12 @@ it takes the running max over the offsets and finds each window's winner
 masked copy. Batchnorm's EMA momentum and variance epsilon are the module
 constants BN_MOMENTUM and BN_EPS, and every train-mode call moves the
 running buffers it is given.
+
+Batchnorm and the taped max-pool make several passes over their input;
+they run them one block at a time (_channel_blocks), one sample's run of
+whole channels of at most BLOCK_BYTES, so later passes find the block in
+cache. Channel sums keep numpy's whole-array order, so the output is
+bitwise that of unblocked passes; an input of one block runs as one.
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ _AXIS_NAMES = ("frame", "height", "width")
 # batchnorm's running-statistics EMA weight and variance floor
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
+
+# Batchnorm and the taped maxpool work block by block, each block at most
+# this size (about one core's L2), so the passes over a block stay in cache.
+BLOCK_BYTES = 2 << 20
 
 
 def _triple(value, what: str) -> tuple[int, int, int]:
@@ -213,6 +223,38 @@ def conv3d(
     return _finish("conv3d", out, inputs, backward_fn)
 
 
+def _channel_blocks(x: np.ndarray) -> list[tuple[slice, slice]]:
+    """Index pairs (samples, channels) that split x into cache-sized blocks.
+
+    A block is one contiguous run of whole channels within one sample, at
+    most BLOCK_BYTES (or one channel, if a channel alone is larger), listed
+    sample by sample; an x no larger than BLOCK_BYTES is one block. For a
+    C-contiguous x, numpy's reduction over axes (0, 2, 3, 4) pairwise-sums
+    each sample's contiguous run of every channel and adds those sums in
+    sample order, so per-block sums added up in list order (_channel_sum)
+    give its bits. Reducing a strided channel slice of an N > 1 array does
+    not.
+    """
+    n, c = x.shape[:2]
+    if x.nbytes <= BLOCK_BYTES:
+        return [(slice(None), slice(None))]
+    run = max(1, BLOCK_BYTES // (x.nbytes // (n * c)))  # channels per block
+    return [(slice(i, i + 1), slice(j, j + run)) for i in range(n) for j in range(0, c, run)]
+
+
+def _channel_sum(total: np.ndarray, block, part: np.ndarray) -> None:
+    """Sum one block's part over (N, F, H, W) into its channels of total.
+
+    Blocks of the first sample write their sums and later samples add to
+    them, which is numpy's own order for the whole array (_channel_blocks).
+    """
+    dest = total[:, block[1]]
+    if block[0].start:
+        dest += np.add.reduce(part, axis=(0, 2, 3, 4), keepdims=True)
+    else:
+        np.add.reduce(part, axis=(0, 2, 3, 4), keepdims=True, out=dest)
+
+
 def _strided_max(a: np.ndarray, axis: int, k: int, s: int, o: int) -> np.ndarray:
     """Running max along one axis: out[i] = max(a[s*i : s*i + k]), o outputs."""
 
@@ -267,19 +309,18 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
     is a running max over the offsets. Max is exact, so both routes give the
     same output. The planes are kept off the untaped route because, with no
     winner to find, they cost more than they save. Under a tape they serve
-    both jobs. For the seven pools of one full-geometry forward (2-CPU
-    machine, one BLAS thread): untaped, 131-139 ms separable against
-    185-187 ms through planes; taped, 291-325 ms with planes for both
-    against 358-370 ms for a separable output plus a winner scan on planes.
+    both jobs, and they are built, scanned and freed one block of channels
+    at a time (_channel_blocks), into the preallocated output and winner
+    arrays: a block's planes stay in cache across the 2 * ksize passes over
+    them, and no full-size plane set is ever live.
 
     The winner of a window is the lowest offset whose tap equals the output:
     score = max_j (ksize - j) * (tap_j == out) in the smallest unsigned
     dtype, then winner = ksize - score, so ties resolve to the lowest linear
-    index in the window with no masked copy. The planes and scan buffers are
-    freed before return; the rule keeps only the winner index. A winner
-    never lies in the -inf border: the padding is narrower than the window
-    and a recorded output is finite. So backward indexes the unpadded input
-    directly and scatters into a gradient of its shape.
+    index in the window with no masked copy. The rule keeps only the winner
+    index. A winner never lies in the -inf border: the padding is narrower
+    than the window and a recorded output is finite. So backward indexes the
+    unpadded input directly and scatters into a gradient of its shape.
     """
     if x.ndim != 5:
         raise ValueError(f"maxpool3d: input must be rank 5, got shape {x.shape}")
@@ -299,24 +340,27 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
         return _finish("maxpool3d", out, [x], None)
 
     sf, sh, sw = stride
-    planes = _phase_planes(x.data, kernel, stride, padding, out_shape)
-
-    taps = [  # offset j = (a, b, d) in linear order, each a unit-stride view
-        planes[(a % sf, b % sh, d % sw)][
-            :, :, a // sf : a // sf + fo, b // sh : b // sh + ho, d // sw : d // sw + wo
-        ]
-        for a, b, d in itertools.product(*map(range, kernel))
-    ]
-    out = np.array(taps[0])
-    for tap in taps[1:]:
-        np.maximum(out, tap, out=out)
+    blocks = _channel_blocks(x.data)
+    out = np.empty((n, c, fo, ho, wo), dtype=x.dtype)
     am = np.zeros(out.shape, dtype=np.min_scalar_type(ksize))  # the score, then the winner
-    hit = np.empty(out.shape, dtype=am.dtype)
-    for j, tap in enumerate(taps):
-        np.equal(tap, out, out=hit.view(bool))
-        np.multiply(hit, ksize - j, out=hit)
-        np.maximum(am, hit, out=am)
-    del planes, taps, tap, hit
+    hit = np.empty_like(am[blocks[0]])
+    for block in blocks:
+        planes = _phase_planes(x.data[block], kernel, stride, padding, out_shape)
+        taps = [  # offset j = (a, b, d) in linear order, each a unit-stride view
+            planes[(a % sf, b % sh, d % sw)][
+                :, :, a // sf : a // sf + fo, b // sh : b // sh + ho, d // sw : d // sw + wo
+            ]
+            for a, b, d in itertools.product(*map(range, kernel))
+        ]
+        block_out, score, block_hit = out[block], am[block], hit[:, : taps[0].shape[1]]
+        np.copyto(block_out, taps[0])
+        for tap in taps[1:]:
+            np.maximum(block_out, tap, out=block_out)
+        for j, tap in enumerate(taps):
+            np.equal(tap, block_out, out=block_hit.view(bool))
+            np.multiply(block_hit, ksize - j, out=block_hit)
+            np.maximum(score, block_hit, out=score)
+        del planes, taps, tap  # before the next block's planes are made
     np.subtract(ksize, am, out=am)
 
     def backward_fn(g):
@@ -423,6 +467,14 @@ def batchnorm3d(
     Train mode normalizes with biased batch statistics and moves the running
     buffers in place by BN_MOMENTUM toward them. Eval mode normalizes with
     the running buffers. BN_EPS is added to the variance.
+
+    Every pass runs block by block (_channel_blocks), and the channel sums
+    keep numpy's order, so mean and var equal x.mean and x.var bitwise.
+    Train mode sums x, then centres it into xhat and sums the squares
+    through a one-block scratch, then scales and shifts; eval mode does all
+    three in one pass. Untaped, the output is built in xhat's buffer.
+    Backward takes one pass for the four channel sums and a second (train
+    mode) to form dx, both in place in g.
     """
     if x.ndim != 5:
         raise ValueError(f"batchnorm3d: input must be rank 5, got shape {x.shape}")
@@ -432,51 +484,86 @@ def batchnorm3d(
             f"batchnorm3d: gamma/beta must have shape ({c},), got {gamma.shape} and {beta.shape}"
         )
     m = n * f * h * w
-    axes = (0, 2, 3, 4)
     gshape = (1, c, 1, 1, 1)
     if training and m < 2:
         raise ValueError(f"batchnorm3d: train mode needs at least 2 samples per channel, got {m}")
 
-    mean = x.data.mean(axis=axes) if training else running_mean.astype(x.dtype)
-    xhat = x.data - mean.reshape(gshape)  # centred here, scaled in place below
+    xd = x.data
+    blocks = _channel_blocks(xd)
+    xhat = np.empty_like(xd)
     if training:
-        # np.var's own steps (centre, square, add-reduce, divide), so equal to it bitwise
-        var = np.add.reduce(xhat * xhat, axis=axes) / m
+        # np.mean's and np.var's own steps (add-reduce, divide; centre,
+        # square, add-reduce, divide), so mean and var equal theirs bitwise
+        mean, var = np.empty((2, *gshape), dtype=x.dtype)
+        for block in blocks:
+            _channel_sum(mean, block, xd[block])
+        np.true_divide(mean, np.intp(m), out=mean, casting="unsafe")
+        square = np.empty_like(xd[blocks[0]])
+        for block in blocks:
+            xb = np.subtract(xd[block], mean[:, block[1]], out=xhat[block])
+            sq = np.multiply(xb, xb, out=square[:, : xb.shape[1]])
+            _channel_sum(var, block, sq)
+        del square, sq  # freed before out is made, as np.var frees its squares
+        var /= m
         running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mean.astype(running_mean.dtype)
+        running_mean += BN_MOMENTUM * mean.reshape(c).astype(running_mean.dtype)
         running_var *= 1.0 - BN_MOMENTUM
-        running_var += BN_MOMENTUM * var.astype(running_var.dtype)
+        running_var += BN_MOMENTUM * var.reshape(c).astype(running_var.dtype)
     else:
-        var = running_var.astype(x.dtype)
+        mean = running_mean.astype(x.dtype).reshape(gshape)
+        var = running_var.astype(x.dtype).reshape(gshape)
 
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= inv_std.reshape(gshape)
-    scale = gamma.data.reshape(gshape)
-    out = scale * xhat
-    out += beta.data.reshape(gshape)
+    scale, shift = gamma.data.reshape(gshape), beta.data.reshape(gshape)
+    dtype = np.result_type(scale, xhat)  # that of scale * xhat
+    if dtype == xhat.dtype and _recording([x, gamma, beta]) is None:
+        out = xhat  # untaped, no rule reads xhat
+    else:
+        out = np.empty(xd.shape, dtype)
+    for block in blocks:
+        ch = (slice(None), block[1])
+        xb = xhat[block]
+        if not training:
+            np.subtract(xd[block], mean[ch], out=xb)
+        xb *= inv_std[ch]
+        ob = np.multiply(scale[ch], xb, out=out[block])
+        ob += shift[ch]
     need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def backward_fn(g):
-        scratch = np.empty_like(xhat)
-        dgamma = np.multiply(g, xhat, out=scratch).sum(axis=axes) if need_gamma else None
-        dbeta = g.sum(axis=axes) if need_beta else None
-        dx = None
-        if need_x:
-            # dx is built in place in dxhat, in the order of the expressions
-            # (inv_std / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
-            # in train mode and dxhat * inv_std in eval mode
-            dxhat = np.multiply(g, scale, out=g)  # dgamma and dbeta have read g
+        # dx is built in place in dxhat = g * scale, in the order of the
+        # expressions (inv_std / m) * (m * dxhat - sum_dxhat - xhat *
+        # sum_dxhat_xhat) in train mode and dxhat * inv_std in eval mode
+        dgamma, sum_dxhat_xhat = np.empty((2, *gshape), dtype=xhat.dtype)
+        dbeta, sum_dxhat = np.empty((2, *gshape), dtype=g.dtype)
+        scratch = np.empty_like(xhat[blocks[0]])  # products with xhat, in its dtype
+        for block in blocks:
+            ch = (slice(None), block[1])
+            gb, xb = g[block], xhat[block]
+            tmp = scratch[:, : gb.shape[1]]
+            if need_gamma:
+                _channel_sum(dgamma, block, np.multiply(gb, xb, out=tmp))
+            if need_beta:
+                _channel_sum(dbeta, block, gb)
+            if not need_x:
+                continue
+            dxhat = np.multiply(gb, scale[ch], out=gb)  # dgamma and dbeta have read g
             if training:
-                sum_dxhat = dxhat.sum(axis=axes).reshape(gshape)
-                sum_dxhat_xhat = np.multiply(dxhat, xhat, out=scratch).sum(axis=axes)
-                dxhat *= m
-                dxhat -= sum_dxhat
-                dxhat -= np.multiply(xhat, sum_dxhat_xhat.reshape(gshape), out=scratch)
-                dxhat *= inv_std.reshape(gshape) / m
+                _channel_sum(sum_dxhat, block, dxhat)
+                _channel_sum(sum_dxhat_xhat, block, np.multiply(dxhat, xb, out=tmp))
             else:
-                dxhat *= inv_std.reshape(gshape)
-            dx = dxhat
-        return (dx, dgamma, dbeta)
+                dxhat *= inv_std[ch]
+        if need_x and training:
+            for block in blocks:
+                ch = (slice(None), block[1])
+                dxhat = g[block]
+                dxhat *= m
+                dxhat -= sum_dxhat[ch]
+                tmp = scratch[:, : dxhat.shape[1]]
+                dxhat -= np.multiply(xhat[block], sum_dxhat_xhat[ch], out=tmp)
+                dxhat *= inv_std[ch] / m
+        dgamma, dbeta = dgamma.reshape(c), dbeta.reshape(c)
+        return (g if need_x else None, dgamma if need_gamma else None, dbeta if need_beta else None)
 
     return _finish("batchnorm3d", out, [x, gamma, beta], backward_fn)
 

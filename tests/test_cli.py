@@ -177,6 +177,20 @@ def test_gradcheck_that_checks_no_coordinate_is_exit_2(coords):
     assert "network" not in proc.stdout
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--no-network", "--size", "5"), "--size set the network check, which --no-network skips"),
+    (("--no-network", "--scale", "8", "--coords", "0"),
+     "--scale, --coords set the network check, which --no-network skips"),
+    (("--coords", "0"), "max_coords must be >= 1, got 0"),
+], ids=["no-network-size", "no-network-scale-coords", "coords-0"])
+def test_gradcheck_rejects_network_flags_before_the_suite_runs(flags, message):
+    proc = run_cli("gradcheck", "--ops", "relu", *flags)
+    assert proc.returncode == 2
+    err_lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
+    assert err_lines == [f"r3atn: error: {message}"]
+    assert proc.stdout == ""
+
+
 def test_gradcheck_unknown_mutation_is_exit_2():
     proc = run_cli("gradcheck", "--ops", "relu", "--no-network", "--mutate", "conv9d")
     assert proc.returncode == 2

@@ -610,6 +610,128 @@ def test_batchnorm3d_bitwise_equals_textbook(needs, training, dtype):
             assert t.grad is None
 
 
+def _batchnorm_run(data, gamma, beta, g, training):
+    """Output, running buffers and the three gradients of one taped call."""
+    c = data.shape[1]
+    rm = np.linspace(-1.0, 1.0, c).astype(np.float32)
+    rv = np.linspace(0.5, 2.0, c).astype(np.float32)
+    tensors = [Tensor(a, requires_grad=True) for a in (data, gamma, beta)]
+    with Tape():
+        out = ops.batchnorm3d(*tensors, rm, rv, training=training)
+        loss = ops.sum_all(ops.mul(out, Tensor(g)))
+    backward(loss)
+    return [out.data, rm, rv] + [t.grad for t in tensors]
+
+
+def _blocks_of(monkeypatch, x, channels):
+    """Make blocks of `channels` whole channels of x; returns the block count."""
+    monkeypatch.setattr(ops, "BLOCK_BYTES", channels * x[0, 0].nbytes)
+    return len(ops._channel_blocks(x))
+
+
+# (input dtype, gamma/beta dtype): a float32 network also takes float64 input
+@pytest.mark.parametrize("dtype, param_dtype", [
+    (np.float32, np.float32), (np.float64, np.float64), (np.float64, np.float32),
+])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_blocked_batchnorm_bitwise_equals_one_block(n, training, dtype, param_dtype, monkeypatch):
+    rng = np.random.default_rng(n)
+    shape = (n, 7, 3, 5, 6)  # blocks of 3 channels leave a run of 1
+    x = (rng.normal(1.5, 2.0, size=shape) * np.exp(rng.normal(size=shape))).astype(dtype)
+    gamma = (rng.normal(size=7) + 1.0).astype(param_dtype)
+    beta = rng.normal(size=7).astype(param_dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    want = _batchnorm_run(x, gamma, beta, g, training)
+    assert _blocks_of(monkeypatch, x, 3) == 3 * n
+    got = _batchnorm_run(x, gamma, beta, g, training)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("kernel, stride, padding", [(3, 2, 1), ((1, 3, 3), (1, 2, 2), (0, 1, 1))])
+def test_blocked_taped_maxpool_bitwise_equals_one_block(n, dtype, kernel, stride, padding,
+                                                       monkeypatch):
+    rng = np.random.default_rng(n)
+    # small integers tie often, so the lowest-offset rule is exercised
+    data = rng.integers(-4, 5, size=(n, 5, 4, 7, 6)).astype(dtype)
+
+    def run():
+        x = Tensor(data, requires_grad=True)
+        with Tape():
+            out = ops.maxpool3d(x, kernel, stride=stride, padding=padding)
+            w = np.random.default_rng(0).normal(size=out.shape).astype(dtype)
+            loss = ops.sum_all(ops.mul(out, Tensor(w)))
+        backward(loss)
+        return out.data, x.grad
+
+    want = run()
+    assert _blocks_of(monkeypatch, data, 2) == 3 * n  # runs of 2, 2 and 1
+    for a, b in zip(run(), want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_blocked_reductions_keep_numpys_order(monkeypatch):
+    # Reducing a strided one-channel slice of an N > 1 array sums in another
+    # order than numpy's reduction of the whole array; the blocks (one
+    # sample's run of channels each) must reproduce the whole-array order.
+    x = np.random.default_rng(3).normal(1.5, 2.0, size=(2, 2, 3, 4, 4)).astype(np.float32)
+    axes = (0, 2, 3, 4)
+    assert x[:, :1].mean(axis=axes).tobytes() != x.mean(axis=axes)[:1].tobytes()
+    assert _blocks_of(monkeypatch, x, 1) == 4
+    rm, rv = np.zeros(2, dtype=np.float32), np.ones(2, dtype=np.float32)
+    ones, zeros = Tensor(np.ones(2, dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32))
+    ops.batchnorm3d(Tensor(x), ones, zeros, rm, rv, training=True)
+    want_rm, want_rv = np.zeros(2, dtype=np.float32), np.ones(2, dtype=np.float32)
+    _batchnorm_textbook(x, ones.data, zeros.data, want_rm, want_rv, x, training=True)
+    assert rm.tobytes() == want_rm.tobytes() and rv.tobytes() == want_rv.tobytes()
+
+
+def _transient_bytes(fn):
+    """Peak traced memory during fn() above what was live before it and after it."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = fn()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - max(before, after), result
+
+
+def test_blocked_taped_maxpool_allocates_about_one_block(monkeypatch, rng):
+    x = Tensor(rng.normal(size=(2, 8, 8, 32, 32)).astype(np.float32), requires_grad=True)
+    assert _blocks_of(monkeypatch, x.data, 1) == 16
+
+    def pool():
+        with Tape():
+            return ops.maxpool3d(x, 3, stride=2, padding=1)
+
+    transient, _ = _transient_bytes(pool)
+    # one block's phase planes hold 1.2 blocks here and the finiteness scan's
+    # mask of the output 0.5; the whole input's planes would hold 19 blocks
+    assert transient < 2 * ops.BLOCK_BYTES
+
+
+def test_blocked_batchnorm_backward_allocates_about_one_block(monkeypatch, rng):
+    x = Tensor(rng.normal(size=(2, 8, 8, 16, 16)).astype(np.float32), requires_grad=True)
+    gamma = Tensor(np.ones(8, dtype=np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
+    assert _blocks_of(monkeypatch, x.data, 1) == 16
+    rm, rv = np.zeros(8, dtype=np.float32), np.ones(8, dtype=np.float32)
+    with Tape() as tape:
+        ops.batchnorm3d(x, gamma, beta, rm, rv, training=True)
+    rule = tape.nodes[-1].backward_fn
+    g = rng.normal(size=x.shape).astype(np.float32)
+    transient, (dx, _, _) = _transient_bytes(lambda: rule(g))
+    assert dx is g  # built in the gradient it was handed
+    # one block of scratch; a full-size scratch would be 16 blocks
+    assert transient < 1.5 * ops.BLOCK_BYTES
+
+
 # ---------------------------------------------------------------------------
 # activations and classifier ops
 
