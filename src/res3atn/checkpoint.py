@@ -12,6 +12,7 @@ config JSON's bytes widened to float32).
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -38,32 +39,35 @@ class CheckpointFormatError(ValueError):
 def save_state(path, state: dict[str, np.ndarray]) -> None:
     """Write a name -> float32 array mapping in canonical sorted order.
 
-    The bytes go to <name>.tmp in the same directory, are fsynced, and then
-    replace the target, so a crash mid-save leaves the previous file intact.
-    On any failure the temp file is removed.
+    Each entry's header and array bytes are streamed to <name>.tmp in the
+    same directory, with a running CRC, so no copy of the whole state is
+    made. The file is fsynced and then replaces the target, so a crash
+    mid-save leaves the previous file intact. On any failure, an entry
+    rejected for its rank or name included, the temp file is removed.
     """
-    chunks = [_HEAD.pack(_MAGIC, _VERSION, len(state))]
-    for name in sorted(state):
-        arr = np.asarray(state[name], dtype=np.float32)
-        if arr.ndim < 1 or arr.ndim > 255:
-            raise ValueError(f"entry {name!r} has unsupported rank {arr.ndim}")
-        arr = np.ascontiguousarray(arr)
-        encoded = name.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise ValueError(f"entry name too long: {name[:32]!r}...")
-        chunks.append(_U16.pack(len(encoded)))
-        chunks.append(encoded)
-        chunks.append(_U8.pack(arr.ndim))
-        for dim in arr.shape:
-            chunks.append(_U32.pack(dim))
-        chunks.append(arr.tobytes())
-    body = b"".join(chunks)
-    body += _U32.pack(zlib.crc32(body) & 0xFFFFFFFF)
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(body)
+            crc = 0
+
+            def write(data) -> None:
+                nonlocal crc
+                fh.write(data)
+                crc = zlib.crc32(data, crc)
+
+            write(_HEAD.pack(_MAGIC, _VERSION, len(state)))
+            for name in sorted(state):
+                arr = np.asarray(state[name], dtype="<f4")
+                if arr.ndim < 1 or arr.ndim > 255:
+                    raise ValueError(f"entry {name!r} has unsupported rank {arr.ndim}")
+                encoded = name.encode("utf-8")
+                if len(encoded) > 0xFFFF:
+                    raise ValueError(f"entry name too long: {name[:32]!r}...")
+                write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded,
+                                  arr.ndim, *arr.shape))
+                write(np.ascontiguousarray(arr).reshape(-1).view(np.uint8))
+            fh.write(_U32.pack(crc & 0xFFFFFFFF))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -72,57 +76,92 @@ def save_state(path, state: dict[str, np.ndarray]) -> None:
         raise
 
 
+_CRC_CHUNK = 1 << 20
+
+
 class _Reader:
-    def __init__(self, raw: bytes, path):
-        self.raw = raw
+    """Reads a checkpoint body from an open file, naming what a short read cut."""
+
+    def __init__(self, fh, end: int, path):
+        self.fh = fh
         self.pos = 0
+        self.end = end
         self.path = path
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.raw):
+    def _advance(self, n: int, what: str) -> None:
+        left = self.end - self.pos
+        if n > left:
             raise CheckpointFormatError(
                 f"{self.path}: truncated at byte {self.pos}: "
-                f"needed {n} bytes for {what}, {len(self.raw) - self.pos} left"
+                f"needed {n} bytes for {what}, {left} left"
             )
-        out = self.raw[self.pos : self.pos + n]
         self.pos += n
-        return out
+
+    def take(self, n: int, what: str) -> bytes:
+        self._advance(n, what)
+        return self.fh.read(n)
+
+    def take_array(self, shape, what: str) -> np.ndarray:
+        """A little-endian float32 array of this shape, read straight into place."""
+        self._advance(4 * math.prod(shape), what)
+        arr = np.empty(shape, dtype="<f4")
+        self.fh.readinto(arr.reshape(-1).view(np.uint8))
+        return arr
+
+
+def _crc_of_first(fh, size: int, path) -> int:
+    """CRC-32 of the next size bytes of fh, read one chunk at a time."""
+    crc, buf = 0, memoryview(bytearray(_CRC_CHUNK))
+    while size:
+        got = fh.readinto(buf[: min(size, _CRC_CHUNK)])
+        if not got:
+            raise CheckpointFormatError(f"{path}: file shrank while it was read")
+        crc = zlib.crc32(buf[:got], crc)
+        size -= got
+    return crc & 0xFFFFFFFF
 
 
 def load_state(path) -> dict[str, np.ndarray]:
+    """Read a save_state file back; every format fault is a CheckpointFormatError.
+
+    The CRC is checked first, over the file read in chunks, and each payload
+    is then read straight into its array, so no copy of the file is held.
+    """
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEAD.size + _U32.size:
-        raise CheckpointFormatError(f"{path}: file too small ({len(raw)} bytes)")
-    stored_crc = _U32.unpack(raw[-_U32.size :])[0]
-    actual_crc = zlib.crc32(raw[: -_U32.size]) & 0xFFFFFFFF
-    if stored_crc != actual_crc:
-        raise CheckpointFormatError(
-            f"{path}: CRC mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
-        )
-    rd = _Reader(raw[: -_U32.size], path)
-    magic, version, count = _HEAD.unpack(rd.take(_HEAD.size, "header"))
-    if magic != _MAGIC:
-        raise CheckpointFormatError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise CheckpointFormatError(f"{path}: unsupported version {version}")
-    state: dict[str, np.ndarray] = {}
-    for i in range(count):
-        (name_len,) = _U16.unpack(rd.take(_U16.size, f"entry {i} name length"))
-        name = rd.take(name_len, f"entry {i} name").decode("utf-8")
-        (rank,) = _U8.unpack(rd.take(_U8.size, f"{name} rank"))
-        shape = tuple(
-            _U32.unpack(rd.take(_U32.size, f"{name} extent {d}"))[0] for d in range(rank)
-        )
-        n_items = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        payload = rd.take(4 * n_items, f"{name} payload")
-        if name in state:
-            raise CheckpointFormatError(f"{path}: duplicate entry {name!r}")
-        state[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
-    if rd.pos != len(rd.raw):
-        raise CheckpointFormatError(
-            f"{path}: {len(rd.raw) - rd.pos} unexpected trailing bytes at byte {rd.pos}"
-        )
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEAD.size + _U32.size:
+            raise CheckpointFormatError(f"{path}: file too small ({size} bytes)")
+        body = size - _U32.size
+        actual_crc = _crc_of_first(fh, body, path)
+        stored_crc = _U32.unpack(fh.read(_U32.size))[0]
+        if stored_crc != actual_crc:
+            raise CheckpointFormatError(
+                f"{path}: CRC mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
+            )
+        fh.seek(0)
+        rd = _Reader(fh, body, path)
+        magic, version, count = _HEAD.unpack(rd.take(_HEAD.size, "header"))
+        if magic != _MAGIC:
+            raise CheckpointFormatError(f"{path}: bad magic {magic!r}")
+        if version != _VERSION:
+            raise CheckpointFormatError(f"{path}: unsupported version {version}")
+        state: dict[str, np.ndarray] = {}
+        for i in range(count):
+            (name_len,) = _U16.unpack(rd.take(_U16.size, f"entry {i} name length"))
+            try:
+                name = rd.take(name_len, f"entry {i} name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointFormatError(f"{path}: entry {i} name is not UTF-8") from None
+            (rank,) = _U8.unpack(rd.take(_U8.size, f"{name} rank"))
+            shape = struct.unpack(f"<{rank}I", rd.take(4 * rank, f"{name} extents"))
+            if name in state:
+                raise CheckpointFormatError(f"{path}: duplicate entry {name!r}")
+            state[name] = rd.take_array(shape, f"{name} payload")
+        if rd.pos != body:
+            raise CheckpointFormatError(
+                f"{path}: {body - rd.pos} unexpected trailing bytes at byte {rd.pos}"
+            )
     return state
 
 
@@ -150,11 +189,15 @@ def save_checkpoint(path, net, *, optimizer=None, epoch: int = 0, run_config=Non
 
 
 def checkpoint_meta(state: dict[str, np.ndarray]) -> tuple[int, dict | None]:
+    """The stored epoch and run config; a config that is not UTF-8 JSON is a format error."""
     epoch = int(state[_META_EPOCH][0]) if _META_EPOCH in state else 0
     config = None
     if _META_CONFIG in state and state[_META_CONFIG].size:
-        text = bytes(np.rint(state[_META_CONFIG]).astype(np.uint8)).decode("utf-8")
-        config = json.loads(text)
+        raw = bytes(np.rint(state[_META_CONFIG]).astype(np.uint8))
+        try:
+            config = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both are
+            raise CheckpointFormatError(f"{_META_CONFIG} is not UTF-8 JSON: {exc}") from None
     return epoch, config
 
 

@@ -209,7 +209,10 @@ def _load_checkpointed_network(path):
         raise CliError(f"checkpoint not found: {path}", 3)
     except CheckpointFormatError as exc:
         raise CliError(str(exc), 3)
-    epoch, config_dict = checkpoint_meta(state)
+    try:
+        epoch, config_dict = checkpoint_meta(state)
+    except CheckpointFormatError as exc:
+        raise CliError(f"{path}: {exc}", 3)
     if config_dict is None:
         raise CliError(f"{path}: checkpoint has no embedded run config", 3)
     try:

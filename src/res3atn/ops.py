@@ -10,10 +10,12 @@ require gradients. A rule owns the gradient g it is handed (see tensor): it
 may overwrite g in place or return it as an input's gradient, so the
 elementwise rules (relu, batchnorm3d's dx, add, add_scalar, reshape) make no
 full-size array of their own. Every forward value is scanned, and a NaN or
-infinity raises NonFiniteError naming the operator. Convolution has one
-route, im2col+GEMM; for a 1x1x1 kernel the columns are a view of the
-(strided) input rather than a copy. The nested-loop reference it is held to
-lives in checksuite. Max pooling builds no window tensor. Untaped, its
+infinity raises NonFiniteError naming the operator. Convolution is
+im2col+GEMM; for a 1x1x1 kernel the columns are a view of the (strided)
+input rather than a copy. Columns of more than KEEP_COLUMNS_BYTES are never
+kept: the forward gathers them one run of output frames at a time, and the
+rule keeps the input and gathers them again. The nested-loop reference it is
+held to lives in checksuite. Max pooling builds no window tensor. Untaped, its
 forward is a separable running max. Under a tape it reads the input as
 stride-phase planes, on which every window offset is a unit-stride slice;
 it takes the running max over the offsets and finds each window's winner
@@ -44,9 +46,15 @@ _AXIS_NAMES = ("frame", "height", "width")
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
-# Batchnorm and the taped maxpool work block by block, each block at most
-# this size (about one core's L2), so the passes over a block stay in cache.
+# Batchnorm, the taped maxpool and a conv's column runs work block by block,
+# each block at most this size (about one core's L2), so the passes over a
+# block stay in cache.
 BLOCK_BYTES = 2 << 20
+
+# A conv whose im2col columns (whole batch) exceed this keeps its input
+# instead, gathering the columns one run of output frames at a time in the
+# forward and all at once again in the backward.
+KEEP_COLUMNS_BYTES = 8 << 20
 
 
 def _triple(value, what: str) -> tuple[int, int, int]:
@@ -101,8 +109,8 @@ def _check_window_geometry(op: str, spatial, kernel, stride, padding) -> tuple[i
     return tuple(out)
 
 
-def _gather_windows(xp: np.ndarray, kernel, stride, out_shape) -> np.ndarray:
-    """Stack sliding windows: (N, C, kf, kh, kw, Fo, Ho, Wo).
+def _gather_windows(xp: np.ndarray, kernel, stride, out_shape, out=None) -> np.ndarray:
+    """Stack sliding windows: (N, C, kf, kh, kw, Fo, Ho, Wo), into out if given.
 
     A 1x1x1 window is one input cell, so the stack is the strided input
     itself, returned as a view.
@@ -113,7 +121,7 @@ def _gather_windows(xp: np.ndarray, kernel, stride, out_shape) -> np.ndarray:
     n, c = xp.shape[:2]
     kf, kh, kw = kernel
     fo, ho, wo = out_shape
-    cols = np.empty((n, c, kf, kh, kw, fo, ho, wo), dtype=xp.dtype)
+    cols = np.empty((n, c, kf, kh, kw, fo, ho, wo), dtype=xp.dtype) if out is None else out
     for a in range(kf):
         for b in range(kh):
             for d in range(kw):
@@ -159,6 +167,36 @@ def _unpad5(xp: np.ndarray, padding) -> np.ndarray:
     return np.ascontiguousarray(xp[(slice(None), slice(None)) + crop])
 
 
+def _conv_runs(xp: np.ndarray, w2: np.ndarray, kernel, stride, out_shape) -> np.ndarray:
+    """w2 @ columns as (N, Co, L), gathering one run of output frames at a time.
+
+    A run is one sample's consecutive output frames whose columns fit in
+    BLOCK_BYTES, or one frame when a frame's are larger; its GEMM writes its
+    slice of the output. Each output element is the dot product one GEMM
+    over all the columns forms, and bitwise so where the BLAS sums a column
+    alike at every GEMM width. OpenBLAS does for runs that fill whole kernel
+    tiles, as the paper geometry's 112x112, 56x56 and 28x28 frames do; a
+    9x8 frame on its AVX-512 kernels differs in the last bit.
+    """
+    n, cin = xp.shape[:2]
+    kdim = w2.shape[1]
+    fo, ho, wo = out_shape
+    plane = ho * wo
+    run = max(1, min(fo, BLOCK_BYTES // (kdim * plane * xp.itemsize)))  # frames per run
+    out = np.empty((n, w2.shape[0], fo * plane), dtype=np.result_type(w2, xp))
+    buf = np.empty(kdim * run * plane, dtype=xp.dtype)
+    sf, kf = stride[0], kernel[0]
+    for i in range(n):
+        for f0 in range(0, fo, run):
+            nf = min(run, fo - f0)
+            cols = buf[: kdim * nf * plane].reshape(1, cin, *kernel, nf, ho, wo)
+            span = xp[i : i + 1, :, sf * f0 : sf * (f0 + nf - 1) + kf]
+            _gather_windows(span, kernel, stride, (nf, ho, wo), out=cols)
+            dest = out[i, :, f0 * plane : (f0 + nf) * plane]
+            np.matmul(w2, cols.reshape(kdim, nf * plane), out=dest)
+    return out
+
+
 def conv3d(
     x: Tensor,
     weight: Tensor,
@@ -169,8 +207,14 @@ def conv3d(
     """3-D cross-correlation of (N,C,F,H,W) input with (Co,Ci,kf,kh,kw) weight.
 
     The windows are gathered into columns (im2col) and contracted with the
-    weight in one GEMM; the columns are kept for the weight gradient. For a
-    1x1x1 kernel at stride 1 the columns are the input's own storage.
+    weight. Columns of at most KEEP_COLUMNS_BYTES, and those of a 1x1x1
+    kernel (a view of the strided input), are gathered at once, contracted
+    in one GEMM and kept for the weight gradient. Larger columns are never
+    all alive in the forward, which gathers and contracts one run of output
+    frames at a time (_conv_runs). Their rule keeps the input instead. It
+    gathers the columns again, sample-minor so that the weight gradient's
+    one GEMM reads them in place, and forms the column gradient in that
+    buffer: both GEMMs are the kept route's, on equal operands.
     """
     if x.ndim != 5:
         raise ValueError(f"conv3d: input must be rank 5, got shape {x.shape}")
@@ -195,8 +239,13 @@ def conv3d(
     xp = _pad5(x.data, padding)
     padded_shape = xp.shape
     w2 = weight.data.reshape(cout, kdim)
-    cols2 = _gather_windows(xp, kernel, stride, out_shape).reshape(n, kdim, loc)
-    out = np.matmul(w2, cols2)  # (N, Co, L)
+    if kernel == (1, 1, 1) or n * kdim * loc * xp.itemsize <= KEEP_COLUMNS_BYTES:
+        xd = None
+        cols2 = _gather_windows(xp, kernel, stride, out_shape).reshape(n, kdim, loc)
+        out = np.matmul(w2, cols2)  # (N, Co, L)
+    else:
+        xd, cols2 = x.data, None
+        out = _conv_runs(xp, w2, kernel, stride, out_shape)
     if bias is not None:
         out += bias.data[:, None]
     out = out.reshape(n, cout, fo, ho, wo)
@@ -208,12 +257,21 @@ def conv3d(
     def backward_fn(g):
         g2 = g.reshape(n, cout, loc)
         dx = dw = None
+        cols = cols2
+        if xd is not None and need_w:
+            # gathered sample-minor, so that cflat below is a view, not a copy
+            kn = np.empty((cin, kf, kh, kw, n, fo, ho, wo), dtype=xd.dtype)
+            _gather_windows(_pad5(xd, padding), kernel, stride, out_shape,
+                            out=kn.transpose(4, 0, 1, 2, 3, 5, 6, 7))
+            cols = kn.reshape(kdim, n, loc).transpose(1, 0, 2)
         if need_w:
             gflat = g2.transpose(1, 0, 2).reshape(cout, n * loc)
-            cflat = cols2.transpose(1, 0, 2).reshape(kdim, n * loc)
+            cflat = cols.transpose(1, 0, 2).reshape(kdim, n * loc)
             dw = (gflat @ cflat.T).reshape(cout, cin, kf, kh, kw)
         if need_x:
-            dcols2 = np.matmul(w2.T, g2)  # (N, K, L)
+            # regathered columns are this call's own, so dcols may overwrite them
+            spare = cols if cols is not cols2 and cols.dtype == np.result_type(w2, g2) else None
+            dcols2 = np.matmul(w2.T, g2, out=spare)  # (N, K, L)
             dcols = dcols2.reshape(n, cin, kf, kh, kw, fo, ho, wo)
             dx = _unpad5(_scatter_windows(dcols, padded_shape, kernel, stride, out_shape), padding)
         if need_b is None:

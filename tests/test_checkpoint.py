@@ -1,6 +1,7 @@
 """Checkpoint format: canonical bytes, corruption detection, restore contract."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -176,6 +177,59 @@ def test_duplicate_entries_are_rejected(tmp_path):
     bad.write_bytes(_recrc(doubled))
     with pytest.raises(CheckpointFormatError, match="duplicate entry"):
         load_state(bad)
+
+
+def test_non_utf8_entry_name_is_a_format_error(tmp_path):
+    path = tmp_path / "name.r3ck"
+    save_state(path, {"entry": np.ones(2, dtype=np.float32)})
+    path.write_bytes(_recrc(path.read_bytes()[:-4].replace(b"entry", b"\xffntry")))
+    with pytest.raises(CheckpointFormatError, match="entry 0 name is not UTF-8") as err:
+        load_state(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("config", [b"\xff\xfe", b'{"run": '])
+def test_undecodable_run_config_is_a_format_error(config):
+    state = {"meta.run_config_json": np.frombuffer(config, dtype=np.uint8).astype(np.float32)}
+    with pytest.raises(CheckpointFormatError, match="meta.run_config_json is not UTF-8 JSON"):
+        checkpoint_meta(state)
+
+
+def _traced(fn):
+    """fn()'s result, with traced bytes it left allocated and its peak above the start."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = fn()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, after - before, peak - before
+
+
+def _large_state():
+    rng = np.random.default_rng(0)
+    return {f"layer{i}.weight": rng.standard_normal((64, 1 << 14), dtype=np.float32)
+            for i in range(8)}  # 32 MiB
+
+
+def test_save_holds_no_copy_of_the_state(tmp_path):
+    state = _large_state()
+    size = sum(a.nbytes for a in state.values())
+    _, _, peak = _traced(lambda: save_state(tmp_path / "large.r3ck", state))
+    assert peak < size // 8  # joined entry bytes alone would be `size`
+
+
+def test_load_holds_no_copy_of_the_file(tmp_path):
+    state = _large_state()
+    size = sum(a.nbytes for a in state.values())
+    path = tmp_path / "large.r3ck"
+    save_state(path, state)
+    loaded, kept, peak = _traced(lambda: load_state(path))
+    # the arrays it returns, and no copy of the file's bytes or of its body
+    assert size <= kept and peak < size + size // 8
+    assert all(loaded[k].tobytes() == a.tobytes() for k, a in state.items())
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ import inspect
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
+import zlib
 from dataclasses import fields
 from pathlib import Path
 
@@ -95,6 +97,26 @@ def test_eval_non_finite_value_is_exit_4(train_run, tmp_path):
     proc = run_cli("eval", "--checkpoint", str(bad), *SYNTH)
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr == "r3atn: error: conv3d produced non-finite values\n"
+
+
+def _crc_valid(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+@pytest.mark.parametrize("fault", ["entry name", "config not UTF-8", "config not JSON"])
+def test_masks_undecodable_checkpoint_is_exit_3(fault, tmp_path):
+    bad = tmp_path / "bad.r3ck"
+    if fault == "entry name":
+        save_state(bad, {"entry": np.ones(2, dtype=np.float32)})
+        bad.write_bytes(_crc_valid(bad.read_bytes()[:-4].replace(b"entry", b"\xffntry")))
+    else:
+        config = b"\xff\xfe" if fault == "config not UTF-8" else b'{"run": '
+        save_state(bad, {"meta.run_config_json": np.frombuffer(config, np.uint8).astype(np.float32)})
+    proc = run_cli("masks", "--checkpoint", str(bad), "--clip", str(tmp_path / "none.r3clip"),
+                   "--out", str(tmp_path / "masks"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(f"r3atn: error: {bad}: ")
+    assert len(proc.stderr.splitlines()) == 1 and proc.stdout == ""
 
 
 def test_masks_export_from_checkpoint(train_run, tmp_path):

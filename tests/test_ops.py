@@ -154,6 +154,76 @@ def test_conv3d_pointwise_input_gradient_matches_the_zero_filled_scatter(stride,
     assert np.shares_memory(scattered, dcols) == (stride == 1)
 
 
+def _conv_run(data, w, b, stride, padding, need_x):
+    """Taped output, untaped output and the three gradients of one conv call."""
+    x = Tensor(data, requires_grad=need_x)
+    weight, bias = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+    with Tape():
+        out = ops.conv3d(x, weight, bias, stride=stride, padding=padding)
+        proj = np.cos(np.arange(out.size)).reshape(out.shape).astype(out.dtype)
+        loss = ops.sum_all(ops.mul(out, Tensor(proj)))
+    backward(loss)
+    untaped = ops.conv3d(Tensor(data), Tensor(w), Tensor(b), stride=stride, padding=padding)
+    return [out.data, untaped.data, x.grad, weight.grad, bias.grad]
+
+
+# Every output frame here has a multiple of 16 positions, as the paper
+# geometry's 112x112, 56x56 and 28x28 frames do. A BLAS kernel may sum a
+# column of a partly filled tile in another order: OpenBLAS's AVX-512 GEMM
+# does, so runs of 9x8 frames differ from one GEMM in the last bit.
+@pytest.mark.parametrize("need_x", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("frames_per_run", [1, 2])
+@pytest.mark.parametrize("kernel, stride, padding, extents", [
+    (3, 1, 1, (5, 4, 8)),
+    (3, 2, 1, (7, 8, 8)),
+    (3, 1, 0, (6, 10, 10)),
+    (3, 2, 0, (7, 9, 9)),
+    ((3, 3, 1), (2, 1, 2), (1, 0, 0), (7, 6, 8)),
+])
+def test_conv_in_runs_bitwise_equals_one_gemm(kernel, stride, padding, extents, frames_per_run,
+                                              n, dtype, need_x, monkeypatch):
+    rng = np.random.default_rng(n)
+    data = rng.normal(size=(n, 3, *extents)).astype(dtype)
+    w = rng.normal(size=(4, 3, *ops._triple(kernel, "kernel"))).astype(dtype)
+    b = rng.normal(size=4).astype(dtype)
+    want = _conv_run(data, w, b, stride, padding, need_x)
+    fo, ho, wo = want[0].shape[2:]
+    assert ho * wo % 16 == 0 and fo > frames_per_run
+    monkeypatch.setattr(ops, "KEEP_COLUMNS_BYTES", 0)
+    monkeypatch.setattr(ops, "BLOCK_BYTES", frames_per_run * w[0].nbytes * ho * wo)
+    got = _conv_run(data, w, b, stride, padding, need_x)
+    for have, expected in zip(got, want):
+        if expected is None:
+            assert have is None
+        else:
+            assert have.dtype == expected.dtype and have.tobytes() == expected.tobytes()
+
+
+def test_taped_conv_above_the_column_limit_keeps_its_input_not_its_columns(rng):
+    x = Tensor(rng.normal(size=(1, 8, 16, 32, 32)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(8, 8, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    columns = 8 * 27 * 16 * 32 * 32 * 4  # 13.5 MiB
+    assert columns > ops.KEEP_COLUMNS_BYTES
+    tracemalloc.start()
+    try:
+        with Tape():
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = ops.conv3d(x, w, padding=1)
+            grown, peak = (v - before for v in tracemalloc.get_traced_memory())
+            loss = ops.sum_all(out)
+    finally:
+        tracemalloc.stop()
+    # the output stays, and the rule reads the input, which was alive already
+    assert out.data.nbytes <= grown < out.data.nbytes + columns // 16
+    # on the way, one run of columns (at most a block) and the padded input
+    assert peak < out.data.nbytes + 2 * ops.BLOCK_BYTES
+    backward(loss)
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
 def test_conv3d_validation_errors(rng):
     x5 = Tensor(np.zeros((1, 2, 4, 4, 4), dtype=np.float32))
     with pytest.raises(ValueError, match="rank 5"):
