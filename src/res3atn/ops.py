@@ -13,8 +13,9 @@ full-size array of their own. Every forward value is scanned, and a NaN or
 infinity raises NonFiniteError naming the operator. Convolution is
 im2col+GEMM; for a 1x1x1 kernel the columns are a view of the (strided)
 input rather than a copy. Columns of more than KEEP_COLUMNS_BYTES are never
-kept: the forward gathers them one run of output frames at a time, and the
-rule keeps the input and gathers them again. The nested-loop reference it is
+all alive: the forward gathers them one run of output frames at a time, and
+the rule keeps the input and walks the same runs again, so its weight
+gradient is summed run by run. The nested-loop reference it is
 held to lives in checksuite. Max pooling builds no window tensor. Untaped, its
 forward is a separable running max. Under a tape it reads the input as
 stride-phase planes, on which every window offset is a unit-stride slice;
@@ -22,13 +23,15 @@ it takes the running max over the offsets and finds each window's winner
 (the lowest offset equal to the max) with plain integer arithmetic, no
 masked copy. Batchnorm's EMA momentum and variance epsilon are the module
 constants BN_MOMENTUM and BN_EPS, and every train-mode call moves the
-running buffers it is given.
+running buffers it is given. Its rule keeps its input, not the normalized
+input, and forms that again block by block.
 
 Batchnorm and the taped max-pool make several passes over their input;
 they run them one block at a time (_channel_blocks), one sample's run of
 whole channels of at most BLOCK_BYTES, so later passes find the block in
-cache. Channel sums keep numpy's whole-array order, so the output is
-bitwise that of unblocked passes; an input of one block runs as one.
+cache, and their backward rules walk the same blocks. Channel sums keep
+numpy's whole-array order, so the output is bitwise that of unblocked
+passes; an input of one block runs as one.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ BN_EPS = 1e-5
 BLOCK_BYTES = 2 << 20
 
 # A conv whose im2col columns (whole batch) exceed this keeps its input
-# instead, gathering the columns one run of output frames at a time in the
-# forward and all at once again in the backward.
+# instead, gathering the columns one run of output frames at a time, in the
+# forward and again in the backward.
 KEEP_COLUMNS_BYTES = 8 << 20
 
 
@@ -131,18 +134,20 @@ def _gather_windows(xp: np.ndarray, kernel, stride, out_shape, out=None) -> np.n
     return cols
 
 
-def _scatter_windows(dcols: np.ndarray, padded_shape, kernel, stride, out_shape) -> np.ndarray:
-    """Adjoint of _gather_windows: sum window gradients into the padded array.
+def _scatter_windows(dcols: np.ndarray, padded_shape, kernel, stride, out_shape,
+                     out=None) -> np.ndarray:
+    """Adjoint of _gather_windows: sum window gradients into a padded array.
 
-    A 1x1x1 window at stride 1 covers every input cell once, so its one tap
-    is the whole gradient, returned as a view.
+    The sums go into out if given, else into a zeroed array of the padded
+    shape. A 1x1x1 window at stride 1 covers every input cell once, so with
+    no out its one tap is the whole gradient, returned as a view.
     """
-    if kernel == (1, 1, 1) and stride == (1, 1, 1):
+    if out is None and kernel == (1, 1, 1) and stride == (1, 1, 1):
         return dcols[:, :, 0, 0, 0]
     kf, kh, kw = kernel
     sf, sh, sw = stride
     fo, ho, wo = out_shape
-    dxp = np.zeros(padded_shape, dtype=dcols.dtype)
+    dxp = np.zeros(padded_shape, dtype=dcols.dtype) if out is None else out
     for a in range(kf):
         for b in range(kh):
             for d in range(kw):
@@ -167,34 +172,34 @@ def _unpad5(xp: np.ndarray, padding) -> np.ndarray:
     return np.ascontiguousarray(xp[(slice(None), slice(None)) + crop])
 
 
-def _conv_runs(xp: np.ndarray, w2: np.ndarray, kernel, stride, out_shape) -> np.ndarray:
-    """w2 @ columns as (N, Co, L), gathering one run of output frames at a time.
+def _conv_runs(n: int, cin: int, kernel, stride, out_shape, dtype):
+    """The regather route's runs of output frames, each with a column buffer.
 
     A run is one sample's consecutive output frames whose columns fit in
-    BLOCK_BYTES, or one frame when a frame's are larger; its GEMM writes its
-    slice of the output. Each output element is the dot product one GEMM
-    over all the columns forms, and bitwise so where the BLAS sums a column
-    alike at every GEMM width. OpenBLAS does for runs that fill whole kernel
-    tiles, as the paper geometry's 112x112, 56x56 and 28x28 frames do; a
-    9x8 frame on its AVX-512 kernels differs in the last bit.
+    BLOCK_BYTES, or one frame when a frame's are larger. Yields (i, pos,
+    span, cols) per run, sample by sample: sample i, the run's slice of
+    the flattened output positions, its slice of padded input frames, and
+    a (1, cin, kf, kh, kw, frames, Ho, Wo) view of one reused buffer of
+    dtype, for its columns. A GEMM per run forms each output element as
+    the dot product one GEMM over all the columns does, and bitwise so
+    where the BLAS sums a column alike at every GEMM width. OpenBLAS does
+    for runs that fill whole kernel tiles, as the paper geometry's 112x112,
+    56x56 and 28x28 frames do; a 9x8 frame on its AVX-512 kernels differs
+    in the last bit. A sum over runs, such as the weight gradient, is
+    added run by run, an order one GEMM does not keep.
     """
-    n, cin = xp.shape[:2]
-    kdim = w2.shape[1]
     fo, ho, wo = out_shape
     plane = ho * wo
-    run = max(1, min(fo, BLOCK_BYTES // (kdim * plane * xp.itemsize)))  # frames per run
-    out = np.empty((n, w2.shape[0], fo * plane), dtype=np.result_type(w2, xp))
-    buf = np.empty(kdim * run * plane, dtype=xp.dtype)
+    kdim = cin * kernel[0] * kernel[1] * kernel[2]
+    run = max(1, min(fo, BLOCK_BYTES // (kdim * plane * np.dtype(dtype).itemsize)))
+    buf = np.empty(kdim * run * plane, dtype=dtype)
     sf, kf = stride[0], kernel[0]
     for i in range(n):
         for f0 in range(0, fo, run):
             nf = min(run, fo - f0)
             cols = buf[: kdim * nf * plane].reshape(1, cin, *kernel, nf, ho, wo)
-            span = xp[i : i + 1, :, sf * f0 : sf * (f0 + nf - 1) + kf]
-            _gather_windows(span, kernel, stride, (nf, ho, wo), out=cols)
-            dest = out[i, :, f0 * plane : (f0 + nf) * plane]
-            np.matmul(w2, cols.reshape(kdim, nf * plane), out=dest)
-    return out
+            span = slice(sf * f0, sf * (f0 + nf - 1) + kf)
+            yield i, slice(f0 * plane, (f0 + nf) * plane), span, cols
 
 
 def conv3d(
@@ -210,11 +215,15 @@ def conv3d(
     weight. Columns of at most KEEP_COLUMNS_BYTES, and those of a 1x1x1
     kernel (a view of the strided input), are gathered at once, contracted
     in one GEMM and kept for the weight gradient. Larger columns are never
-    all alive in the forward, which gathers and contracts one run of output
-    frames at a time (_conv_runs). Their rule keeps the input instead. It
-    gathers the columns again, sample-minor so that the weight gradient's
-    one GEMM reads them in place, and forms the column gradient in that
-    buffer: both GEMMs are the kept route's, on equal operands.
+    all alive: their forward gathers and contracts one run of output frames
+    at a time (_conv_runs), and their rule keeps the input instead. Its
+    backward walks the same runs: it gathers a run's columns again, adds
+    g_run @ cols.T into the weight gradient, then forms the run's column
+    gradient w.T @ g_run in the same buffer and scatters it into the run's
+    frames of the padded input gradient. So neither direction holds more
+    than one run of columns. The output, the input gradient and the bias
+    gradient are bitwise the kept route's where _conv_runs' GEMMs are; the
+    weight gradient differs in its last bits.
     """
     if x.ndim != 5:
         raise ValueError(f"conv3d: input must be rank 5, got shape {x.shape}")
@@ -245,7 +254,11 @@ def conv3d(
         out = np.matmul(w2, cols2)  # (N, Co, L)
     else:
         xd, cols2 = x.data, None
-        out = _conv_runs(xp, w2, kernel, stride, out_shape)
+        out = np.empty((n, cout, loc), dtype=np.result_type(w2, xp))
+        for i, pos, span, cols in _conv_runs(n, cin, kernel, stride, out_shape, xp.dtype):
+            _gather_windows(xp[i : i + 1, :, span], kernel, stride, cols.shape[-3:], out=cols)
+            np.matmul(w2, cols.reshape(kdim, -1), out=out[i, :, pos])
+    del xp
     if bias is not None:
         out += bias.data[:, None]
     out = out.reshape(n, cout, fo, ho, wo)
@@ -256,24 +269,36 @@ def conv3d(
 
     def backward_fn(g):
         g2 = g.reshape(n, cout, loc)
-        dx = dw = None
-        cols = cols2
-        if xd is not None and need_w:
-            # gathered sample-minor, so that cflat below is a view, not a copy
-            kn = np.empty((cin, kf, kh, kw, n, fo, ho, wo), dtype=xd.dtype)
-            _gather_windows(_pad5(xd, padding), kernel, stride, out_shape,
-                            out=kn.transpose(4, 0, 1, 2, 3, 5, 6, 7))
-            cols = kn.reshape(kdim, n, loc).transpose(1, 0, 2)
-        if need_w:
-            gflat = g2.transpose(1, 0, 2).reshape(cout, n * loc)
-            cflat = cols.transpose(1, 0, 2).reshape(kdim, n * loc)
-            dw = (gflat @ cflat.T).reshape(cout, cin, kf, kh, kw)
-        if need_x:
-            # regathered columns are this call's own, so dcols may overwrite them
-            spare = cols if cols is not cols2 and cols.dtype == np.result_type(w2, g2) else None
-            dcols2 = np.matmul(w2.T, g2, out=spare)  # (N, K, L)
-            dcols = dcols2.reshape(n, cin, kf, kh, kw, fo, ho, wo)
-            dx = _unpad5(_scatter_windows(dcols, padded_shape, kernel, stride, out_shape), padding)
+        dxp = dw = None
+        if xd is None:
+            if need_w:
+                gflat = g2.transpose(1, 0, 2).reshape(cout, n * loc)
+                cflat = cols2.transpose(1, 0, 2).reshape(kdim, n * loc)
+                dw = gflat @ cflat.T
+            if need_x:
+                dcols = np.matmul(w2.T, g2).reshape(n, cin, kf, kh, kw, fo, ho, wo)
+                dxp = _scatter_windows(dcols, padded_shape, kernel, stride, out_shape)
+        else:
+            xp = _pad5(xd, padding) if need_w else None
+            dw = np.zeros((cout, kdim), dtype=np.result_type(g2, xd)) if need_w else None
+            dxp = np.zeros(padded_shape, dtype=np.result_type(w2, g2)) if need_x else None
+            # Last run first: an input frame two runs share then takes its
+            # frame taps in ascending order, as the kept route's one scatter
+            # adds them, so dx is bitwise that route's; dw is summed run by run.
+            runs = list(_conv_runs(n, cin, kernel, stride, out_shape, xd.dtype))
+            for i, pos, span, cols in reversed(runs):
+                g_run, c2 = g2[i, :, pos], cols.reshape(kdim, -1)
+                if need_w:
+                    _gather_windows(xp[i : i + 1, :, span], kernel, stride, cols.shape[-3:],
+                                    out=cols)
+                    dw += g_run @ c2.T
+                if need_x:  # the run's column gradient overwrites its columns
+                    dc = np.matmul(w2.T, g_run, out=c2 if c2.dtype == dxp.dtype else None)
+                    span_dxp = dxp[i : i + 1, :, span]
+                    _scatter_windows(dc.reshape(cols.shape), span_dxp.shape, kernel, stride,
+                                     cols.shape[-3:], out=span_dxp)
+        dx = None if dxp is None else _unpad5(dxp, padding)
+        dw = None if dw is None else dw.reshape(cout, cin, kf, kh, kw)
         if need_b is None:
             return (dx, dw)
         return (dx, dw, g2.sum(axis=(0, 2)) if need_b else None)
@@ -370,7 +395,10 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
     both jobs, and they are built, scanned and freed one block of channels
     at a time (_channel_blocks), into the preallocated output and winner
     arrays: a block's planes stay in cache across the 2 * ksize passes over
-    them, and no full-size plane set is ever live.
+    them, and no full-size plane set is ever live. Backward walks the same
+    blocks, so its int64 scatter index is one block's, never the whole
+    output's; each cell's adds keep their order, so dx is bitwise that of
+    one scatter.
 
     The winner of a window is the lowest offset whose tap equals the output:
     score = max_j (ksize - j) * (tap_j == out) in the smallest unsigned
@@ -388,7 +416,6 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
     n, c, f, h, w = x.shape
     out_shape = _check_window_geometry("maxpool3d", (f, h, w), kernel, stride, padding)
     fo, ho, wo = out_shape
-    loc = fo * ho * wo
     ksize = kernel[0] * kernel[1] * kernel[2]
 
     if not _recording([x]):
@@ -425,17 +452,20 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
         # A winner's flat index in x is its window's origin (which may lie
         # in the border) plus its offset inside the window, both unpadded.
         ka, kb, kd = np.unravel_index(np.arange(ksize), kernel)
-        lf, lh, lw = np.unravel_index(np.arange(loc), out_shape)
+        lf, lh, lw = np.ogrid[:fo, :ho, :wo]
         tap_offset = (ka * h + kb) * w + kd
         pf, ph, pw = padding
-        origin = ((lf * sf - pf) * h + (lh * sh - ph)) * w + (lw * sw - pw)
+        origin = (((lf * sf - pf) * h + (lh * sh - ph)) * w + (lw * sw - pw)).ravel()
         plane = f * h * w
-        index = tap_offset[am.reshape(n, c, loc)]  # the one index plane, built in place
-        index += origin
-        index += (np.arange(n * c) * plane).reshape(n, c, 1)
-        dx = np.zeros(n * c * plane, dtype=g.dtype)
-        np.add.at(dx, index.ravel(), g.ravel())
-        return (dx.reshape(n, c, f, h, w),)
+        dx = np.zeros((n, c, f, h, w), dtype=g.dtype)
+        for block in blocks:  # the forward's, so an index plane is one block's
+            score = am[block]
+            nb, cb = score.shape[:2]
+            index = tap_offset[score.reshape(nb, cb, -1)]  # built in place
+            index += origin
+            index += (np.arange(nb * cb) * plane).reshape(nb, cb, 1)
+            np.add.at(dx[block].reshape(-1), index.ravel(), g[block].ravel())
+        return (dx,)
 
     return _finish("maxpool3d", out, [x], backward_fn)
 
@@ -528,11 +558,17 @@ def batchnorm3d(
 
     Every pass runs block by block (_channel_blocks), and the channel sums
     keep numpy's order, so mean and var equal x.mean and x.var bitwise.
-    Train mode sums x, then centres it into xhat and sums the squares
-    through a one-block scratch, then scales and shifts; eval mode does all
-    three in one pass. Untaped, the output is built in xhat's buffer.
-    Backward takes one pass for the four channel sums and a second (train
-    mode) to form dx, both in place in g.
+    Train mode sums x, then centres each block and sums its squares. The
+    output pass forms each block's xhat = (x - mean) * inv_std and scales
+    and shifts it; eval mode makes only that pass. Both work in the block of
+    the output being made, or in a one-block scratch where the output's
+    dtype is not x's. No full-size xhat is made. The rule keeps x
+    instead, which costs no more than xhat would and nothing where another
+    rule keeps x too, and forms each block's xhat again with the same two
+    ops, so its values are the forward's. Backward takes one pass for the
+    four channel sums and a second (train mode) to form dx, both in place
+    in g. Each forms a block's xhat in a one-block scratch, the first pass
+    twice, as the scratch holds g * xhat in between.
     """
     if x.ndim != 5:
         raise ValueError(f"batchnorm3d: input must be rank 5, got shape {x.shape}")
@@ -548,7 +584,21 @@ def batchnorm3d(
 
     xd = x.data
     blocks = _channel_blocks(xd)
-    xhat = np.empty_like(xd)
+    out = np.empty(xd.shape, np.result_type(gamma.data, xd))  # the dtype of scale * xhat
+    # a block's xhat is formed in the block of out it becomes, or, where
+    # out's dtype is not x's, in a one-block scratch
+    scratch = None if out.dtype == xd.dtype else np.empty_like(xd[blocks[0]])
+
+    def xhat_buffer(ob):
+        return ob if scratch is None else scratch[:, : ob.shape[1]]
+
+    def centred(block, dest, scaled=True):
+        """One block's xhat = (x - mean) * inv_std, formed in dest."""
+        xb = np.subtract(xd[block], mean[:, block[1]], out=dest)
+        if scaled:
+            xb *= inv_std[:, block[1]]
+        return xb
+
     if training:
         # np.mean's and np.var's own steps (add-reduce, divide; centre,
         # square, add-reduce, divide), so mean and var equal theirs bitwise
@@ -556,12 +606,9 @@ def batchnorm3d(
         for block in blocks:
             _channel_sum(mean, block, xd[block])
         np.true_divide(mean, np.intp(m), out=mean, casting="unsafe")
-        square = np.empty_like(xd[blocks[0]])
         for block in blocks:
-            xb = np.subtract(xd[block], mean[:, block[1]], out=xhat[block])
-            sq = np.multiply(xb, xb, out=square[:, : xb.shape[1]])
-            _channel_sum(var, block, sq)
-        del square, sq  # freed before out is made, as np.var frees its squares
+            sq = centred(block, xhat_buffer(out[block]), scaled=False)
+            _channel_sum(var, block, np.multiply(sq, sq, out=sq))
         var /= m
         running_mean *= 1.0 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mean.reshape(c).astype(running_mean.dtype)
@@ -573,18 +620,10 @@ def batchnorm3d(
 
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     scale, shift = gamma.data.reshape(gshape), beta.data.reshape(gshape)
-    dtype = np.result_type(scale, xhat)  # that of scale * xhat
-    if dtype == xhat.dtype and _recording([x, gamma, beta]) is None:
-        out = xhat  # untaped, no rule reads xhat
-    else:
-        out = np.empty(xd.shape, dtype)
     for block in blocks:
         ch = (slice(None), block[1])
-        xb = xhat[block]
-        if not training:
-            np.subtract(xd[block], mean[ch], out=xb)
-        xb *= inv_std[ch]
-        ob = np.multiply(scale[ch], xb, out=out[block])
+        ob = out[block]
+        np.multiply(scale[ch], centred(block, xhat_buffer(ob)), out=ob)
         ob += shift[ch]
     need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
@@ -592,15 +631,15 @@ def batchnorm3d(
         # dx is built in place in dxhat = g * scale, in the order of the
         # expressions (inv_std / m) * (m * dxhat - sum_dxhat - xhat *
         # sum_dxhat_xhat) in train mode and dxhat * inv_std in eval mode
-        dgamma, sum_dxhat_xhat = np.empty((2, *gshape), dtype=xhat.dtype)
+        dgamma, sum_dxhat_xhat = np.empty((2, *gshape), dtype=xd.dtype)
         dbeta, sum_dxhat = np.empty((2, *gshape), dtype=g.dtype)
-        scratch = np.empty_like(xhat[blocks[0]])  # products with xhat, in its dtype
+        scratch = np.empty_like(xd[blocks[0]])
         for block in blocks:
             ch = (slice(None), block[1])
-            gb, xb = g[block], xhat[block]
-            tmp = scratch[:, : gb.shape[1]]
+            gb = g[block]
             if need_gamma:
-                _channel_sum(dgamma, block, np.multiply(gb, xb, out=tmp))
+                xb = centred(block, scratch[:, : gb.shape[1]])
+                _channel_sum(dgamma, block, np.multiply(gb, xb, out=xb))
             if need_beta:
                 _channel_sum(dbeta, block, gb)
             if not need_x:
@@ -608,7 +647,8 @@ def batchnorm3d(
             dxhat = np.multiply(gb, scale[ch], out=gb)  # dgamma and dbeta have read g
             if training:
                 _channel_sum(sum_dxhat, block, dxhat)
-                _channel_sum(sum_dxhat_xhat, block, np.multiply(dxhat, xb, out=tmp))
+                xb = centred(block, scratch[:, : gb.shape[1]])
+                _channel_sum(sum_dxhat_xhat, block, np.multiply(dxhat, xb, out=xb))
             else:
                 dxhat *= inv_std[ch]
         if need_x and training:
@@ -617,8 +657,8 @@ def batchnorm3d(
                 dxhat = g[block]
                 dxhat *= m
                 dxhat -= sum_dxhat[ch]
-                tmp = scratch[:, : dxhat.shape[1]]
-                dxhat -= np.multiply(xhat[block], sum_dxhat_xhat[ch], out=tmp)
+                xb = centred(block, scratch[:, : dxhat.shape[1]])
+                dxhat -= np.multiply(xb, sum_dxhat_xhat[ch], out=xb)
                 dxhat *= inv_std[ch] / m
         dgamma, dbeta = dgamma.reshape(c), dbeta.reshape(c)
         return (g if need_x else None, dgamma if need_gamma else None, dbeta if need_beta else None)

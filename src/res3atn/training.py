@@ -7,12 +7,17 @@ informational and excluded from determinism comparisons. Checkpoints are
 written every epoch: last.r3ck always, best.r3ck whenever eval top-1
 strictly improves. train checks every input before it writes anything
 under out_dir, and a 0-epoch run writes its eval record and checkpoints
-through the same end-of-epoch step as a trained epoch.
+through the same end-of-epoch step as a trained epoch. The log is written
+to metrics.jsonl.tmp until the first epoch's checkpoints are saved; only
+then does it replace metrics.jsonl, and a previous run's summary.txt is
+removed. So a re-run into the same out_dir that aborts in its first epoch
+leaves the previous run's files as they were.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -318,26 +323,34 @@ def train(
     config_dict = config.to_dict()
     best = None
 
-    with open(out_dir / "metrics.jsonl", "w") as fh:
-        def emit(rec: MetricsRecord) -> None:
-            fh.write(rec.to_json() + "\n")
-            fh.flush()
-            if log:
-                log(str(rec))
+    tmp = out_dir / "metrics.jsonl.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            def emit(rec: MetricsRecord) -> None:
+                fh.write(rec.to_json() + "\n")
+                fh.flush()
+                if log:
+                    log(str(rec))
 
-        for epoch in range(max(config.epochs, 1)):
-            if config.epochs:
-                emit(_train_epoch(net, opt, config, train_clips, epoch))
-            else:
-                _prime_batchnorm(net, train_clips, config)
-            final = evaluate(net, eval_clips, config.augment, config.batch_size, epoch)
-            emit(final)
-            save_checkpoint(out_dir / "last.r3ck", net, optimizer=opt, epoch=epoch,
-                            run_config=config_dict)
-            if best is None or final.top1 > best.top1:
-                best = final
-                save_checkpoint(out_dir / "best.r3ck", net, optimizer=opt,
-                                epoch=epoch, run_config=config_dict)
+            for epoch in range(max(config.epochs, 1)):
+                if config.epochs:
+                    emit(_train_epoch(net, opt, config, train_clips, epoch))
+                else:
+                    _prime_batchnorm(net, train_clips, config)
+                final = evaluate(net, eval_clips, config.augment, config.batch_size, epoch)
+                emit(final)
+                save_checkpoint(out_dir / "last.r3ck", net, optimizer=opt, epoch=epoch,
+                                run_config=config_dict)
+                if best is None or final.top1 > best.top1:
+                    best = final
+                    save_checkpoint(out_dir / "best.r3ck", net, optimizer=opt,
+                                    epoch=epoch, run_config=config_dict)
+                if epoch == 0:  # this run's files now replace any earlier run's
+                    os.replace(tmp, out_dir / "metrics.jsonl")
+                    (out_dir / "summary.txt").unlink(missing_ok=True)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
     scores = {
         "parameters": net.parameter_count(),

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from res3atn import ops
 from res3atn.network import NetworkSpec, build_res3atn, stage_trace
-from res3atn.tensor import Tensor
+from res3atn.tensor import Tape, Tensor, backward
 
 FULL_SPEC = NetworkSpec(num_classes=10)
 
@@ -175,3 +176,27 @@ def test_seeded_builds_are_reproducible():
         not np.array_equal(pa.data, pc.data)
         for (_, pa), (_, pc) in zip(a.named_parameters(), c.named_parameters())
     )
+
+
+def test_every_desk_conv_at_batch_6_keeps_its_columns(monkeypatch):
+    """Desk training stays bitwise stable while no conv takes the regather
+    route, whose weight gradient is summed run by run."""
+    columns = []
+    conv3d = ops.conv3d
+
+    def measured(x, weight, *args, **kwargs):
+        out = conv3d(x, weight, *args, **kwargs)
+        columns.append(out.size // weight.shape[0] * weight.data[0].size * x.data.itemsize)
+        return out
+
+    def regather(*args):
+        raise AssertionError("a desk conv took the regather route")
+
+    monkeypatch.setattr(ops, "conv3d", measured)
+    monkeypatch.setattr(ops, "_conv_runs", regather)
+    net = build_res3atn(DESK_SPEC, seed=0)
+    x = Tensor(np.random.default_rng(0).normal(size=(6, 1, 16, 24, 24)).astype(np.float32))
+    with Tape():
+        loss = ops.softmax_cross_entropy(net(x), np.arange(6) % 4)
+    backward(loss)
+    assert len(columns) > 50 and max(columns) <= ops.KEEP_COLUMNS_BYTES

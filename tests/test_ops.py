@@ -170,7 +170,9 @@ def _conv_run(data, w, b, stride, padding, need_x):
 # Every output frame here has a multiple of 16 positions, as the paper
 # geometry's 112x112, 56x56 and 28x28 frames do. A BLAS kernel may sum a
 # column of a partly filled tile in another order: OpenBLAS's AVX-512 GEMM
-# does, so runs of 9x8 frames differ from one GEMM in the last bit.
+# does, so runs of 9x8 frames differ from one GEMM in the last bit. The
+# forward, dx and db are bitwise the kept route's. The weight gradient is
+# summed run by run, so dw matches it only to float rounding.
 @pytest.mark.parametrize("need_x", [True, False])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n", [1, 2, 6])
@@ -194,11 +196,37 @@ def test_conv_in_runs_bitwise_equals_one_gemm(kernel, stride, padding, extents, 
     monkeypatch.setattr(ops, "KEEP_COLUMNS_BYTES", 0)
     monkeypatch.setattr(ops, "BLOCK_BYTES", frames_per_run * w[0].nbytes * ho * wo)
     got = _conv_run(data, w, b, stride, padding, need_x)
-    for have, expected in zip(got, want):
+    rounding = 1e-6 if dtype == np.float32 else 1e-12
+    for name, have, expected in zip(("out", "untaped", "dx", "dw", "db"), got, want):
         if expected is None:
             assert have is None
+        elif name == "dw":
+            assert have.dtype == expected.dtype
+            assert np.max(np.abs(have - expected)) <= rounding * np.max(np.abs(expected))
         else:
             assert have.dtype == expected.dtype and have.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("mutated", [False, True])
+def test_regathered_conv_gradients_match_finite_differences(mutated, monkeypatch, rng):
+    # two samples, runs of two frames whose input spans overlap (kf > sf)
+    x = Tensor(rng.normal(size=(2, 2, 5, 4, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2, 3, 3, 3)) * 0.5, requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    proj = rng.normal(size=(2, 3, 5, 4, 4))
+    monkeypatch.setattr(ops, "KEEP_COLUMNS_BYTES", 0)
+    monkeypatch.setattr(ops, "BLOCK_BYTES", 2 * x.data[0].nbytes * 27 // 5)
+    assert len(list(ops._conv_runs(2, 2, (3, 3, 3), (1, 1, 1), (5, 4, 4), np.float64))) == 6
+
+    def fn(x, w, b):
+        return ops.sum_all(ops.mul(ops.conv3d(x, w, b, padding=1), Tensor(proj)))
+
+    if mutated:
+        with mutate_backward("conv3d"):
+            report = grad_check(fn, [x, w, b], eps=1e-6, tol=1e-6, rng=rng)
+    else:
+        report = grad_check(fn, [x, w, b], eps=1e-6, tol=1e-6, rng=rng)
+    assert report.passed != mutated, report.max_rel_error
 
 
 def test_taped_conv_above_the_column_limit_keeps_its_input_not_its_columns(rng):
@@ -786,6 +814,65 @@ def test_blocked_taped_maxpool_allocates_about_one_block(monkeypatch, rng):
     assert transient < 2 * ops.BLOCK_BYTES
 
 
+def test_blocked_taped_batchnorm_forward_allocates_out_and_about_one_block(monkeypatch, rng):
+    x = Tensor(rng.normal(size=(2, 8, 8, 16, 16)).astype(np.float32), requires_grad=True)
+    gamma = Tensor(np.ones(8, dtype=np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
+    rm, rv = np.zeros(8, dtype=np.float32), np.ones(8, dtype=np.float32)
+    assert _blocks_of(monkeypatch, x.data, 1) == 16
+    tracemalloc.start()
+    try:
+        with Tape():
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = ops.batchnorm3d(x, gamma, beta, rm, rv, training=True)
+            grown, peak = (v - before for v in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    # what stays is the output and the rule's small arrays and block list,
+    # as the rule keeps x, which was alive already; a kept xhat would add
+    # 16 blocks
+    assert out.data.nbytes <= grown < out.data.nbytes + ops.BLOCK_BYTES
+    # on the way, one block of xhat at a time, or the finiteness scan's
+    # mask of the output (out.size bytes), beside those
+    assert peak < out.data.nbytes + max(ops.BLOCK_BYTES, out.size) + ops.BLOCK_BYTES
+
+
+def test_blocked_taped_maxpool_backward_allocates_dx_and_about_one_block(monkeypatch, rng):
+    x = Tensor(rng.normal(size=(2, 8, 8, 32, 32)).astype(np.float32), requires_grad=True)
+    assert _blocks_of(monkeypatch, x.data, 1) == 16
+    with Tape() as tape:
+        out = ops.maxpool3d(x, 3, stride=2, padding=1)
+    rule = tape.nodes[-1].backward_fn
+    g = rng.normal(size=out.shape).astype(np.float32)
+    transient, (dx,) = _transient_bytes(lambda: rule(g))
+    assert dx.shape == x.shape
+    # beyond dx: one block's int64 index plane (8 bytes per window of one
+    # channel here) and a few arrays of its size made on the way, such as
+    # the window origins, about 38 KiB; an index of the whole output would
+    # be 16 planes and grow with the channel count
+    index = 8 * out.data[0, 0].size
+    assert transient < 6 * index
+
+
+def test_regathered_conv_backward_holds_one_run_of_columns(rng):
+    # stem-shaped: 2x3x8x112x112, 3x3x3, padding 1; 62 MiB of columns
+    x = Tensor(rng.normal(size=(2, 3, 8, 112, 112)).astype(np.float32))
+    w = Tensor(rng.normal(size=(16, 3, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    assert 2 * 81 * 8 * 112 * 112 * 4 > ops.KEEP_COLUMNS_BYTES
+    with Tape() as tape:
+        out = ops.conv3d(x, w, padding=1)
+    rule = tape.nodes[-1].backward_fn
+    g = rng.normal(size=out.shape).astype(np.float32)
+    del out
+    transient, (dx, dw) = _transient_bytes(lambda: rule(g))
+    assert dx is None and dw.shape == w.shape
+    # the padded input (3.0 MiB) and one run of columns (one frame, 3.9 MiB
+    # here, as a frame's columns exceed a block)
+    padded = x.data[:, :, :1].nbytes * 10 * 114 * 114 // (112 * 112)
+    assert transient < padded + 81 * 112 * 112 * 4 + ops.BLOCK_BYTES // 2
+
+
 def test_blocked_batchnorm_backward_allocates_about_one_block(monkeypatch, rng):
     x = Tensor(rng.normal(size=(2, 8, 8, 16, 16)).astype(np.float32), requires_grad=True)
     gamma = Tensor(np.ones(8, dtype=np.float32), requires_grad=True)
@@ -950,10 +1037,6 @@ def test_mutate_backward_requires_known_op():
 # what a taped call keeps for backward
 
 RELEASING_CALLS = {
-    "batchnorm3d": lambda x: ops.batchnorm3d(
-        x, Tensor(np.ones(2, np.float32), requires_grad=True),
-        Tensor(np.zeros(2, np.float32), requires_grad=True),
-        np.zeros(2, np.float32), np.ones(2, np.float32), training=True),
     "relu": ops.relu,
     "add": lambda x: ops.add(x, x),
     "add_scalar": lambda x: ops.add_scalar(x, 1.0),
@@ -977,6 +1060,34 @@ def test_taped_call_releases_its_input(name, rng):
     assert data() is None  # no rule closed over the input or its array
     backward(loss)
     assert cell.grad is not None and np.all(np.isfinite(cell.grad))
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_taped_batchnorm_keeps_exactly_its_input(training, rng):
+    x = Tensor(rng.normal(size=(2, 4, 8, 16, 16)).astype(np.float32), requires_grad=True)
+    cell, data = x.cell, weakref.ref(x.data)
+    gamma = Tensor(np.ones(4, np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(4, np.float32), requires_grad=True)
+    rm, rv = np.zeros(4, np.float32), np.ones(4, np.float32)
+    tracemalloc.start()
+    try:
+        with Tape():
+            before, _ = tracemalloc.get_traced_memory()
+            out = ops.batchnorm3d(x, gamma, beta, rm, rv, training=training)
+            grown = tracemalloc.get_traced_memory()[0] - before
+            loss = ops.sum_all(ops.mul(out, Tensor(rng.normal(size=out.shape).astype(out.dtype))))
+    finally:
+        tracemalloc.stop()
+    x_bytes = x.data.nbytes
+    del x
+    # the rule reads the input to form xhat again; a kept xhat would add
+    # x.nbytes to what the call leaves behind
+    assert data() is not None
+    assert out.data.nbytes <= grown < out.data.nbytes + x_bytes // 8
+    backward(loss)
+    assert cell.grad is not None and np.all(np.isfinite(cell.grad))
+    del loss
+    assert data() is None  # only the rule held it
 
 
 def test_taped_pointwise_conv_keeps_its_input_as_columns():

@@ -200,6 +200,37 @@ def test_failing_rerun_keeps_the_previous_run_files(tmp_path):
     assert {name: (tmp_path / name).read_bytes() for name in names} == before
 
 
+def test_rerun_aborting_in_its_first_epoch_keeps_the_previous_run_files(tmp_path):
+    train_clips, eval_clips = _tiny_splits()
+    train(_tiny_config(epochs=1), train_clips, eval_clips, tmp_path)
+    names = ("metrics.jsonl", "last.r3ck", "best.r3ck", "summary.txt")
+    before = {name: (tmp_path / name).read_bytes() for name in names}
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError,
+                                                  match="training aborted at epoch 0 batch 1"):
+        train(_tiny_config(epochs=2, lr=1e30, seed=1), train_clips, eval_clips, tmp_path)
+    assert {name: (tmp_path / name).read_bytes() for name in names} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
+
+def test_rerun_aborting_after_its_first_epoch_leaves_its_own_files(tmp_path, monkeypatch):
+    train_clips, eval_clips = _tiny_splits()
+    train(_tiny_config(epochs=1), train_clips, eval_clips, tmp_path)
+    evaluate = training.evaluate
+
+    def failing_second(net, clips, augment, batch_size, epoch):
+        if epoch == 1:
+            raise RuntimeError("stopped in epoch 1")
+        return evaluate(net, clips, augment, batch_size, epoch)
+
+    monkeypatch.setattr(training, "evaluate", failing_second)
+    with pytest.raises(RuntimeError, match="stopped in epoch 1"):
+        train(_tiny_config(epochs=2, seed=1), train_clips, eval_clips, tmp_path)
+    records = read_metrics(tmp_path / "metrics.jsonl")
+    assert [(r.epoch, r.split) for r in records] == [(0, "train"), (0, "eval"), (1, "train")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["best.r3ck", "last.r3ck",
+                                                           "metrics.jsonl"]
+
+
 def test_train_calls_its_seams_through_module_globals(tmp_path, monkeypatch):
     """The benchmark tracer and the tests patch these names on the module."""
     calls = Counter()
