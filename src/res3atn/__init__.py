@@ -1,56 +1,8 @@
 """3D residual attention network for gesture-clip classification.
 
-Attribute access is lazy so the command-line front end can configure
-thread-count environment variables before numpy loads.
+The package itself imports nothing: callers import names from their
+submodules (`res3atn.network`, `res3atn.training`, ...). Importing
+`res3atn.cli` applies the R3ATN_THREADS cap before numpy loads.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
-
-_EXPORTS = {
-    "Tensor": "tensor",
-    "Parameter": "tensor",
-    "Tape": "tensor",
-    "backward": "tensor",
-    "grad_check": "gradcheck",
-    "GradCheckReport": "gradcheck",
-    "NetworkSpec": "network",
-    "Res3ATN": "network",
-    "build_res3atn": "network",
-    "stage_trace": "network",
-    "NesterovSGD": "optim",
-    "AugmentConfig": "data",
-    "LabeledClip": "data",
-    "augment_clip": "data",
-    "eval_preprocess": "data",
-    "synth_dataset": "data",
-    "synthetic_splits": "data",
-    "load_clip": "data",
-    "save_clip": "data",
-    "load_clip_dir": "data",
-    "RunConfig": "training",
-    "MetricsRecord": "training",
-    "train": "training",
-    "evaluate": "training",
-    "ablation_run": "training",
-    "export_attention_masks": "training",
-    "PAPER_GRID": "training",
-    "save_checkpoint": "checkpoint",
-    "load_state": "checkpoint",
-    "restore_network": "checkpoint",
-    "restore_optimizer": "checkpoint",
-}
-
-__all__ = sorted(_EXPORTS) + ["__version__"]
-
-
-def __getattr__(name):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{module}", __name__), name)
-
-
-def __dir__():
-    return __all__

@@ -201,6 +201,9 @@ OPERATOR_CHECKS = {
         (1, 3, 2, 4, 4, 4, 1, 1, 0, False),
         (2, 2, 2, 6, 5, 5, 3, 2, 0, True),
         (1, 2, 4, 5, 6, 4, 2, 1, 1, True),
+        # 8.5 MiB of float32 columns, above ops.KEEP_COLUMNS_BYTES: the
+        # regather route, one frame per run, runs sharing input frames
+        (1, 4, 2, 4, 72, 72, 3, 1, 1, True),
     ]),
     "maxpool3d": partial(_check, 2, _maxpool3d_case, [
         # (N, C, F, H, W, k, stride, pad)

@@ -1,11 +1,11 @@
 """Command-line interface: train, eval, gradcheck, ablate, masks.
 
-Only standard-library modules are imported at module scope; numpy-backed
-code loads lazily inside each command so the R3ATN_THREADS cap (applied to
-the BLAS thread-count environment variables) takes effect first. Every
-failure prints a single `r3atn: error: ...` line on stderr; exit code 2
-marks configuration/usage problems, 3 marks checkpoint problems, 4 a
-non-finite value produced by an operator outside training, 1 anything else.
+When this module loads, before its first numpy-backed import, it applies
+the R3ATN_THREADS cap to the BLAS thread-count environment variables; main
+reports an invalid value. Every failure prints a single `r3atn: error: ...`
+line on stderr; exit code 2 marks configuration/usage problems, 3 marks
+checkpoint problems, 4 a non-finite value produced by an operator outside
+training, 1 anything else.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import configparser
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 _THREAD_VARS = (
@@ -25,6 +26,28 @@ _THREAD_VARS = (
 )
 
 
+def _apply_thread_env() -> str | None:
+    """Set each unset thread variable to R3ATN_THREADS; the error for a bad value."""
+    raw = os.environ.get("R3ATN_THREADS", "").strip()
+    if not raw:
+        return None
+    try:
+        n = int(raw)
+    except ValueError:
+        return f"R3ATN_THREADS must be an integer, got {raw!r}"
+    if n < 0:
+        return f"R3ATN_THREADS must be >= 0, got {n}"
+    if n > 0:  # 0 is auto: leave library defaults alone
+        for var in _THREAD_VARS:
+            os.environ.setdefault(var, str(n))
+    return None
+
+
+_THREAD_ERROR = _apply_thread_env()
+
+from . import checkpoint, checksuite, data, network, training  # noqa: E402  (numpy loads here)
+
+
 class CliError(Exception):
     def __init__(self, message: str, code: int = 1):
         super().__init__(message)
@@ -34,22 +57,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # single-line errors instead of usage dumps
         raise CliError(message, 2)
-
-
-def _apply_thread_env() -> None:
-    raw = os.environ.get("R3ATN_THREADS", "").strip()
-    if not raw:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CliError(f"R3ATN_THREADS must be an integer, got {raw!r}", 2)
-    if n < 0:
-        raise CliError(f"R3ATN_THREADS must be >= 0, got {n}", 2)
-    if n == 0:
-        return  # auto: leave library defaults alone
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, str(n))
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +100,7 @@ _CONFIG_FLAGS = {
 
 
 def _load_config_file(path) -> dict:
-    from .training import config_schema
-
-    schema = config_schema()
+    schema = training.config_schema()
     cp = configparser.ConfigParser()
     try:
         loaded = cp.read([path])
@@ -119,8 +124,6 @@ def _load_config_file(path) -> dict:
 
 def _assemble_config(args, num_classes_hint: int | None):
     """RunConfig from the values the user set; the dataclasses supply the rest."""
-    from .training import RunConfig
-
     cfg = _load_config_file(args.config) if args.config else {}
     for flag, (section, key, parse, _help) in _CONFIG_FLAGS.items():
         value = getattr(args, flag[2:].replace("-", "_"))
@@ -129,13 +132,13 @@ def _assemble_config(args, num_classes_hint: int | None):
                 cfg.setdefault(section, {})[key] = parse(value)
             except ValueError as exc:
                 raise CliError(str(exc), 2)
-    network = cfg.setdefault("network", {})
-    if "num_classes" not in network:
+    spec = cfg.setdefault("network", {})
+    if "num_classes" not in spec:
         if num_classes_hint is None:
             raise CliError("num_classes is not set and cannot be inferred", 2)
-        network["num_classes"] = num_classes_hint
+        spec["num_classes"] = num_classes_hint
     try:
-        return RunConfig.from_dict(cfg)
+        return training.RunConfig.from_dict(cfg)
     except (TypeError, ValueError) as exc:
         raise CliError(str(exc), 2)
 
@@ -144,9 +147,7 @@ def _assemble_config(args, num_classes_hint: int | None):
 # data sources
 
 def _synthetic_splits_from_args(args, channels: int, seed: int):
-    from .data import synthetic_splits
-
-    return synthetic_splits(
+    return data.synthetic_splits(
         args.classes,
         args.train_per_class,
         args.eval_per_class,
@@ -162,15 +163,11 @@ def _num_classes_hint(args) -> int | None:
     if getattr(args, "synthetic", False):
         return args.classes
     if getattr(args, "data", None):
-        from .data import scan_classes
-
-        return len(scan_classes(Path(args.data) / "train"))
+        return len(data.scan_classes(Path(args.data) / "train"))
     return None
 
 
 def _load_splits(args, config):
-    from .data import load_clip_dir
-
     if args.synthetic:
         return _synthetic_splits_from_args(
             args, config.network.input_channels, config.seed
@@ -178,19 +175,17 @@ def _load_splits(args, config):
     if not args.data:
         raise CliError("provide --data DIR or --synthetic", 2)
     root = Path(args.data)
-    return load_clip_dir(root / "train"), load_clip_dir(root / "eval")
+    return data.load_clip_dir(root / "train"), data.load_clip_dir(root / "eval")
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def _cmd_train(args) -> int:
-    from .training import train
-
     config = _assemble_config(args, _num_classes_hint(args))
     train_clips, eval_clips = _load_splits(args, config)
     out_dir = Path(args.out)
-    summary = train(config, train_clips, eval_clips, out_dir, log=print)
+    summary = training.train(config, train_clips, eval_clips, out_dir, log=print)
     print(f"best eval top1 {summary['best_eval_top1']:.2f} "
           f"(epoch {summary['best_epoch']})")
     print(f"checkpoints: {summary['last_checkpoint']}, {summary['best_checkpoint']}")
@@ -198,46 +193,38 @@ def _cmd_train(args) -> int:
 
 
 def _load_checkpointed_network(path):
-    from .checkpoint import (CheckpointFormatError, checkpoint_meta, load_state,
-                             restore_network)
-    from .network import build_res3atn
-    from .training import RunConfig
-
     try:
-        state = load_state(path)
+        state = checkpoint.load_state(path)
     except FileNotFoundError:
         raise CliError(f"checkpoint not found: {path}", 3)
-    except CheckpointFormatError as exc:
+    except checkpoint.CheckpointFormatError as exc:
         raise CliError(str(exc), 3)
     try:
-        epoch, config_dict = checkpoint_meta(state)
-    except CheckpointFormatError as exc:
+        epoch, config_dict = checkpoint.checkpoint_meta(state)
+    except checkpoint.CheckpointFormatError as exc:
         raise CliError(f"{path}: {exc}", 3)
     if config_dict is None:
         raise CliError(f"{path}: checkpoint has no embedded run config", 3)
     try:
-        config = RunConfig.from_dict(config_dict)
+        config = training.RunConfig.from_dict(config_dict)
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: embedded config invalid: {exc}", 3)
-    net = build_res3atn(config.network, seed=config.seed)
+    net = network.build_res3atn(config.network, seed=config.seed)
     try:
-        restore_network(net, state)
+        checkpoint.restore_network(net, state)
     except ValueError as exc:
         raise CliError(str(exc), 3)
     return net, config, epoch
 
 
 def _cmd_eval(args) -> int:
-    from .data import load_clip_dir
-    from .training import evaluate
-
     net, config, epoch = _load_checkpointed_network(args.checkpoint)
     if args.synthetic:
         clips = _synthetic_splits_from_args(
             args, config.network.input_channels, config.seed
         )[1]
     elif args.data:
-        clips = load_clip_dir(Path(args.data))
+        clips = data.load_clip_dir(Path(args.data))
     else:
         raise CliError("provide --data DIR or --synthetic", 2)
     bad = sorted({c.label for c in clips} - set(range(config.network.num_classes)))
@@ -245,7 +232,7 @@ def _cmd_eval(args) -> int:
         raise CliError(
             f"data labels {bad} exceed the checkpoint's "
             f"{config.network.num_classes} classes", 3)
-    rec = evaluate(net, clips, config.augment, config.batch_size, epoch=epoch)
+    rec = training.evaluate(net, clips, config.augment, config.batch_size, epoch=epoch)
     if args.topk == 1:
         print(f"loss {rec.loss:.4f} top1 {rec.top1:.2f}")
     else:
@@ -259,25 +246,21 @@ _NETWORK_FLAGS = {"channel_scale": "--scale", "frames": "--frames", "size": "--s
 
 
 def _cmd_gradcheck(args) -> int:
-    from contextlib import nullcontext
-
-    from .checksuite import OPERATOR_CHECKS, mutate_backward, network_check, operator_suite
-
     only = args.ops.split(",") if args.ops else None
-    if args.mutate and args.mutate not in OPERATOR_CHECKS:
+    if args.mutate and args.mutate not in checksuite.OPERATOR_CHECKS:
         raise CliError(f"argument --mutate: invalid choice: {args.mutate!r} "
-                       f"(choose from {', '.join(map(repr, OPERATOR_CHECKS))})", 2)
+                       f"(choose from {', '.join(map(repr, checksuite.OPERATOR_CHECKS))})", 2)
     geometry = {dest: value for dest, value in vars(args).items() if dest in _NETWORK_FLAGS}
     if geometry and not args.network:
         flags = ", ".join(_NETWORK_FLAGS[dest] for dest in geometry)
         raise CliError(f"{flags} set the network check, which --no-network skips", 2)
     if geometry.get("max_coords", 1) < 1:  # checked here, before the suite runs
         raise CliError(f"max_coords must be >= 1, got {geometry['max_coords']}", 2)
-    guard = mutate_backward(args.mutate) if args.mutate else nullcontext()
+    guard = checksuite.mutate_backward(args.mutate) if args.mutate else nullcontext()
     failed = False
     with guard:
         try:
-            results = operator_suite(seed=args.seed, only=only)
+            results = checksuite.operator_suite(seed=args.seed, only=only)
         except ValueError as exc:
             raise CliError(str(exc), 2)
         for name, reports in results.items():
@@ -287,7 +270,7 @@ def _cmd_gradcheck(args) -> int:
             print(f"{name:<24s} max_rel {worst:.3e}  {'pass' if ok else 'FAIL'}")
         if args.network:
             try:
-                rep = network_check(seed=args.seed, **geometry)
+                rep = checksuite.network_check(seed=args.seed, **geometry)
             except ValueError as exc:
                 raise CliError(str(exc), 2)
             failed = failed or not rep.passed
@@ -297,12 +280,10 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _parse_grid(args) -> list[tuple]:
-    from .training import PAPER_GRID
-
     if args.grid == "paper":
         if args.sites_grid is not None:
             raise CliError("--sites-grid requires --grid custom", 2)
-        return [tuple(s) for s in PAPER_GRID]
+        return [tuple(s) for s in training.PAPER_GRID]
     if not args.sites_grid:
         raise CliError("custom grid requires --sites-grid", 2)
     try:
@@ -312,32 +293,27 @@ def _parse_grid(args) -> list[tuple]:
 
 
 def _cmd_ablate(args) -> int:
-    from .training import ablation_run, ablation_variants, format_ablation_table
-
     if args.sites is not None:
         raise CliError("ablate: --sites is not accepted; each grid variant sets the "
                        "attention sites (see --grid and --sites-grid)", 2)
     grid = _parse_grid(args)
     config = _assemble_config(args, _num_classes_hint(args))
-    try:
-        ablation_variants(config, grid)  # a bad subset is a usage error, found before training
+    try:  # a bad subset is a usage error, found before training
+        training.ablation_variants(config, grid)
     except ValueError as exc:
         raise CliError(str(exc), 2)
     train_clips, eval_clips = _load_splits(args, config)
-    rows = ablation_run(config, grid, train_clips, eval_clips, Path(args.out),
-                        log=print if args.verbose else None)
-    print(format_ablation_table(rows))
+    rows = training.ablation_run(config, grid, train_clips, eval_clips, Path(args.out),
+                                 log=print if args.verbose else None)
+    print(training.format_ablation_table(rows))
     print(f"table written to {Path(args.out) / 'ablation.txt'}")
     return 0
 
 
 def _cmd_masks(args) -> int:
-    from .data import load_clip
-    from .training import export_attention_masks
-
     net, _config, _epoch = _load_checkpointed_network(args.checkpoint)
-    clip = load_clip(args.clip)
-    paths = export_attention_masks(net, clip, Path(args.out))
+    clip = data.load_clip(args.clip)
+    paths = training.export_attention_masks(net, clip, Path(args.out))
     print(f"wrote {len(paths)} mask images to {args.out}")
     return 0
 
@@ -419,7 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        _apply_thread_env()
+        if _THREAD_ERROR:
+            raise CliError(_THREAD_ERROR, 2)
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:

@@ -414,6 +414,7 @@ def ablation_run(
     """Train one variant per attention-site subset under identical settings.
 
     Every variant's config is built, and so checked, before the first trains.
+    The table goes to ablation.txt, not to log; the caller shows it.
     """
     variants = ablation_variants(base, sites_list)
     out_dir = Path(out_dir)
@@ -439,8 +440,6 @@ def ablation_run(
     (out_dir / "ablation.json").write_text(
         json.dumps([{**r, "sites": list(r["sites"])} for r in rows], indent=2) + "\n"
     )
-    if log:
-        log(table)
     return rows
 
 

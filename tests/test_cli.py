@@ -19,7 +19,7 @@ from res3atn.checkpoint import load_state, save_state
 from res3atn.data import AugmentConfig, save_clip, synth_dataset
 from res3atn.gradcheck import GradCheckReport
 from res3atn.network import NetworkSpec
-from res3atn.training import RunConfig, config_schema
+from res3atn.training import RunConfig, config_schema, format_ablation_table
 
 SYNTH = (
     "--synthetic", "--classes", "4", "--train-per-class", "2",
@@ -244,6 +244,16 @@ def test_ablate_custom_grid(tmp_path):
     assert [r["sites"] for r in rows] == [[], [1]]
 
 
+@pytest.mark.parametrize("verbose", [(), ("--verbose",)], ids=["quiet", "verbose"])
+def test_ablate_prints_its_table_once(tmp_path, verbose):
+    proc = run_cli("ablate", *SYNTH, *TINY_ABLATE, "--grid", "custom",
+                   "--sites-grid", "none;1", "--out", str(tmp_path / "ablation"), *verbose)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines.count(format_ablation_table([]).splitlines()[0]) == 1
+    assert sum(ln.startswith("== attention sites") for ln in lines) == (2 if verbose else 0)
+
+
 def test_ablate_unparsable_grid_subset_is_exit_2(tmp_path):
     proc = run_cli("ablate", *SYNTH, *TINY_ABLATE, "--grid", "custom",
                    "--sites-grid", "1;x", "--out", str(tmp_path / "ablation"))
@@ -410,6 +420,38 @@ def test_thread_cap_validation_and_smoke():
     ok = run_cli("gradcheck", "--ops", "relu", "--no-network",
                  env_extra={"R3ATN_THREADS": "1"})
     assert ok.returncode == 0, ok.stderr
+
+
+# Runs in a fresh interpreter: a finder placed first on sys.meta_path sees
+# the thread variables at the moment the CLI's imports first load numpy.
+_NUMPY_LOAD_SPY = """
+import os, sys
+
+seen = []
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+loaded_before = "numpy" in sys.modules
+sys.meta_path.insert(0, Spy())
+import res3atn.cli
+print(loaded_before, seen)
+"""
+
+
+@pytest.mark.parametrize("openblas, expected", [(None, "3"), ("5", "5")], ids=["unset", "set"])
+def test_importing_the_cli_caps_the_threads_before_numpy_loads(openblas, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["R3ATN_THREADS"] = "3"
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_LOAD_SPY],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"False [{expected!r}]"
 
 
 def test_errors_use_the_single_line_prefix():

@@ -64,6 +64,13 @@ def test_no_gradient_input_is_rejected(rng):
         grad_check(lambda x: ops.sum_all(x), [x], rng=rng)
 
 
+def test_checked_input_that_gets_no_gradient_is_rejected(rng):
+    x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    unused = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+    with pytest.raises(RuntimeError, match="input 1 received no gradient"):
+        grad_check(lambda x, unused: ops.sum_all(x), [x, unused], rng=rng)
+
+
 def test_mutated_conv_backward_is_detected(rng):
     x = Tensor(rng.normal(size=(1, 2, 3, 4, 4)).astype(np.float32), requires_grad=True)
     w = Tensor(rng.normal(size=(2, 2, 3, 3, 3)).astype(np.float32) * 0.5, requires_grad=True)
@@ -192,6 +199,12 @@ def test_maxpool_suite_has_no_near_ties_on_any_seed(name):
     for seed in range(60):
         reports = operator_suite(seed, only=[name])[name]
         assert all(r.passed for r in reports), (seed, [str(r) for r in reports])
+
+
+def test_the_last_conv3d_case_takes_the_regather_route():
+    n, cin, _cout, f, h, w, k, s, p, _bias = OPERATOR_CHECKS["conv3d"].args[2][-1]
+    fo, ho, wo = ops._check_window_geometry("conv3d", (f, h, w), (k,) * 3, (s,) * 3, (p,) * 3)
+    assert n * cin * k**3 * fo * ho * wo * 4 > ops.KEEP_COLUMNS_BYTES
 
 
 def test_every_operator_has_a_check_row():

@@ -15,6 +15,7 @@ import pytest
 from res3atn import ops
 from res3atn.checksuite import conv3d_direct, mutate_backward
 from res3atn.gradcheck import grad_check
+from res3atn.modules import BatchNorm3d
 from res3atn.tensor import Tape, Tensor, backward
 
 
@@ -628,6 +629,16 @@ def test_batchnorm_train_needs_two_samples():
         ops.batchnorm3d(x, gamma, beta, rm, rv, training=True)
 
 
+def test_batchnorm_module_refuses_eval_before_any_statistics_update(rng):
+    bn = BatchNorm3d(2).eval()
+    x = Tensor(rng.standard_normal((2, 2, 2, 3, 3)).astype(np.float32))
+    with pytest.raises(RuntimeError, match="before any running-stat update"):
+        bn(x)
+    assert bn.steps.tolist() == [0.0] and bn.running_mean.tolist() == [0.0, 0.0]
+    bn.train()(x)
+    assert bn.eval()(x).shape == x.shape
+
+
 def test_batchnorm_gradients_match_finite_differences(rng):
     x = Tensor(rng.normal(size=(3, 2, 2, 2, 2)).astype(np.float32), requires_grad=True)
     gamma = Tensor(rng.uniform(0.5, 1.5, 2).astype(np.float32), requires_grad=True)
@@ -1031,6 +1042,49 @@ def test_mutate_backward_requires_known_op():
     with pytest.raises(ValueError, match="no backward mutation"):
         with mutate_backward("sigmoid_x"):
             pass
+
+
+def _zeros(*shape):
+    return Tensor(np.zeros(shape, dtype=np.float32))
+
+
+_X5, _W1, _C2 = _zeros(1, 2, 4, 4, 4), _zeros(1, 2, 1, 1, 1), _zeros(2)
+
+VALIDATION_ERRORS = {
+    "triple-length": (lambda: ops.conv3d(_X5, _W1, stride=(1, 1)),
+                      r"stride must be an int or a 3-tuple, got \(1, 1\)"),
+    "stride-below-1": (lambda: ops.conv3d(_X5, _W1, stride=(1, 0, 1)),
+                       "conv3d: stride along height must be >= 1, got 0"),
+    "negative-padding": (lambda: ops.maxpool3d(_X5, 2, padding=(0, 0, -1)),
+                         "maxpool3d: padding along width must be >= 0, got -1"),
+    "padding-not-below-window": (lambda: ops.maxpool3d(_X5, 2, padding=2),
+                                 "padding 2 along frame must be smaller than the window 2"),
+    "conv3d-weight-rank": (lambda: ops.conv3d(_X5, _zeros(1, 2, 1, 1)),
+                           r"conv3d: weight must be rank 5, got shape \(1, 2, 1, 1\)"),
+    "conv3d-bias-shape": (lambda: ops.conv3d(_X5, _W1, _C2),
+                          r"conv3d: bias shape \(2,\) does not match 1 output channels"),
+    "maxpool3d-rank": (lambda: ops.maxpool3d(_zeros(2, 4, 4, 4), 2),
+                       "maxpool3d: input must be rank 5"),
+    "avgpool-rank": (lambda: ops.avgpool3d_adaptive(_zeros(2, 4, 4, 4)),
+                     "avgpool3d_adaptive: input must be rank 5"),
+    "batchnorm3d-rank": (lambda: ops.batchnorm3d(_zeros(2, 4, 4, 4), _C2, _C2, np.zeros(2),
+                                                 np.ones(2), training=True),
+                         "batchnorm3d: input must be rank 5"),
+    "batchnorm3d-gamma-beta": (lambda: ops.batchnorm3d(_X5, _C2, _zeros(3), np.zeros(2),
+                                                       np.ones(2), training=True),
+                               r"batchnorm3d: gamma/beta must have shape \(2,\)"),
+    "linear-weight": (lambda: ops.linear(_zeros(1, 3), _zeros(2, 4)),
+                      r"linear: weight shape \(2, 4\) does not match input features 3"),
+    "cross-entropy-logits-rank": (lambda: ops.softmax_cross_entropy(_zeros(4), np.zeros(4, int)),
+                                  "softmax_cross_entropy: logits must be rank 2"),
+    "mul-shapes": (lambda: ops.mul(_zeros(2), _zeros(3)), r"mul: shapes \(2,\) and \(3,\) differ"),
+}
+
+
+@pytest.mark.parametrize("call, message", VALIDATION_ERRORS.values(), ids=VALIDATION_ERRORS)
+def test_op_validation_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------

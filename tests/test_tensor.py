@@ -230,6 +230,20 @@ def test_active_tape_tracks_stack():
     assert active_tape() is None
 
 
+def test_tape_exited_out_of_order_is_rejected():
+    outer, inner = Tape(), Tape()
+    outer.__enter__()
+    inner.__enter__()
+    try:
+        with pytest.raises(RuntimeError, match="exited out of order"):
+            outer.__exit__(None, None, None)
+        assert active_tape() is inner
+    finally:
+        inner.__exit__(None, None, None)
+        outer.__exit__(None, None, None)
+    assert active_tape() is None
+
+
 def test_requires_grad_false_input_gets_no_grad():
     x = Tensor([1.0], requires_grad=True)
     c = Tensor([5.0])
