@@ -5,7 +5,7 @@ the R3ATN_THREADS cap to the BLAS thread-count environment variables; main
 reports an invalid value. Every failure prints a single `r3atn: error: ...`
 line on stderr; exit code 2 marks configuration/usage problems, 3 marks
 checkpoint problems, 4 a non-finite value produced by an operator outside
-training, 1 anything else.
+training, 130 an interrupt (Ctrl-C), 1 anything else.
 """
 
 from __future__ import annotations
@@ -146,32 +146,30 @@ def _assemble_config(args, num_classes_hint: int | None):
 # ---------------------------------------------------------------------------
 # data sources
 
-def _synthetic_splits_from_args(args, channels: int, seed: int):
-    return data.synthetic_splits(
-        args.classes,
-        args.train_per_class,
-        args.eval_per_class,
-        frames=args.source_frames,
-        extent=args.extent,
-        noise_level=args.noise,
-        channels=channels,
-        seed=seed,
-    )
+# synthetic-clip flags: argparse dest -> synth_dataset keyword. An unset
+# flag leaves synth_dataset's own default in force.
+_SYNTH_FLAGS = {"source_frames": "frames", "extent": "extent", "noise": "noise_level"}
+
+
+def _synth_options(args, config) -> dict:
+    """synth_dataset keywords: the flags the user set, plus the run's channels and seed."""
+    options = {key: getattr(args, dest) for dest, key in _SYNTH_FLAGS.items()
+               if hasattr(args, dest)}
+    return {**options, "channels": config.network.input_channels, "seed": config.seed}
 
 
 def _num_classes_hint(args) -> int | None:
-    if getattr(args, "synthetic", False):
+    if args.synthetic:
         return args.classes
-    if getattr(args, "data", None):
+    if args.data:
         return len(data.scan_classes(Path(args.data) / "train"))
     return None
 
 
 def _load_splits(args, config):
     if args.synthetic:
-        return _synthetic_splits_from_args(
-            args, config.network.input_channels, config.seed
-        )
+        return data.synthetic_splits(args.classes, args.train_per_class, args.eval_per_class,
+                                     **_synth_options(args, config))
     if not args.data:
         raise CliError("provide --data DIR or --synthetic", 2)
     root = Path(args.data)
@@ -219,10 +217,9 @@ def _load_checkpointed_network(path):
 
 def _cmd_eval(args) -> int:
     net, config, epoch = _load_checkpointed_network(args.checkpoint)
-    if args.synthetic:
-        clips = _synthetic_splits_from_args(
-            args, config.network.input_channels, config.seed
-        )[1]
+    if args.synthetic:  # the eval split train made, for the checkpoint's classes
+        clips = data.synth_dataset(config.network.num_classes, args.eval_per_class,
+                                   stream=data.EVAL_STREAM, **_synth_options(args, config))
     elif args.data:
         clips = data.load_clip_dir(Path(args.data))
     else:
@@ -233,10 +230,7 @@ def _cmd_eval(args) -> int:
             f"data labels {bad} exceed the checkpoint's "
             f"{config.network.num_classes} classes", 3)
     rec = training.evaluate(net, clips, config.augment, config.batch_size, epoch=epoch)
-    if args.topk == 1:
-        print(f"loss {rec.loss:.4f} top1 {rec.top1:.2f}")
-    else:
-        print(f"loss {rec.loss:.4f} top1 {rec.top1:.2f} top5 {rec.top5:.2f}")
+    print(f"loss {rec.loss:.4f} top1 {rec.top1:.2f} top5 {rec.top5:.2f}")
     return 0
 
 
@@ -247,9 +241,6 @@ _NETWORK_FLAGS = {"channel_scale": "--scale", "frames": "--frames", "size": "--s
 
 def _cmd_gradcheck(args) -> int:
     only = args.ops.split(",") if args.ops else None
-    if args.mutate and args.mutate not in checksuite.OPERATOR_CHECKS:
-        raise CliError(f"argument --mutate: invalid choice: {args.mutate!r} "
-                       f"(choose from {', '.join(map(repr, checksuite.OPERATOR_CHECKS))})", 2)
     geometry = {dest: value for dest, value in vars(args).items() if dest in _NETWORK_FLAGS}
     if geometry and not args.network:
         flags = ", ".join(_NETWORK_FLAGS[dest] for dest in geometry)
@@ -280,12 +271,9 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _parse_grid(args) -> list[tuple]:
-    if args.grid == "paper":
-        if args.sites_grid is not None:
-            raise CliError("--sites-grid requires --grid custom", 2)
+    """The --sites-grid subsets, or the paper's grid when it is unset."""
+    if args.sites_grid is None:
         return [tuple(s) for s in training.PAPER_GRID]
-    if not args.sites_grid:
-        raise CliError("custom grid requires --sites-grid", 2)
     try:
         return [_parse_sites(chunk) for chunk in args.sites_grid.split(";")]
     except ValueError as exc:
@@ -295,7 +283,7 @@ def _parse_grid(args) -> list[tuple]:
 def _cmd_ablate(args) -> int:
     if args.sites is not None:
         raise CliError("ablate: --sites is not accepted; each grid variant sets the "
-                       "attention sites (see --grid and --sites-grid)", 2)
+                       "attention sites (see --sites-grid)", 2)
     grid = _parse_grid(args)
     config = _assemble_config(args, _num_classes_hint(args))
     try:  # a bad subset is a usage error, found before training
@@ -304,7 +292,7 @@ def _cmd_ablate(args) -> int:
         raise CliError(str(exc), 2)
     train_clips, eval_clips = _load_splits(args, config)
     rows = training.ablation_run(config, grid, train_clips, eval_clips, Path(args.out),
-                                 log=print if args.verbose else None)
+                                 log=print)
     print(training.format_ablation_table(rows))
     print(f"table written to {Path(args.out) / 'ablation.txt'}")
     return 0
@@ -322,15 +310,15 @@ def _cmd_masks(args) -> int:
 # parser
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
+    """The synthetic-clip flags eval shares with train; see _SYNTH_FLAGS."""
     p.add_argument("--synthetic", action="store_true",
                    help="generate the synthetic motion dataset in-process")
-    p.add_argument("--classes", type=int, default=4, choices=(4, 8))
-    p.add_argument("--train-per-class", type=int, default=50)
     p.add_argument("--eval-per-class", type=int, default=20)
-    p.add_argument("--extent", type=int, default=48,
+    unset = argparse.SUPPRESS
+    p.add_argument("--extent", type=int, default=unset,
                    help="square source resolution of synthetic clips")
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--source-frames", type=int, default=16)
+    p.add_argument("--noise", type=float, default=unset)
+    p.add_argument("--source-frames", type=int, default=unset)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -339,6 +327,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     for flag, (_section, _key, parse, help_text) in _CONFIG_FLAGS.items():
         p.add_argument(flag, type=None if parse is _parse_sites else parse, help=help_text)
     _add_synth_flags(p)
+    p.add_argument("--classes", type=int, default=4, choices=(4, 8))
+    p.add_argument("--train-per-class", type=int, default=50)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -353,14 +343,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", help="class tree of .r3clip files")
-    p.add_argument("--topk", type=int, choices=(1, 5), default=5)
     _add_synth_flags(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ops", help="comma-separated operator subset")
-    p.add_argument("--mutate", metavar="OP",
+    p.add_argument("--mutate", metavar="OP", choices=tuple(checksuite.OPERATOR_CHECKS),
                    help="corrupt a suite operator's backward rule to prove the "
                         "checks detect it")
     p.add_argument("--no-network", dest="network", action="store_false",
@@ -376,12 +365,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="train attention-site variants")
     _add_train_flags(p)
-    p.add_argument("--grid", choices=("paper", "custom"), default="paper")
     p.add_argument("--sites-grid",
-                   help="semicolon-separated subsets for --grid custom, "
-                        "e.g. 'none;1;1,2'")
+                   help="semicolon-separated subsets, e.g. 'none;1;1,2'; "
+                        "unset runs the paper's grid")
     p.add_argument("--out", default="runs/ablation")
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("masks", help="export attention masks as PGM images")
@@ -402,6 +389,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"r3atn: error: {exc}", file=sys.stderr)
         return exc.code
+    except KeyboardInterrupt:  # the commands remove their own partial files
+        print("r3atn: error: interrupted", file=sys.stderr)
+        return 130
     except FloatingPointError as exc:  # ops.NonFiniteError
         print(f"r3atn: error: {exc}", file=sys.stderr)
         return 4

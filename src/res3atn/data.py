@@ -230,6 +230,9 @@ def eval_preprocess(clip: LabeledClip, cfg: AugmentConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # synthetic motion dataset
 
+# synth_dataset's seed stream for the eval split; stream 0 is the train split
+EVAL_STREAM = 1
+
 _DIRECTIONS = {
     "right": (0.0, 1.0),
     "left": (0.0, -1.0),
@@ -312,7 +315,7 @@ def synthetic_splits(
 ) -> tuple[list[LabeledClip], list[LabeledClip]]:
     """Disjoint train/eval splits from separate seed streams; options go to synth_dataset."""
     train = synth_dataset(num_classes, train_per_class, stream=0, **options)
-    evals = synth_dataset(num_classes, eval_per_class, stream=1, **options)
+    evals = synth_dataset(num_classes, eval_per_class, stream=EVAL_STREAM, **options)
     return train, evals
 
 

@@ -105,6 +105,10 @@ class ModuleList(Module):
         return self._items[idx]
 
 
+# init gain of a layer whose output feeds a ReLU
+RELU_GAIN = float(np.sqrt(2.0))
+
+
 def _fan_in_normal(rng: np.random.Generator, shape, fan_in: int, gain: float) -> np.ndarray:
     std = gain / np.sqrt(fan_in)
     return rng.normal(0.0, std, size=shape).astype(np.float32)
@@ -113,8 +117,8 @@ def _fan_in_normal(rng: np.random.Generator, shape, fan_in: int, gain: float) ->
 class Conv3d(Module):
     """3-D convolution layer; weights use fan-in scaled normal init.
 
-    gain sqrt(2) suits ReLU-followed convs; pass gain=1.0 for convs feeding
-    a sigmoid or the logits so fresh pre-activations stay near zero.
+    RELU_GAIN, the default, suits ReLU-followed convs; pass gain=1.0 for convs
+    feeding a sigmoid or the logits so fresh pre-activations stay near zero.
     """
 
     def __init__(
@@ -127,7 +131,7 @@ class Conv3d(Module):
         bias: bool = True,
         *,
         rng: np.random.Generator,
-        gain: float = float(np.sqrt(2.0)),
+        gain: float = RELU_GAIN,
     ):
         super().__init__()
         kernel = ops._triple(kernel, "kernel")
@@ -187,7 +191,7 @@ class Linear(Module):
         out_features: int,
         *,
         rng: np.random.Generator,
-        gain: float = float(np.sqrt(2.0)),
+        gain: float = RELU_GAIN,
     ):
         super().__init__()
         self.weight = Parameter(_fan_in_normal(rng, (out_features, in_features), in_features, gain))

@@ -561,8 +561,7 @@ def batchnorm3d(
     Train mode sums x, then centres each block and sums its squares. The
     output pass forms each block's xhat = (x - mean) * inv_std and scales
     and shifts it; eval mode makes only that pass. Both work in the block of
-    the output being made, or in a one-block scratch where the output's
-    dtype is not x's. No full-size xhat is made. The rule keeps x
+    the output being made, so no full-size xhat is made. The rule keeps x
     instead, which costs no more than xhat would and nothing where another
     rule keeps x too, and forms each block's xhat again with the same two
     ops, so its values are the forward's. Backward takes one pass for the
@@ -585,12 +584,6 @@ def batchnorm3d(
     xd = x.data
     blocks = _channel_blocks(xd)
     out = np.empty(xd.shape, np.result_type(gamma.data, xd))  # the dtype of scale * xhat
-    # a block's xhat is formed in the block of out it becomes, or, where
-    # out's dtype is not x's, in a one-block scratch
-    scratch = None if out.dtype == xd.dtype else np.empty_like(xd[blocks[0]])
-
-    def xhat_buffer(ob):
-        return ob if scratch is None else scratch[:, : ob.shape[1]]
 
     def centred(block, dest, scaled=True):
         """One block's xhat = (x - mean) * inv_std, formed in dest."""
@@ -607,7 +600,7 @@ def batchnorm3d(
             _channel_sum(mean, block, xd[block])
         np.true_divide(mean, np.intp(m), out=mean, casting="unsafe")
         for block in blocks:
-            sq = centred(block, xhat_buffer(out[block]), scaled=False)
+            sq = centred(block, out[block], scaled=False)
             _channel_sum(var, block, np.multiply(sq, sq, out=sq))
         var /= m
         running_mean *= 1.0 - BN_MOMENTUM
@@ -623,7 +616,7 @@ def batchnorm3d(
     for block in blocks:
         ch = (slice(None), block[1])
         ob = out[block]
-        np.multiply(scale[ch], centred(block, xhat_buffer(ob)), out=ob)
+        np.multiply(scale[ch], centred(block, ob), out=ob)
         ob += shift[ch]
     need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
 

@@ -9,7 +9,8 @@ Per step and per parameter p with gradient grad and velocity v:
 The learning rate is constant; no schedule exists. Weight decay applies to
 every parameter, including batchnorm affine terms, unless decay_bn=False
 excludes parameters named ``*.gamma``/``*.beta`` (the batchnorm layers own
-those suffixes). Gradients are zeroed after each step.
+those suffixes). Gradients are zeroed after each step. The hyperparameters
+have no defaults here; training.RunConfig holds them.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ class NesterovSGD:
     def __init__(
         self,
         params: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.9,
-        weight_decay: float = 0.001,
-        decay_bn: bool = True,
+        lr: float,
+        momentum: float,
+        weight_decay: float,
+        decay_bn: bool,
     ):
         self.params = list(params)
         if not self.params:

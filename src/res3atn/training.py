@@ -79,6 +79,8 @@ class RunConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         """{section: {key: value}}, the layout of the INI file and of checkpoints."""
@@ -223,7 +225,7 @@ def evaluate(
     net: Res3ATN,
     clips: list[LabeledClip],
     augment: AugmentConfig,
-    batch_size: int = 6,
+    batch_size: int,
     epoch: int = 0,
 ) -> MetricsRecord:
     """Center-window, center-crop forward pass; partial batches kept."""

@@ -27,6 +27,7 @@ SPEC = NetworkSpec(
     num_classes=4, input_frames=8, input_size=16, input_channels=1,
     channel_scale=64,
 )
+HYPER = dict(lr=0.01, momentum=0.9, weight_decay=0.001, decay_bn=True)
 
 
 def _state():
@@ -39,7 +40,7 @@ def _state():
 
 def _trained_net(steps=2, seed=0):
     net = build_res3atn(SPEC, seed=seed)
-    opt = NesterovSGD(net.parameters())
+    opt = NesterovSGD(net.parameters(), **HYPER)
     rng = np.random.default_rng(5)
     net.train()
     for _ in range(steps):
@@ -292,7 +293,7 @@ def test_restore_optimizer_velocities(tmp_path):
     save_checkpoint(path, net, optimizer=opt, epoch=2)
 
     fresh_net = build_res3atn(SPEC, seed=0)
-    fresh_opt = NesterovSGD(fresh_net.parameters())
+    fresh_opt = NesterovSGD(fresh_net.parameters(), **HYPER)
     assert all(not v.any() for v in fresh_opt.velocities.values())
     restore_optimizer(fresh_opt, load_state(path))
     for name, v in opt.velocities.items():

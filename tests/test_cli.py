@@ -14,17 +14,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from res3atn import checksuite, cli
+from res3atn import checksuite, cli, training
 from res3atn.checkpoint import load_state, save_state
 from res3atn.data import AugmentConfig, save_clip, synth_dataset
 from res3atn.gradcheck import GradCheckReport
 from res3atn.network import NetworkSpec
 from res3atn.training import RunConfig, config_schema, format_ablation_table
 
-SYNTH = (
-    "--synthetic", "--classes", "4", "--train-per-class", "2",
-    "--eval-per-class", "1", "--extent", "32", "--source-frames", "8",
-)
+# eval takes the class count from the checkpoint and makes no train split
+EVAL_SYNTH = ("--synthetic", "--eval-per-class", "1", "--extent", "32", "--source-frames", "8")
+SYNTH = (*EVAL_SYNTH, "--classes", "4", "--train-per-class", "2")
 TINY = (
     "--epochs", "1", "--batch-size", "2", "--channel-scale", "64",
     "--input-size", "16", "--frames", "8", "--sites", "1", "--seed", "0",
@@ -63,7 +62,7 @@ def test_eval_reproduces_the_logged_final_metrics(train_run):
     out, _ = train_run
     final = json.loads((out / "metrics.jsonl").read_text().splitlines()[-1])
     assert final["split"] == "eval"
-    proc = run_cli("eval", "--checkpoint", str(out / "last.r3ck"), *SYNTH)
+    proc = run_cli("eval", "--checkpoint", str(out / "last.r3ck"), *EVAL_SYNTH)
     assert proc.returncode == 0, proc.stderr
     expected = (
         f"loss {final['loss']:.4f} top1 {final['top1']:.2f} top5 {final['top5']:.2f}"
@@ -71,18 +70,34 @@ def test_eval_reproduces_the_logged_final_metrics(train_run):
     assert proc.stdout.strip() == expected
 
 
-def test_eval_topk_outside_its_choices_is_exit_2(train_run):
-    out, _ = train_run
-    proc = run_cli("eval", "--checkpoint", str(out / "last.r3ck"), "--topk", "3", *SYNTH)
-    assert proc.returncode == 2
-    err_lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
-    assert len(err_lines) == 1
-    assert err_lines[0].startswith("r3atn: error: argument --topk: invalid choice: 3")
-    assert proc.stdout == ""
+def test_eval_takes_the_synthetic_class_count_from_the_checkpoint(tmp_path):
+    out = tmp_path / "run"
+    proc = run_cli("train", *EVAL_SYNTH, "--classes", "8", "--train-per-class", "1",
+                   *TINY[2:], "--epochs", "0", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    final = json.loads((out / "metrics.jsonl").read_text().splitlines()[-1])
+    proc = run_cli("eval", "--checkpoint", str(out / "last.r3ck"), *EVAL_SYNTH)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (
+        f"loss {final['loss']:.4f} top1 {final['top1']:.2f} top5 {final['top5']:.2f}"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--checkpoint", "x", "--topk", "5"),
+    ("eval", "--checkpoint", "x", "--classes", "8"),
+    ("eval", "--checkpoint", "x", "--train-per-class", "5"),
+    ("ablate", "--grid", "paper"),
+    ("ablate", "--verbose"),
+], ids=["eval-topk", "eval-classes", "eval-train-per-class", "ablate-grid", "ablate-verbose"])
+def test_removed_flags_are_usage_errors(argv, capsys):
+    assert cli.main(list(argv)) == 2
+    unknown = " ".join(argv[3:] if argv[0] == "eval" else argv[1:])
+    assert capsys.readouterr().err == f"r3atn: error: unrecognized arguments: {unknown}\n"
 
 
 def test_eval_missing_checkpoint_is_exit_3(tmp_path):
-    proc = run_cli("eval", "--checkpoint", str(tmp_path / "none.r3ck"), *SYNTH)
+    proc = run_cli("eval", "--checkpoint", str(tmp_path / "none.r3ck"), *EVAL_SYNTH)
     assert proc.returncode == 3
     assert proc.stderr.startswith("r3atn: error:")
     assert "checkpoint not found" in proc.stderr
@@ -94,7 +109,7 @@ def test_eval_non_finite_value_is_exit_4(train_run, tmp_path):
     state["stem_conv.weight"] = np.full_like(state["stem_conv.weight"], np.nan)
     bad = tmp_path / "nan.r3ck"
     save_state(bad, state)
-    proc = run_cli("eval", "--checkpoint", str(bad), *SYNTH)
+    proc = run_cli("eval", "--checkpoint", str(bad), *EVAL_SYNTH)
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr == "r3atn: error: conv3d produced non-finite values\n"
 
@@ -222,8 +237,7 @@ def test_gradcheck_unknown_mutation_is_exit_2():
 
 def test_ablate_rejects_sites(tmp_path):
     out = tmp_path / "ablation"
-    proc = run_cli("ablate", *SYNTH, *TINY, "--grid", "custom",
-                   "--sites-grid", "none", "--out", str(out))
+    proc = run_cli("ablate", *SYNTH, *TINY, "--sites-grid", "none", "--out", str(out))
     assert proc.returncode == 2
     err_lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
     assert len(err_lines) == 1
@@ -234,8 +248,7 @@ def test_ablate_rejects_sites(tmp_path):
 def test_ablate_custom_grid(tmp_path):
     out = tmp_path / "ablation"
     proc = run_cli(
-        "ablate", *SYNTH, *TINY_ABLATE, "--grid", "custom",
-        "--sites-grid", "none;1", "--out", str(out),
+        "ablate", *SYNTH, *TINY_ABLATE, "--sites-grid", "none;1", "--out", str(out),
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "ablation.txt").exists()
@@ -244,39 +257,29 @@ def test_ablate_custom_grid(tmp_path):
     assert [r["sites"] for r in rows] == [[], [1]]
 
 
-@pytest.mark.parametrize("verbose", [(), ("--verbose",)], ids=["quiet", "verbose"])
-def test_ablate_prints_its_table_once(tmp_path, verbose):
-    proc = run_cli("ablate", *SYNTH, *TINY_ABLATE, "--grid", "custom",
-                   "--sites-grid", "none;1", "--out", str(tmp_path / "ablation"), *verbose)
+def test_ablate_logs_each_variant_and_prints_its_table_once(tmp_path):
+    proc = run_cli("ablate", *SYNTH, *TINY_ABLATE, "--sites-grid", "none;1",
+                   "--out", str(tmp_path / "ablation"))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines.count(format_ablation_table([]).splitlines()[0]) == 1
-    assert sum(ln.startswith("== attention sites") for ln in lines) == (2 if verbose else 0)
+    assert sum(ln.startswith("== attention sites") for ln in lines) == 2
+    assert sum(" train " in ln for ln in lines) == 2  # one epoch per variant
 
 
 def test_ablate_unparsable_grid_subset_is_exit_2(tmp_path):
-    proc = run_cli("ablate", *SYNTH, *TINY_ABLATE, "--grid", "custom",
-                   "--sites-grid", "1;x", "--out", str(tmp_path / "ablation"))
+    proc = run_cli("ablate", *SYNTH, *TINY_ABLATE, "--sites-grid", "1;x",
+                   "--out", str(tmp_path / "ablation"))
     assert proc.returncode == 2
     assert "comma-separated site numbers" in proc.stderr
 
 
 def test_ablate_invalid_last_subset_trains_no_variant(tmp_path):
     out = tmp_path / "ablation"
-    proc = run_cli("ablate", *SYNTH, *TINY_ABLATE, "--grid", "custom",
-                   "--sites-grid", "1;4", "--out", str(out))
+    proc = run_cli("ablate", *SYNTH, *TINY_ABLATE, "--sites-grid", "1;4", "--out", str(out))
     assert proc.returncode == 2
     assert "attention_sites must be a subset" in proc.stderr
     assert list(out.glob("sites_*")) == []
-
-
-def test_ablate_sites_grid_requires_custom_grid(tmp_path):
-    out = tmp_path / "ablation"
-    proc = run_cli("ablate", *SYNTH, *TINY_ABLATE, "--sites-grid", "none;1", "--out", str(out))
-    assert proc.returncode == 2
-    err_lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
-    assert err_lines == ["r3atn: error: --sites-grid requires --grid custom"]
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("lr", ["-1", "nan"])
@@ -289,10 +292,22 @@ def test_train_rejects_a_bad_lr_before_writing(tmp_path, lr):
     assert not out.exists()
 
 
-def test_ablate_custom_grid_requires_subsets():
-    proc = run_cli("ablate", *SYNTH, *TINY_ABLATE, "--grid", "custom")
+def test_train_rejects_a_negative_seed_before_writing(tmp_path):
+    out = tmp_path / "out"
+    proc = run_cli("train", *SYNTH, *TINY[:-2], "--seed", "-1", "--out", str(out))
     assert proc.returncode == 2
-    assert "custom grid requires --sites-grid" in proc.stderr
+    assert proc.stderr == "r3atn: error: seed must be >= 0\n"
+    assert not out.exists()
+
+
+def test_interrupt_is_one_error_line_and_exit_130(tmp_path, monkeypatch, capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(training, "train", interrupted)
+    assert cli.main(["train", *SYNTH, *TINY, "--out", str(tmp_path / "out")]) == 130
+    captured = capsys.readouterr()
+    assert captured.err == "r3atn: error: interrupted\n" and captured.out == ""
 
 
 def test_unknown_config_key_is_exit_2(tmp_path):
@@ -370,6 +385,21 @@ def test_every_config_key_reaches_the_run_config(tmp_path):
             assert value != defaults[key], key
     assert RunConfig.from_dict(config.to_dict()) == config
     assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+def test_unset_synthetic_flags_take_synth_dataset_defaults():
+    parser = cli._build_parser()
+    config = RunConfig(network=NetworkSpec(num_classes=4, input_channels=1),
+                       augment=AugmentConfig(), seed=7)
+    run = {"channels": 1, "seed": 7}
+    args = parser.parse_args(["eval", "--checkpoint", "x", "--synthetic"])
+    assert cli._synth_options(args, config) == run
+    args = parser.parse_args(["train", "--synthetic", "--extent", "32", "--noise", "0.5",
+                              "--source-frames", "8"])
+    assert cli._synth_options(args, config) == {
+        "frames": 8, "extent": 32, "noise_level": 0.5, **run}
+    keywords = inspect.signature(synth_dataset).parameters
+    assert set(cli._synth_options(args, config)) <= set(keywords)
 
 
 def test_unset_keys_take_the_dataclass_defaults():

@@ -758,6 +758,26 @@ def test_blocked_batchnorm_bitwise_equals_one_block(n, training, dtype, param_dt
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_gamma_wider_than_x_matches_a_float64_reference(training, monkeypatch):
+    # out takes gamma's dtype, and each block's xhat is formed in out
+    rng = np.random.default_rng(5)
+    shape = (2, 3, 4, 5, 6)
+    x = rng.normal(1.5, 2.0, size=shape).astype(np.float32)
+    gamma, beta = rng.normal(size=3) + 1.0, rng.normal(size=3)
+    rm, rv = np.linspace(-1.0, 1.0, 3), np.linspace(0.5, 2.0, 3)
+    want_rm, want_rv = rm.copy(), rv.copy()
+    want, _ = _batchnorm_textbook(x.astype(np.float64), gamma, beta, want_rm, want_rv,
+                                  np.zeros(shape), training)
+    assert _blocks_of(monkeypatch, x, 2) == 4
+    out = ops.batchnorm3d(Tensor(x), Tensor(gamma, dtype=np.float64),
+                          Tensor(beta, dtype=np.float64), rm, rv, training=training)
+    assert out.dtype == np.float64
+    np.testing.assert_allclose(out.data, want, rtol=1e-6, atol=2e-6)
+    np.testing.assert_allclose(rm, want_rm, rtol=1e-6, atol=1e-7)
+    np.testing.assert_allclose(rv, want_rv, rtol=1e-6)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n", [1, 2, 6])
 @pytest.mark.parametrize("kernel, stride, padding", [(3, 2, 1), ((1, 3, 3), (1, 2, 2), (0, 1, 1))])

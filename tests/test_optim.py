@@ -7,6 +7,10 @@ from res3atn.optim import NesterovSGD
 from res3atn.tensor import Parameter
 
 
+# valid settings for the tests that do not depend on them; NesterovSGD has no defaults
+HYPER = dict(lr=0.1, momentum=0.9, weight_decay=0.001, decay_bn=True)
+
+
 def _param(value, name="p", role="other"):
     p = Parameter(np.array(value, dtype=np.float32), name=name, role=role)
     return p
@@ -19,7 +23,7 @@ def _set_grad(p, value):
 def test_first_step_applies_lookahead():
     # v = g, update = lr * (g + mu * v) = lr * (1 + mu) * g
     p = _param([1.0])
-    opt = NesterovSGD([p], lr=0.1, momentum=0.9, weight_decay=0.0)
+    opt = NesterovSGD([p], lr=0.1, momentum=0.9, weight_decay=0.0, decay_bn=True)
     _set_grad(p, [1.0])
     opt.step()
     np.testing.assert_allclose(p.data, [1.0 - 0.19], rtol=1e-6)
@@ -27,7 +31,7 @@ def test_first_step_applies_lookahead():
 
 def test_second_step_compounds_velocity():
     p = _param([1.0])
-    opt = NesterovSGD([p], lr=0.1, momentum=0.9, weight_decay=0.0)
+    opt = NesterovSGD([p], lr=0.1, momentum=0.9, weight_decay=0.0, decay_bn=True)
     for _ in range(2):
         _set_grad(p, [1.0])
         opt.step()
@@ -37,7 +41,7 @@ def test_second_step_compounds_velocity():
 
 def test_zero_momentum_reduces_to_sgd():
     p = _param([2.0])
-    opt = NesterovSGD([p], lr=0.5, momentum=0.0, weight_decay=0.0)
+    opt = NesterovSGD([p], lr=0.5, momentum=0.0, weight_decay=0.0, decay_bn=True)
     _set_grad(p, [3.0])
     opt.step()
     np.testing.assert_allclose(p.data, [2.0 - 1.5], rtol=1e-6)
@@ -45,7 +49,7 @@ def test_zero_momentum_reduces_to_sgd():
 
 def test_weight_decay_alone_shrinks_parameters():
     p = _param([4.0])
-    opt = NesterovSGD([p], lr=0.01, momentum=0.0, weight_decay=0.001)
+    opt = NesterovSGD([p], lr=0.01, momentum=0.0, weight_decay=0.001, decay_bn=True)
     _set_grad(p, [0.0])
     opt.step()
     np.testing.assert_allclose(p.data, [4.0 * (1.0 - 1e-5)], rtol=1e-6)
@@ -67,7 +71,7 @@ def test_decay_bn_flag_spares_gamma_and_beta():
 
 def test_quadratic_converges_to_minimum():
     p = _param([0.0])
-    opt = NesterovSGD([p], lr=0.01, momentum=0.9, weight_decay=0.0)
+    opt = NesterovSGD([p], lr=0.01, momentum=0.9, weight_decay=0.0, decay_bn=True)
     for _ in range(2000):
         _set_grad(p, p.data - 3.0)
         opt.step()
@@ -76,7 +80,7 @@ def test_quadratic_converges_to_minimum():
 
 def test_step_clears_gradients():
     p = _param([1.0])
-    opt = NesterovSGD([p], lr=0.1)
+    opt = NesterovSGD([p], **HYPER)
     _set_grad(p, [1.0])
     opt.step()
     assert p.grad is None
@@ -84,7 +88,7 @@ def test_step_clears_gradients():
 
 def test_step_without_gradient_is_an_error():
     p = _param([1.0])
-    opt = NesterovSGD([p], lr=0.1)
+    opt = NesterovSGD([p], **HYPER)
     with pytest.raises(RuntimeError, match="has no gradient"):
         opt.step()
 
@@ -92,7 +96,7 @@ def test_step_without_gradient_is_an_error():
 def test_velocities_match_parameter_shapes():
     a = _param(np.zeros((2, 3)), name="a")
     b = _param(np.zeros((4,)), name="b")
-    opt = NesterovSGD([a, b])
+    opt = NesterovSGD([a, b], **HYPER)
     assert opt.velocities["a"].shape == (2, 3)
     assert opt.velocities["b"].shape == (4,)
     assert all(not v.any() for v in opt.velocities.values())
@@ -103,7 +107,7 @@ def test_parameter_order_does_not_change_updates():
         a = _param([1.0], name="a")
         b = _param([2.0], name="b")
         params = [a, b] if order == "ab" else [b, a]
-        opt = NesterovSGD(params, lr=0.1, momentum=0.9, weight_decay=0.001)
+        opt = NesterovSGD(params, lr=0.1, momentum=0.9, weight_decay=0.001, decay_bn=True)
         for _ in range(3):
             _set_grad(a, [0.3])
             _set_grad(b, [-0.7])
@@ -118,12 +122,12 @@ def test_parameter_order_does_not_change_updates():
 
 def test_load_velocities_round_trip():
     p = _param([1.0], name="p")
-    opt = NesterovSGD([p], lr=0.1, momentum=0.9)
+    opt = NesterovSGD([p], **HYPER)
     _set_grad(p, [1.0])
     opt.step()
     saved = {k: v.copy() for k, v in opt.velocities.items()}
 
-    fresh = NesterovSGD([_param([1.0], name="p")], lr=0.1, momentum=0.9)
+    fresh = NesterovSGD([_param([1.0], name="p")], **HYPER)
     fresh.load_velocities(saved)
     np.testing.assert_array_equal(fresh.velocities["p"], saved["p"])
     with pytest.raises(KeyError, match="unknown parameter"):
@@ -148,15 +152,15 @@ def test_load_velocities_round_trip():
 )
 def test_hyperparameter_validation(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        NesterovSGD([_param([1.0])], **kwargs)
+        NesterovSGD([_param([1.0])], **{**HYPER, **kwargs})
 
 
 def test_parameter_list_validation():
     with pytest.raises(ValueError, match="at least one parameter"):
-        NesterovSGD([])
+        NesterovSGD([], **HYPER)
     p = _param([1.0], name="p")
     with pytest.raises(ValueError, match="duplicate parameter"):
-        NesterovSGD([p, p])
+        NesterovSGD([p, p], **HYPER)
     q = _param([2.0], name="p")
     with pytest.raises(ValueError, match="unique names"):
-        NesterovSGD([p, q])
+        NesterovSGD([p, q], **HYPER)

@@ -85,6 +85,12 @@ def test_run_config_rejects_optimizer_settings_the_optimizer_rejects(key, value)
         _tiny_config(**{key: value})
 
 
+def test_run_config_rejects_a_negative_seed():
+    assert _tiny_config(seed=0).seed == 0
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        _tiny_config(seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -109,14 +115,14 @@ def test_evaluate_is_idempotent():
 
 def test_evaluate_topk_saturates_when_classes_fit():
     net = _primed_net()
-    rec = evaluate(net, _tiny_splits()[1], TINY_AUG)
+    rec = evaluate(net, _tiny_splits()[1], TINY_AUG, batch_size=6)
     assert rec.top5 == 100.0
     assert 0.0 <= rec.top1 <= 100.0
 
 
 def test_evaluate_rejects_empty_split():
     with pytest.raises(ValueError, match="eval split is empty"):
-        evaluate(_primed_net(), [], TINY_AUG)
+        evaluate(_primed_net(), [], TINY_AUG, batch_size=6)
 
 
 # ---------------------------------------------------------------------------
