@@ -189,8 +189,15 @@ def save_checkpoint(path, net, *, optimizer=None, epoch: int = 0, run_config=Non
 
 
 def checkpoint_meta(state: dict[str, np.ndarray]) -> tuple[int, dict | None]:
-    """The stored epoch and run config; a config that is not UTF-8 JSON is a format error."""
-    epoch = int(state[_META_EPOCH][0]) if _META_EPOCH in state else 0
+    """The stored epoch and run config.
+
+    An epoch that is not one whole number >= 0, or a config that is not a
+    UTF-8 JSON object, is a format error.
+    """
+    stored = state.get(_META_EPOCH, np.zeros(1)).reshape(-1)
+    epoch = float(stored[0]) if stored.size == 1 else math.nan
+    if not (epoch >= 0 and epoch.is_integer()):  # NaN and infinity fail both
+        raise CheckpointFormatError(f"{_META_EPOCH} must be one whole number >= 0, got {stored}")
     config = None
     if _META_CONFIG in state and state[_META_CONFIG].size:
         raw = bytes(np.rint(state[_META_CONFIG]).astype(np.uint8))
@@ -198,7 +205,9 @@ def checkpoint_meta(state: dict[str, np.ndarray]) -> tuple[int, dict | None]:
             config = json.loads(raw.decode("utf-8"))
         except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both are
             raise CheckpointFormatError(f"{_META_CONFIG} is not UTF-8 JSON: {exc}") from None
-    return epoch, config
+        if not isinstance(config, dict):
+            raise CheckpointFormatError(f"{_META_CONFIG} is not a JSON object")
+    return int(epoch), config
 
 
 def _network_entries(state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -3,9 +3,11 @@
 When this module loads, before its first numpy-backed import, it applies
 the R3ATN_THREADS cap to the BLAS thread-count environment variables; main
 reports an invalid value. Every failure prints a single `r3atn: error: ...`
-line on stderr; exit code 2 marks configuration/usage problems, 3 marks
-checkpoint problems, 4 a non-finite value produced by an operator outside
-training, 130 an interrupt (Ctrl-C), 1 anything else.
+line on stderr, and its exit code follows the error's type (_EXIT_CODES):
+3 a CheckpointFormatError, 2 any other ValueError (a configuration, usage
+or data problem), 4 a FloatingPointError (a non-finite value produced by an
+operator outside training), 1 a RuntimeError or OSError, 130 an interrupt
+(Ctrl-C). The CLI's own checks raise ValueError or CheckpointFormatError.
 """
 
 from __future__ import annotations
@@ -48,15 +50,9 @@ _THREAD_ERROR = _apply_thread_env()
 from . import checkpoint, checksuite, data, network, training  # noqa: E402  (numpy loads here)
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = 1):
-        super().__init__(message)
-        self.code = code
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # single-line errors instead of usage dumps
-        raise CliError(message, 2)
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -105,20 +101,20 @@ def _load_config_file(path) -> dict:
     try:
         loaded = cp.read([path])
     except configparser.Error as exc:
-        raise CliError(f"cannot parse config {path}: {exc}", 2)
+        raise ValueError(f"cannot parse config {path}: {exc}")
     if not loaded:
-        raise CliError(f"config file not found: {path}", 2)
+        raise ValueError(f"config file not found: {path}")
     out: dict = {}
     for section in cp.sections():
         if section not in schema:
-            raise CliError(f"unknown config section [{section}]", 2)
+            raise ValueError(f"unknown config section [{section}]")
         for key, raw in cp.items(section):
             if key not in schema[section]:
-                raise CliError(f"unknown config key {section}.{key}", 2)
+                raise ValueError(f"unknown config key {section}.{key}")
             try:
                 out.setdefault(section, {})[key] = _PARSERS[schema[section][key]](raw)
             except ValueError as exc:
-                raise CliError(f"bad value for {section}.{key}: {exc}", 2)
+                raise ValueError(f"bad value for {section}.{key}: {exc}")
     return out
 
 
@@ -128,19 +124,13 @@ def _assemble_config(args, num_classes_hint: int | None):
     for flag, (section, key, parse, _help) in _CONFIG_FLAGS.items():
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            try:
-                cfg.setdefault(section, {})[key] = parse(value)
-            except ValueError as exc:
-                raise CliError(str(exc), 2)
+            cfg.setdefault(section, {})[key] = parse(value)
     spec = cfg.setdefault("network", {})
     if "num_classes" not in spec:
         if num_classes_hint is None:
-            raise CliError("num_classes is not set and cannot be inferred", 2)
+            raise ValueError("num_classes is not set and cannot be inferred")
         spec["num_classes"] = num_classes_hint
-    try:
-        return training.RunConfig.from_dict(cfg)
-    except (TypeError, ValueError) as exc:
-        raise CliError(str(exc), 2)
+    return training.RunConfig.from_dict(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +161,7 @@ def _load_splits(args, config):
         return data.synthetic_splits(args.classes, args.train_per_class, args.eval_per_class,
                                      **_synth_options(args, config))
     if not args.data:
-        raise CliError("provide --data DIR or --synthetic", 2)
+        raise ValueError("provide --data DIR or --synthetic")
     root = Path(args.data)
     return data.load_clip_dir(root / "train"), data.load_clip_dir(root / "eval")
 
@@ -191,27 +181,20 @@ def _cmd_train(args) -> int:
 
 
 def _load_checkpointed_network(path):
+    """The network, run config and epoch a checkpoint holds; each fault in it is exit 3."""
     try:
-        state = checkpoint.load_state(path)
+        state = checkpoint.load_state(path)  # its format errors name the path
     except FileNotFoundError:
-        raise CliError(f"checkpoint not found: {path}", 3)
-    except checkpoint.CheckpointFormatError as exc:
-        raise CliError(str(exc), 3)
+        raise checkpoint.CheckpointFormatError(f"checkpoint not found: {path}")
     try:
         epoch, config_dict = checkpoint.checkpoint_meta(state)
-    except checkpoint.CheckpointFormatError as exc:
-        raise CliError(f"{path}: {exc}", 3)
-    if config_dict is None:
-        raise CliError(f"{path}: checkpoint has no embedded run config", 3)
-    try:
+        if config_dict is None:
+            raise ValueError("checkpoint has no embedded run config")
         config = training.RunConfig.from_dict(config_dict)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{path}: embedded config invalid: {exc}", 3)
-    net = network.build_res3atn(config.network, seed=config.seed)
-    try:
+        net = network.build_res3atn(config.network, seed=config.seed)
         checkpoint.restore_network(net, state)
-    except ValueError as exc:
-        raise CliError(str(exc), 3)
+    except (TypeError, ValueError) as exc:
+        raise checkpoint.CheckpointFormatError(f"{path}: {exc}")
     return net, config, epoch
 
 
@@ -223,12 +206,11 @@ def _cmd_eval(args) -> int:
     elif args.data:
         clips = data.load_clip_dir(Path(args.data))
     else:
-        raise CliError("provide --data DIR or --synthetic", 2)
+        raise ValueError("provide --data DIR or --synthetic")
     bad = sorted({c.label for c in clips} - set(range(config.network.num_classes)))
     if bad:
-        raise CliError(
-            f"data labels {bad} exceed the checkpoint's "
-            f"{config.network.num_classes} classes", 3)
+        raise checkpoint.CheckpointFormatError(
+            f"data labels {bad} exceed the checkpoint's {config.network.num_classes} classes")
     rec = training.evaluate(net, clips, config.augment, config.batch_size, epoch=epoch)
     print(f"loss {rec.loss:.4f} top1 {rec.top1:.2f} top5 {rec.top5:.2f}")
     return 0
@@ -244,26 +226,20 @@ def _cmd_gradcheck(args) -> int:
     geometry = {dest: value for dest, value in vars(args).items() if dest in _NETWORK_FLAGS}
     if geometry and not args.network:
         flags = ", ".join(_NETWORK_FLAGS[dest] for dest in geometry)
-        raise CliError(f"{flags} set the network check, which --no-network skips", 2)
+        raise ValueError(f"{flags} set the network check, which --no-network skips")
     if geometry.get("max_coords", 1) < 1:  # checked here, before the suite runs
-        raise CliError(f"max_coords must be >= 1, got {geometry['max_coords']}", 2)
+        raise ValueError(f"max_coords must be >= 1, got {geometry['max_coords']}")
     guard = checksuite.mutate_backward(args.mutate) if args.mutate else nullcontext()
     failed = False
     with guard:
-        try:
-            results = checksuite.operator_suite(seed=args.seed, only=only)
-        except ValueError as exc:
-            raise CliError(str(exc), 2)
+        results = checksuite.operator_suite(seed=args.seed, only=only)
         for name, reports in results.items():
             worst = max(r.max_rel_error for r in reports)
             ok = all(r.passed for r in reports)
             failed = failed or not ok
             print(f"{name:<24s} max_rel {worst:.3e}  {'pass' if ok else 'FAIL'}")
         if args.network:
-            try:
-                rep = checksuite.network_check(seed=args.seed, **geometry)
-            except ValueError as exc:
-                raise CliError(str(exc), 2)
+            rep = checksuite.network_check(seed=args.seed, **geometry)
             failed = failed or not rep.passed
             print(f"{'network':<24s} max_rel {rep.max_rel_error:.3e}  "
                   f"{'pass' if rep.passed else 'FAIL'}")
@@ -274,22 +250,16 @@ def _parse_grid(args) -> list[tuple]:
     """The --sites-grid subsets, or the paper's grid when it is unset."""
     if args.sites_grid is None:
         return [tuple(s) for s in training.PAPER_GRID]
-    try:
-        return [_parse_sites(chunk) for chunk in args.sites_grid.split(";")]
-    except ValueError as exc:
-        raise CliError(str(exc), 2)
+    return [_parse_sites(chunk) for chunk in args.sites_grid.split(";")]
 
 
 def _cmd_ablate(args) -> int:
     if args.sites is not None:
-        raise CliError("ablate: --sites is not accepted; each grid variant sets the "
-                       "attention sites (see --sites-grid)", 2)
+        raise ValueError("ablate: --sites is not accepted; each grid variant sets the "
+                         "attention sites (see --sites-grid)")
     grid = _parse_grid(args)
     config = _assemble_config(args, _num_classes_hint(args))
-    try:  # a bad subset is a usage error, found before training
-        training.ablation_variants(config, grid)
-    except ValueError as exc:
-        raise CliError(str(exc), 2)
+    training.ablation_variants(config, grid)  # a bad subset fails before any clip is made
     train_clips, eval_clips = _load_splits(args, config)
     rows = training.ablation_run(config, grid, train_clips, eval_clips, Path(args.out),
                                  log=print)
@@ -380,24 +350,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code by error type; the first match wins, so CheckpointFormatError, a
+# ValueError, comes before ValueError. Any other type is a bug and keeps its
+# traceback.
+_EXIT_CODES = {
+    checkpoint.CheckpointFormatError: 3,
+    ValueError: 2,
+    FloatingPointError: 4,  # ops.NonFiniteError
+    RuntimeError: 1,
+    OSError: 1,
+}
+
+
 def main(argv=None) -> int:
     try:
         if _THREAD_ERROR:
-            raise CliError(_THREAD_ERROR, 2)
+            raise ValueError(_THREAD_ERROR)
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"r3atn: error: {exc}", file=sys.stderr)
-        return exc.code
     except KeyboardInterrupt:  # the commands remove their own partial files
         print("r3atn: error: interrupted", file=sys.stderr)
         return 130
-    except FloatingPointError as exc:  # ops.NonFiniteError
+    except tuple(_EXIT_CODES) as exc:
         print(f"r3atn: error: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"r3atn: error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

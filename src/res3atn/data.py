@@ -111,22 +111,39 @@ def _resize_bilinear(frames: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return np.clip(np.rint(x), 0, 255).astype(np.uint8)
 
 
+def _scaled(extent: int, factor: float) -> int:
+    """An extent rescaled by factor, rounded to nearest (half away from zero)."""
+    return int(math.floor(extent * factor + 0.5))
+
+
+def check_crop_fits(clip: LabeledClip, crop: int, augmented: bool) -> None:
+    """Raise ValueError unless every crop the clip's chain takes fits in it.
+
+    An augmented (train) clip must hold the crop at the smallest SCALE_SET
+    factor, so that any factor random_scale draws keeps it; an eval clip must
+    hold it at scale 1.
+    """
+    factor = min(SCALE_SET) if augmented else 1.0
+    _, h, w, _ = clip.frames.shape
+    if _scaled(h, factor) < crop or _scaled(w, factor) < crop:
+        need = math.ceil(crop / factor)
+        raise ValueError(
+            f"clip {clip.clip_id!r}: extent {h}x{w} at scale {factor:g} is smaller than "
+            f"the {crop} crop; sources must be at least {need}x{need}"
+        )
+
+
 def random_scale(clip: LabeledClip, rng: np.random.Generator, crop: int) -> LabeledClip:
     """Rescale both spatial axes by one factor drawn uniformly from SCALE_SET.
 
-    New extents round to nearest (half away from zero); scaling below the
-    crop size is a configuration error. Factor 1 returns the clip itself.
+    New extents round to nearest (half away from zero); a clip that the
+    smallest factor would take below the crop is a configuration error
+    (check_crop_fits). Factor 1 returns the clip itself.
     """
+    check_crop_fits(clip, crop, augmented=True)
     factor = SCALE_SET[int(rng.integers(0, len(SCALE_SET)))]
     _, h, w, _ = clip.frames.shape
-    nh = int(math.floor(h * factor + 0.5))
-    nw = int(math.floor(w * factor + 0.5))
-    if nh < crop or nw < crop:
-        min_src = int(math.ceil(crop / min(SCALE_SET)))
-        raise ValueError(
-            f"scaled extent {nh}x{nw} is below the {crop} crop; "
-            f"sources must be at least {min_src}x{min_src}"
-        )
+    nh, nw = _scaled(h, factor), _scaled(w, factor)
     if (nh, nw) == (h, w):
         return clip
     return LabeledClip(_resize_bilinear(clip.frames, nh, nw), clip.label, clip.clip_id)
@@ -139,18 +156,16 @@ def _crop(clip: LabeledClip, oy: int, ox: int, crop: int) -> LabeledClip:
 
 def random_crop(clip: LabeledClip, crop: int, rng: np.random.Generator) -> LabeledClip:
     """Crop a random crop x crop window, one offset reused for every frame."""
+    check_crop_fits(clip, crop, augmented=False)
     _, h, w, _ = clip.frames.shape
-    if h < crop or w < crop:
-        raise ValueError(f"clip extent {h}x{w} is smaller than the {crop} crop")
     oy = int(rng.integers(0, h - crop + 1))
     ox = int(rng.integers(0, w - crop + 1))
     return _crop(clip, oy, ox, crop)
 
 
 def center_crop(clip: LabeledClip, crop: int) -> LabeledClip:
+    check_crop_fits(clip, crop, augmented=False)
     _, h, w, _ = clip.frames.shape
-    if h < crop or w < crop:
-        raise ValueError(f"clip extent {h}x{w} is smaller than the {crop} crop")
     return _crop(clip, (h - crop) // 2, (w - crop) // 2, crop)
 
 

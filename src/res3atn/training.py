@@ -26,8 +26,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .data import AugmentConfig, LabeledClip, augment_clip, eval_preprocess
-from .modules import BatchNorm3d
+from .data import AugmentConfig, LabeledClip, augment_clip, check_crop_fits, eval_preprocess
 from .network import NetworkSpec, Res3ATN, build_res3atn
 from .ops import softmax_cross_entropy
 from .optim import NesterovSGD, check_hyperparameters
@@ -179,6 +178,8 @@ def _check_inputs(config: RunConfig, train_clips, eval_clips) -> None:
             raise ValueError(
                 f"train split covers {len(labels)} classes, network expects {num_classes}"
             )
+        for clip in clips:
+            check_crop_fits(clip, config.augment.crop, augmented=split == "train")
     if config.epochs and len(train_clips) < config.batch_size:
         raise ValueError(
             f"train split ({len(train_clips)} clips) smaller than one batch "
@@ -458,29 +459,24 @@ def _write_pgm(path, image: np.ndarray) -> None:
 def export_attention_masks(net: Res3ATN, clip: LabeledClip, out_dir) -> list[Path]:
     """Write each site's channel-averaged soft mask as one PGM per frame.
 
-    Uses eval mode when running statistics exist. Otherwise a freshly
-    initialized network can still be inspected: the forward runs in train
-    mode, and every buffer it moves is written back afterwards, so the
-    network's running statistics and step counts are left as they were.
-    Either way each module's train/eval mode is restored afterwards.
+    The forward runs in eval mode, so a network whose batchnorms have no
+    running statistics yet is refused (BatchNorm3d's RuntimeError) and its
+    buffers never move. Each module's train/eval mode is restored afterwards.
+    out_dir is created only once the masks exist.
     """
     if not net.spec.attention_sites:
         raise ValueError("network has no attention sites enabled")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = AugmentConfig(crop=net.spec.input_size, frames_out=net.spec.input_frames)
     x = Tensor(eval_preprocess(clip, cfg))
-    ready = all(m.stats_ready for m in net.modules() if isinstance(m, BatchNorm3d))
     modes = [(m, m.training) for m in net.modules()]
-    saved = [] if ready else [(buf, buf.copy()) for _, buf in net.named_buffers()]
-    net.train(not ready)
+    net.eval()
     try:
         captured = net.attention_masks(x)
     finally:
-        for buf, kept in saved:
-            np.copyto(buf, kept)
         for m, mode in modes:
             m.training = mode
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for site in sorted(captured):
         mask = captured[site].data[0]  # (C, F, H, W)

@@ -196,6 +196,21 @@ def test_undecodable_run_config_is_a_format_error(config):
         checkpoint_meta(state)
 
 
+@pytest.mark.parametrize("epoch", [[np.nan], [np.inf], [-1.0], [2.5], [], [1.0, 2.0]],
+                         ids=["nan", "inf", "negative", "fraction", "empty", "two-values"])
+def test_epoch_other_than_one_whole_number_is_a_format_error(epoch):
+    state = {"meta.epoch": np.array(epoch, dtype=np.float32)}
+    with pytest.raises(CheckpointFormatError, match="meta.epoch must be one whole number >= 0"):
+        checkpoint_meta(state)
+
+
+@pytest.mark.parametrize("config", [b"[]", b"3", b'"run"', b"null"])
+def test_run_config_other_than_a_json_object_is_a_format_error(config):
+    state = {"meta.run_config_json": np.frombuffer(config, dtype=np.uint8).astype(np.float32)}
+    with pytest.raises(CheckpointFormatError, match="meta.run_config_json is not a JSON object"):
+        checkpoint_meta(state)
+
+
 def _traced(fn):
     """fn()'s result, with traced bytes it left allocated and its peak above the start."""
     tracemalloc.start()

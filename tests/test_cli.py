@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from res3atn import checksuite, cli, training
-from res3atn.checkpoint import load_state, save_state
-from res3atn.data import AugmentConfig, save_clip, synth_dataset
+from res3atn.checkpoint import CheckpointFormatError, load_state, save_state
+from res3atn.data import AugmentConfig, LabeledClip, save_clip, save_dataset, synth_dataset
 from res3atn.gradcheck import GradCheckReport
 from res3atn.network import NetworkSpec
+from res3atn.ops import NonFiniteError
 from res3atn.training import RunConfig, config_schema, format_ablation_table
 
 # eval takes the class count from the checkpoint and makes no train split
@@ -118,14 +119,21 @@ def _crc_valid(body: bytes) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
-@pytest.mark.parametrize("fault", ["entry name", "config not UTF-8", "config not JSON"])
+@pytest.mark.parametrize("fault", ["entry name", "config not UTF-8", "config not JSON",
+                                   "config a JSON list", "config unknown key", "epoch NaN",
+                                   "epoch infinite"])
 def test_masks_undecodable_checkpoint_is_exit_3(fault, tmp_path):
     bad = tmp_path / "bad.r3ck"
     if fault == "entry name":
         save_state(bad, {"entry": np.ones(2, dtype=np.float32)})
         bad.write_bytes(_crc_valid(bad.read_bytes()[:-4].replace(b"entry", b"\xffntry")))
+    elif fault.startswith("epoch"):
+        epoch = np.nan if fault == "epoch NaN" else np.inf
+        save_state(bad, {"meta.epoch": np.array([epoch], dtype=np.float32)})
     else:
-        config = b"\xff\xfe" if fault == "config not UTF-8" else b'{"run": '
+        config = {"config not UTF-8": b"\xff\xfe", "config not JSON": b'{"run": ',
+                  "config a JSON list": b"[]",
+                  "config unknown key": b'{"network": {"wingspan": 3}}'}[fault]
         save_state(bad, {"meta.run_config_json": np.frombuffer(config, np.uint8).astype(np.float32)})
     proc = run_cli("masks", "--checkpoint", str(bad), "--clip", str(tmp_path / "none.r3clip"),
                    "--out", str(tmp_path / "masks"))
@@ -490,3 +498,126 @@ def test_errors_use_the_single_line_prefix():
     err_lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
     assert len(err_lines) == 1
     assert err_lines[0].startswith("r3atn: error: ")
+
+
+@pytest.mark.parametrize("error, code", [
+    (CheckpointFormatError("bad checkpoint"), 3),  # a ValueError, so it must match first
+    (ValueError("bad value"), 2),
+    (NonFiniteError("conv3d produced non-finite values"), 4),
+    (RuntimeError("training aborted"), 1),
+    (FileNotFoundError("no such file"), 1),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_exit_code_follows_the_error_type(error, code, tmp_path, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(training, "train", failing)
+    assert cli.main(["train", *SYNTH, *TINY, "--out", str(tmp_path / "out")]) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"r3atn: error: {error}\n" and captured.out == ""
+
+
+def test_an_unmapped_error_type_keeps_its_traceback(tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(training, "train", failing)
+    with pytest.raises(TypeError, match="a bug"):
+        cli.main(["train", *SYNTH, *TINY, "--out", str(tmp_path / "out")])
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("r3atn: error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--extent", "8"), "extent must be >= 16, got 8"),
+    (("--batch-size", "9"), "train split (8 clips) smaller than one batch of 9"),
+], ids=["extent-8", "batch-above-split"])
+def test_bad_synthetic_data_is_exit_2_before_writing(flags, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["train", *SYNTH, *TINY, *flags, "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == f"r3atn: error: {message}\n"
+    assert not out.exists()
+
+
+def test_default_geometry_synthetic_train_is_exit_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["train", "--synthetic", "--out", str(out)]) == 2
+    assert "at scale 0.5 is smaller than the 112 crop" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def _rewritten(checkpoint_path, tmp_path, config):
+    """A copy of a checkpoint whose embedded run config is `config` (None: no config)."""
+    state = load_state(checkpoint_path)
+    raw = b"" if config is None else json.dumps(config).encode()
+    state["meta.run_config_json"] = np.frombuffer(raw, np.uint8).astype(np.float32)
+    path = tmp_path / "rewritten.r3ck"
+    save_state(path, state)
+    return path
+
+
+def test_checkpoint_of_another_architecture_is_exit_3(train_run, tmp_path, capsys):
+    out, _ = train_run
+    config = json.loads(bytes(load_state(out / "last.r3ck")["meta.run_config_json"]
+                              .astype(np.uint8)))
+    config["network"]["attention_sites"] = [1, 2]
+    bad = _rewritten(out / "last.r3ck", tmp_path, config)
+    assert cli.main(["eval", "--checkpoint", str(bad), *EVAL_SYNTH]) == 3
+    assert _one_error_line(capsys).startswith(
+        f"r3atn: error: {bad}: checkpoint does not match network: missing [")
+
+
+def test_checkpoint_without_a_run_config_is_exit_3(train_run, tmp_path, capsys):
+    out, _ = train_run
+    bad = _rewritten(out / "last.r3ck", tmp_path, None)
+    assert cli.main(["eval", "--checkpoint", str(bad), *EVAL_SYNTH]) == 3
+    assert _one_error_line(capsys) == (
+        f"r3atn: error: {bad}: checkpoint has no embedded run config\n")
+
+
+def test_eval_data_with_labels_beyond_the_checkpoint_classes_is_exit_3(
+        train_run, tmp_path, capsys):
+    out, _ = train_run
+    clips = synth_dataset(8, 1, frames=8, extent=32, channels=3)[:5]
+    save_dataset(tmp_path / "data", clips, [f"class{i}" for i in range(8)])
+    argv = ["eval", "--checkpoint", str(out / "last.r3ck"), "--data", str(tmp_path / "data")]
+    assert cli.main(argv) == 3
+    assert _one_error_line(capsys) == (
+        "r3atn: error: data labels [4] exceed the checkpoint's 4 classes\n")
+
+
+def test_eval_data_without_class_directories_is_exit_2(train_run, tmp_path, capsys):
+    out, _ = train_run
+    argv = ["eval", "--checkpoint", str(out / "last.r3ck"), "--data", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert _one_error_line(capsys) == f"r3atn: error: {tmp_path}: no class directories found\n"
+
+
+def test_masks_with_a_clip_below_the_crop_is_exit_2(train_run, tmp_path, capsys):
+    out, _ = train_run
+    clip = synth_dataset(4, 1, frames=8, extent=16, channels=3)[0]
+    clip_path = tmp_path / "small.r3clip"
+    save_clip(clip_path, LabeledClip(clip.frames[:, :12, :12], clip.label))
+    argv = ["masks", "--checkpoint", str(out / "last.r3ck"), "--clip", str(clip_path),
+            "--out", str(tmp_path / "masks")]
+    assert cli.main(argv) == 2
+    assert _one_error_line(capsys).startswith(
+        "r3atn: error: clip 'small': extent 12x12 at scale 1 is smaller than the 16 crop")
+    assert not (tmp_path / "masks").exists()
+
+
+def test_masks_without_attention_sites_is_exit_2(tmp_path, capsys):
+    run = tmp_path / "run"
+    argv = ["train", *SYNTH, *TINY[:-4], "--sites", "none", "--epochs", "0", "--out", str(run)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    clip_path = tmp_path / "probe.r3clip"
+    save_clip(clip_path, synth_dataset(4, 1, frames=8, extent=32, channels=3)[0])
+    argv = ["masks", "--checkpoint", str(run / "last.r3ck"), "--clip", str(clip_path),
+            "--out", str(tmp_path / "masks")]
+    assert cli.main(argv) == 2
+    assert _one_error_line(capsys) == "r3atn: error: network has no attention sites enabled\n"

@@ -9,6 +9,7 @@ from res3atn.data import (
     LabeledClip,
     augment_clip,
     center_crop,
+    check_crop_fits,
     class_direction,
     elastic_displacement,
     eval_preprocess,
@@ -124,6 +125,20 @@ def test_random_scale_rejects_sources_below_the_crop():
     with pytest.raises(ValueError, match="sources must be at least 48x48"):
         for _ in range(60):  # keep drawing until the 0.5 factor comes up
             random_scale(clip, rng, 24)
+
+
+def test_random_scale_rejects_a_clip_below_the_crop_whatever_it_draws():
+    clip = _clip(h=46, w=48)  # 46 at scale 0.5 rounds to 23
+    for seed in range(8):  # factor 1, which would keep 46x48, is among these draws
+        with pytest.raises(ValueError, match="extent 46x48 at scale 0.5"):
+            random_scale(clip, np.random.default_rng(seed), 24)
+
+
+@pytest.mark.parametrize("augmented, fits, too_small", [(True, 47, 46), (False, 24, 23)])
+def test_check_crop_fits_rounds_as_random_scale_does(augmented, fits, too_small):
+    check_crop_fits(_clip(h=fits, w=fits), 24, augmented)
+    with pytest.raises(ValueError, match="smaller than the 24 crop"):
+        check_crop_fits(_clip(h=fits, w=too_small), 24, augmented)
 
 
 def test_random_crop_window_and_bounds():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import res3atn.training as training
-from res3atn.data import AugmentConfig, synth_dataset, synthetic_splits
+from res3atn.data import AugmentConfig, LabeledClip, synth_dataset, synthetic_splits
 from res3atn.modules import BatchNorm3d
 from res3atn.network import NetworkSpec, Res3ATN, build_res3atn
 from res3atn.tensor import Tensor
@@ -189,6 +189,22 @@ def test_label_and_batch_validation(tmp_path):
         train(_tiny_config(batch_size=50), train_clips, eval_clips, tmp_path)
 
 
+@pytest.mark.parametrize("split, extent, message", [
+    ("train", 30, "'up_0000': extent 30x30 at scale 0.5 is smaller than the 16 crop"),
+    ("eval", 15, "'up_0000': extent 15x15 at scale 1 is smaller than the 16 crop"),
+])
+def test_clips_below_the_crop_are_rejected_before_writing(tmp_path, split, extent, message):
+    splits = dict(zip(("train", "eval"), _tiny_splits()))
+    splits[split] = [
+        LabeledClip(c.frames[:, :extent, :extent], c.label, c.clip_id) if c.label == 2 else c
+        for c in splits[split]
+    ]
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=message):
+        train(_tiny_config(), splits["train"], splits["eval"], out)
+    assert not out.exists()
+
+
 def test_zero_epochs_accepts_a_split_smaller_than_a_batch(tmp_path):
     train_clips, eval_clips = _tiny_splits()
     train(_tiny_config(epochs=0, batch_size=50), train_clips, eval_clips, tmp_path)
@@ -328,8 +344,15 @@ MASK_NET = NetworkSpec(
 )
 
 
+def _ready_statistics(net):
+    for bn in net.modules():
+        if isinstance(bn, BatchNorm3d):
+            bn.steps[0] = 1
+    return net
+
+
 def test_fresh_network_mask_export(tmp_path):
-    net = build_res3atn(MASK_NET, seed=0)
+    net = _ready_statistics(build_res3atn(MASK_NET, seed=0))
     clip = synth_dataset(4, 1, frames=16, extent=48, channels=1)[0]
     paths = export_attention_masks(net, clip, tmp_path)
     assert [p.name for p in paths] == [
@@ -354,36 +377,16 @@ def _buffer_bytes(net):
     return {name: buf.tobytes() for name, buf in net.named_buffers()}
 
 
-def test_fresh_mask_export_leaves_every_buffer_unchanged(tmp_path):
+def test_mask_export_refuses_a_network_without_statistics(tmp_path):
     net = build_res3atn(MASK_NET, seed=0)
     clip = synth_dataset(4, 1, frames=16, extent=48, channels=1)[0]
     before = _buffer_bytes(net)
     assert any(name.endswith(".steps") for name in before)
-    export_attention_masks(net, clip, tmp_path)
-    assert net.training  # statistics were not ready: a train-mode forward
+    with pytest.raises(RuntimeError, match="before any running-stat update"):
+        export_attention_masks(net, clip, tmp_path / "masks")
     assert _buffer_bytes(net) == before
-
-
-def test_fresh_mask_export_restores_buffers_when_the_forward_fails(tmp_path, monkeypatch):
-    net = build_res3atn(MASK_NET, seed=0)
-    clip = synth_dataset(4, 1, frames=16, extent=48, channels=1)[0]
-    before = _buffer_bytes(net)
-
-    def forward_then_fail(self, x, _masks=Res3ATN.attention_masks):
-        _masks(self, x)
-        raise RuntimeError("late failure")
-
-    monkeypatch.setattr(Res3ATN, "attention_masks", forward_then_fail)
-    with pytest.raises(RuntimeError, match="late failure"):
-        export_attention_masks(net, clip, tmp_path)
-    assert _buffer_bytes(net) == before
-
-
-def _ready_statistics(net):
-    for bn in net.modules():
-        if isinstance(bn, BatchNorm3d):
-            bn.steps[0] = 1
-    return net
+    assert all(m.training for m in net.modules())  # the failed export restored train mode
+    assert not (tmp_path / "masks").exists()
 
 
 def _export_seeing_modes(net, tmp_path, monkeypatch) -> list:
@@ -413,12 +416,6 @@ def test_mask_export_with_ready_statistics_keeps_train_mode(tmp_path, monkeypatc
     want = [m.training for m in net.modules()]
     assert _export_seeing_modes(net, tmp_path, monkeypatch) == [{False}]
     assert [m.training for m in net.modules()] == want
-
-
-def test_fresh_mask_export_keeps_eval_mode(tmp_path, monkeypatch):
-    net = build_res3atn(MASK_NET, seed=0).eval()
-    assert _export_seeing_modes(net, tmp_path, monkeypatch) == [{True}]
-    assert not any(m.training for m in net.modules())
 
 
 def test_mask_export_requires_attention_sites(tmp_path):
