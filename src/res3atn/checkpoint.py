@@ -191,8 +191,9 @@ def save_checkpoint(path, net, *, optimizer=None, epoch: int = 0, run_config=Non
 def checkpoint_meta(state: dict[str, np.ndarray]) -> tuple[int, dict | None]:
     """The stored epoch and run config.
 
-    An epoch that is not one whole number >= 0, or a config that is not a
-    UTF-8 JSON object, is a format error.
+    An epoch that is not one whole number >= 0, a config value that is not
+    a whole number in 0-255, or a config that is not a UTF-8 JSON object, is
+    a format error.
     """
     stored = state.get(_META_EPOCH, np.zeros(1)).reshape(-1)
     epoch = float(stored[0]) if stored.size == 1 else math.nan
@@ -200,7 +201,10 @@ def checkpoint_meta(state: dict[str, np.ndarray]) -> tuple[int, dict | None]:
         raise CheckpointFormatError(f"{_META_EPOCH} must be one whole number >= 0, got {stored}")
     config = None
     if _META_CONFIG in state and state[_META_CONFIG].size:
-        raw = bytes(np.rint(state[_META_CONFIG]).astype(np.uint8))
+        stored = state[_META_CONFIG]
+        if not np.all((stored >= 0) & (stored <= 255) & (stored == np.rint(stored))):
+            raise CheckpointFormatError(f"{_META_CONFIG} holds values that are not bytes 0-255")
+        raw = bytes(stored.astype(np.uint8))
         try:
             config = json.loads(raw.decode("utf-8"))
         except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both are

@@ -116,6 +116,19 @@ def _scaled(extent: int, factor: float) -> int:
     return int(math.floor(extent * factor + 0.5))
 
 
+def _min_extent(crop: int, factor: float) -> int:
+    """The smallest extent that _scaled (monotone) takes to at least crop.
+
+    The estimate is settled on _scaled itself, so float error cannot make them disagree.
+    """
+    need = math.ceil((crop - 0.5) / factor)
+    while _scaled(need - 1, factor) >= crop:
+        need -= 1
+    while _scaled(need, factor) < crop:
+        need += 1
+    return need
+
+
 def check_crop_fits(clip: LabeledClip, crop: int, augmented: bool) -> None:
     """Raise ValueError unless every crop the clip's chain takes fits in it.
 
@@ -125,8 +138,8 @@ def check_crop_fits(clip: LabeledClip, crop: int, augmented: bool) -> None:
     """
     factor = min(SCALE_SET) if augmented else 1.0
     _, h, w, _ = clip.frames.shape
-    if _scaled(h, factor) < crop or _scaled(w, factor) < crop:
-        need = math.ceil(crop / factor)
+    need = _min_extent(crop, factor)
+    if h < need or w < need:
         raise ValueError(
             f"clip {clip.clip_id!r}: extent {h}x{w} at scale {factor:g} is smaller than "
             f"the {crop} crop; sources must be at least {need}x{need}"

@@ -26,10 +26,10 @@ constants BN_MOMENTUM and BN_EPS, and every train-mode call moves the
 running buffers it is given. Its rule keeps its input, not the normalized
 input, and forms that again block by block.
 
-Batchnorm and the taped max-pool make several passes over their input;
-they run them one block at a time (_channel_blocks), one sample's run of
-whole channels of at most BLOCK_BYTES, so later passes find the block in
-cache, and their backward rules walk the same blocks. Channel sums keep
+Batchnorm and the max-pool make several passes over their input; they run
+them one block at a time (_channel_blocks), one sample's run of whole
+channels of at most BLOCK_BYTES, so later passes find the block in cache,
+and their backward rules walk the same blocks. Channel sums keep
 numpy's whole-array order, so the output is bitwise that of unblocked
 passes; an input of one block runs as one.
 """
@@ -49,7 +49,7 @@ _AXIS_NAMES = ("frame", "height", "width")
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
-# Batchnorm, the taped maxpool and a conv's column runs work block by block,
+# Batchnorm, the maxpool and a conv's column runs work block by block,
 # each block at most this size (about one core's L2), so the passes over a
 # block stay in cache.
 BLOCK_BYTES = 2 << 20
@@ -338,15 +338,23 @@ def _channel_sum(total: np.ndarray, block, part: np.ndarray) -> None:
         np.add.reduce(part, axis=(0, 2, 3, 4), keepdims=True, out=dest)
 
 
-def _strided_max(a: np.ndarray, axis: int, k: int, s: int, o: int) -> np.ndarray:
-    """Running max along one axis: out[i] = max(a[s*i : s*i + k]), o outputs."""
+def _strided_max(a: np.ndarray, axis: int, k: int, s: int, o: int, out=None) -> np.ndarray:
+    """Running max along one axis: out[i] = max(a[s*i : s*i + k]), o outputs.
+
+    Written into out if given, else into a new array.
+    """
 
     def tap(j):
         index = [slice(None)] * a.ndim
         index[axis] = slice(j, j + s * o, s)
         return a[tuple(index)]
 
-    out = np.maximum(tap(0), tap(1)) if k > 1 else np.array(tap(0))
+    if k > 1:
+        out = np.maximum(tap(0), tap(1), out=out)
+    elif out is None:
+        out = np.array(tap(0))
+    else:
+        np.copyto(out, tap(0))
     for j in range(2, k):
         np.maximum(out, tap(j), out=out)
     return out
@@ -385,20 +393,20 @@ def _phase_planes(x: np.ndarray, kernel, stride, padding, out_shape) -> dict:
 def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
     """Max pooling with -inf padding; backward routes to the recorded winner.
 
-    No window tensor is built. Untaped, the forward is separable: one strided
-    running max per axis over the padded input. Under a tape the input is
-    split into stride-phase planes (_phase_planes), so that every window
-    offset j = (a, b, d) is a unit-stride slice of one plane, and the output
-    is a running max over the offsets. Max is exact, so both routes give the
-    same output. The planes are kept off the untaped route because, with no
-    winner to find, they cost more than they save. Under a tape they serve
-    both jobs, and they are built, scanned and freed one block of channels
-    at a time (_channel_blocks), into the preallocated output and winner
-    arrays: a block's planes stay in cache across the 2 * ksize passes over
-    them, and no full-size plane set is ever live. Backward walks the same
-    blocks, so its int64 scatter index is one block's, never the whole
-    output's; each cell's adds keep their order, so dx is bitwise that of
-    one scatter.
+    No window tensor is built, and both routes run one block of channels at
+    a time (_channel_blocks) into a preallocated output, so no full-size
+    padded copy or intermediate is ever live. Untaped, the forward is
+    separable: each block is padded and takes one strided running max per
+    axis. Under a tape the input is split into stride-phase planes
+    (_phase_planes), so that every window offset j = (a, b, d) is a
+    unit-stride slice of one plane, and the output is a running max over
+    the offsets. Max is exact, so both routes give the same output. The
+    untaped route builds no planes because, with no winner to find, they
+    cost more than they save. Under a tape they serve both jobs, into the
+    output and the winner array: a block's planes stay in cache across the
+    2 * ksize passes over them. Backward walks the same blocks, so its
+    int64 scatter index is one block's, never the whole output's; each
+    cell's adds keep their order, so dx is bitwise that of one scatter.
 
     The winner of a window is the lowest offset whose tap equals the output:
     score = max_j (ksize - j) * (tap_j == out) in the smallest unsigned
@@ -418,15 +426,17 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
     fo, ho, wo = out_shape
     ksize = kernel[0] * kernel[1] * kernel[2]
 
+    blocks = _channel_blocks(x.data)
+    out = np.empty((n, c, fo, ho, wo), dtype=x.dtype)
     if not _recording([x]):
-        out = _pad5(x.data, padding, value=-np.inf)
-        for axis, (k, s, o) in enumerate(zip(kernel, stride, out_shape)):
-            out = _strided_max(out, 2 + axis, k, s, o)
+        for block in blocks:
+            part = _pad5(x.data[block], padding, value=-np.inf)
+            for axis in (0, 1):
+                part = _strided_max(part, 2 + axis, kernel[axis], stride[axis], out_shape[axis])
+            _strided_max(part, 4, kernel[2], stride[2], out_shape[2], out=out[block])
         return _finish("maxpool3d", out, [x], None)
 
     sf, sh, sw = stride
-    blocks = _channel_blocks(x.data)
-    out = np.empty((n, c, fo, ho, wo), dtype=x.dtype)
     am = np.zeros(out.shape, dtype=np.min_scalar_type(ksize))  # the score, then the winner
     hit = np.empty_like(am[blocks[0]])
     for block in blocks:

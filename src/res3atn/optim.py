@@ -9,8 +9,16 @@ Per step and per parameter p with gradient grad and velocity v:
 The learning rate is constant; no schedule exists. Weight decay applies to
 every parameter, including batchnorm affine terms, unless decay_bn=False
 excludes parameters named ``*.gamma``/``*.beta`` (the batchnorm layers own
-those suffixes). Gradients are zeroed after each step. The hyperparameters
-have no defaults here; training.RunConfig holds them.
+those suffixes). The hyperparameters have no defaults here;
+training.RunConfig holds them.
+
+A gradient is freed as soon as it is applied. Training passes `update` to
+backward as its on_final callback (see tensor), so each parameter is
+updated once the tape's last rule that reads it has run, and no step holds
+every gradient at once. `step` then ends the step: it updates any
+parameter that still holds a gradient and raises for one that got none.
+The arithmetic is the same either way, so parameters and velocities are
+bitwise those of an update made wholly in `step`.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .tensor import Parameter
+from .tensor import GradCell, Parameter
 
 _BN_SUFFIXES = (".gamma", ".beta")
 
@@ -59,25 +67,45 @@ class NesterovSGD:
         self.velocities: dict[str, np.ndarray] = {
             p.name: np.zeros_like(p.data) for p in self.params
         }
+        self._owners = {p.cell: p for p in self.params}
+        self._updated: set[GradCell] = set()  # updated by `update` since the last step
 
     def _decays(self, p: Parameter) -> bool:
         if self.decay_bn:
             return True
         return not p.name.endswith(_BN_SUFFIXES)
 
+    def update(self, cell: GradCell) -> None:
+        """Update the parameter whose gradient cell this is, then free its gradient.
+
+        A cell that is no parameter's, or that holds no gradient, is left alone.
+        """
+        p = self._owners.get(cell)
+        if p is None or p.grad is None:
+            return
+        g = p.grad
+        if self.weight_decay and self._decays(p):
+            g = g + self.weight_decay * p.data
+        v = self.velocities[p.name]
+        v *= self.momentum
+        v += g
+        p.data -= self.lr * (g + self.momentum * v)
+        p.grad = None
+        self._updated.add(cell)
+
     def step(self) -> None:
-        """Apply one update to every parameter, then clear gradients."""
-        for p in self.params:
-            if p.grad is None:
-                raise RuntimeError(f"parameter {p.name!r} has no gradient; run backward first")
-            g = p.grad
-            if self.weight_decay and self._decays(p):
-                g = g + self.weight_decay * p.data
-            v = self.velocities[p.name]
-            v *= self.momentum
-            v += g
-            p.data -= self.lr * (g + self.momentum * v)
-            p.grad = None
+        """End one step: update every parameter that still holds a gradient.
+
+        Raises RuntimeError for a parameter that got no gradient this step,
+        neither here nor through `update` during backward.
+        """
+        try:
+            for p in self.params:
+                if p.grad is None and p.cell not in self._updated:
+                    raise RuntimeError(f"parameter {p.name!r} has no gradient; run backward first")
+                self.update(p.cell)
+        finally:
+            self._updated.clear()
 
     def load_velocities(self, velocities: dict[str, np.ndarray]) -> None:
         for name, v in velocities.items():

@@ -9,12 +9,19 @@ A gradient rule owns the g it is handed: it may overwrite g or return it
 (or a view of it) as an input's gradient. Backward hands a rule its output's
 own gradient buffer once the output tensor is gone, and a copy while the
 caller still holds the tensor, so a held intermediate keeps its .grad.
+
+Backward takes an optional on_final callback. It is called once with each
+gradient cell that some recorded rule accumulates into, as soon as every
+such rule has run, even one whose output got no gradient. From then on no
+rule reads or adds to that cell, so a parameter's gradient is final and a
+parameter's data may change: every rule that closed over it has run.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
+from collections import Counter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -194,8 +201,11 @@ class Tape:
         cells = tuple(t.cell if t.requires_grad else None for t in inputs)
         self.nodes.append(_Node(output, cells, backward_fn))
 
-    def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(t) into t.grad for every recorded tensor."""
+    def backward(self, loss: Tensor, on_final: Optional[Callable] = None) -> None:
+        """Accumulate d(loss)/d(t) into t.grad for every recorded tensor.
+
+        on_final: see the module docstring; readers are counted when backward starts.
+        """
         if self.consumed:
             raise RuntimeError("backward called on a consumed tape")
         if loss.size != 1:
@@ -204,36 +214,49 @@ class Tape:
             raise RuntimeError("loss was not produced under this tape")
         loss.grad = np.ones_like(loss.data)
         self.consumed = True
+        if on_final is None:
+            while self.nodes:
+                _apply(self.nodes.pop())
+            return
+        readers = Counter(c for node in self.nodes for c in node.inputs if c is not None)
         while self.nodes:
-            _apply(self.nodes.pop())
+            for cell in _apply(self.nodes.pop()):
+                if cell is not None:
+                    readers[cell] -= 1
+                    if not readers[cell]:
+                        on_final(cell)
 
 
-def _apply(node: _Node) -> None:
-    """Run one popped node's rule and accumulate into its input cells.
+def _apply(node: _Node) -> tuple:
+    """Run one popped node's rule, accumulate into its input cells, return them.
 
     Every consumer of the output has already run, so if the output tensor is
     gone nothing can read its gradient: the cell gives up its buffer and the
     rule owns it. A held output keeps its gradient and the rule gets a copy.
     Once this returns nothing references the node, so the arrays its rule
-    closed over are freed.
+    closed over are freed; backward counts down the returned cells, not the
+    node.
     """
     g = node.output.grad
-    if g is None:
-        return
-    if node.tensor() is None:
-        node.output.grad = None
-    else:
-        g = g.copy()
-    for cell, gi in zip(node.inputs, node.backward_fn(g)):
-        if cell is not None and gi is not None:
-            cell.accumulate(gi)
+    if g is not None:
+        if node.tensor() is None:
+            node.output.grad = None
+        else:
+            g = g.copy()
+        for cell, gi in zip(node.inputs, node.backward_fn(g)):
+            if cell is not None and gi is not None:
+                cell.accumulate(gi)
+    return node.inputs
 
 
-def backward(loss: Tensor) -> None:
-    """Run reverse-mode accumulation from a scalar loss to its tape's leaves."""
+def backward(loss: Tensor, on_final: Optional[Callable] = None) -> None:
+    """Run reverse-mode accumulation from a scalar loss to its tape's leaves.
+
+    on_final is Tape.backward's: called with each cell once its gradient is final.
+    """
     if loss.tape is None:
         raise RuntimeError("loss was not produced under an active tape")
-    loss.tape.backward(loss)
+    loss.tape.backward(loss, on_final)
 
 
 def zero_grads(params) -> None:

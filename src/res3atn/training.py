@@ -262,7 +262,9 @@ def _train_epoch(
 ) -> MetricsRecord:
     """One shuffled pass over the whole batches of `clips`; returns its train record.
 
-    Raises RuntimeError naming the epoch, batch and clip ids if the loss or
+    Backward updates each parameter as soon as its gradient is final
+    (NesterovSGD.update), so no step holds every gradient at once; opt.step()
+    ends the step. Raises RuntimeError naming the epoch, batch and clip ids if the loss or
     an operator leaves the finite range.
     """
     score = _Score(config.network.num_classes)
@@ -286,7 +288,7 @@ def _train_epoch(
             loss_value = float(loss.item())
             if not np.isfinite(loss_value):
                 raise FloatingPointError(f"loss = {loss_value}")
-            backward(loss)
+            backward(loss, opt.update)
             opt.step()
         except FloatingPointError as exc:
             raise RuntimeError(

@@ -1,6 +1,7 @@
 """Checkpoint format: canonical bytes, corruption detection, restore contract."""
 
 import struct
+import warnings
 import tracemalloc
 import zlib
 
@@ -194,6 +195,21 @@ def test_undecodable_run_config_is_a_format_error(config):
     state = {"meta.run_config_json": np.frombuffer(config, dtype=np.uint8).astype(np.float32)}
     with pytest.raises(CheckpointFormatError, match="meta.run_config_json is not UTF-8 JSON"):
         checkpoint_meta(state)
+
+
+@pytest.mark.parametrize("config", [
+    [123, 125, 256 + 32, 512 + 32],  # a uint8 cast wraps these to spaces: "{}  "
+    [123, np.nan, 125],  # a uint8 cast warns on NaN
+    [123, 125, -1],
+    [123, 125.5],
+], ids=["256-512", "nan", "negative", "fraction"])
+def test_run_config_value_other_than_a_byte_is_a_format_error(config):
+    state = {"meta.run_config_json": np.array(config, dtype=np.float32)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CheckpointFormatError,
+                           match="meta.run_config_json holds values that are not bytes 0-255"):
+            checkpoint_meta(state)
 
 
 @pytest.mark.parametrize("epoch", [[np.nan], [np.inf], [-1.0], [2.5], [], [1.0, 2.0]],

@@ -122,7 +122,7 @@ def test_random_scale_extents_match_the_factor_set():
 def test_random_scale_rejects_sources_below_the_crop():
     clip = _clip(h=24, w=24)
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="sources must be at least 48x48"):
+    with pytest.raises(ValueError, match="sources must be at least 47x47"):
         for _ in range(60):  # keep drawing until the 0.5 factor comes up
             random_scale(clip, rng, 24)
 

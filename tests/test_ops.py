@@ -802,6 +802,27 @@ def test_blocked_taped_maxpool_bitwise_equals_one_block(n, dtype, kernel, stride
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kernel, stride, padding", [
+    (3, 2, 1), ((1, 3, 3), (1, 2, 2), (0, 1, 1)),
+    (3, 1, 2),  # corner windows hold one input cell and the rest -inf border
+])
+def test_blocked_untaped_maxpool_bitwise_equals_the_taped_output(n, dtype, kernel, stride,
+                                                                 padding, monkeypatch):
+    rng = np.random.default_rng(n)
+    # small negative integers: ties are common, and the border must lose to all
+    data = rng.integers(-9, -5, size=(n, 5, 4, 7, 6)).astype(dtype)
+    with Tape():
+        want = ops.maxpool3d(Tensor(data, requires_grad=True), kernel, stride=stride,
+                             padding=padding).data
+    one_block = ops.maxpool3d(Tensor(data), kernel, stride=stride, padding=padding).data
+    assert _blocks_of(monkeypatch, data, 2) == 3 * n  # runs of 2, 2 and 1
+    got = ops.maxpool3d(Tensor(data), kernel, stride=stride, padding=padding).data
+    for out in (one_block, got):
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+
+
 def test_blocked_reductions_keep_numpys_order(monkeypatch):
     # Reducing a strided one-channel slice of an N > 1 array sums in another
     # order than numpy's reduction of the whole array; the blocks (one
@@ -843,6 +864,19 @@ def test_blocked_taped_maxpool_allocates_about_one_block(monkeypatch, rng):
     # one block's phase planes hold 1.2 blocks here and the finiteness scan's
     # mask of the output 0.5; the whole input's planes would hold 19 blocks
     assert transient < 2 * ops.BLOCK_BYTES
+
+
+def test_blocked_untaped_maxpool_allocates_its_output_and_about_two_blocks(monkeypatch, rng):
+    x = Tensor(rng.normal(size=(2, 4, 8, 64, 64)).astype(np.float32))
+    assert _blocks_of(monkeypatch, x.data, 1) == 8
+    transient, out = _transient_bytes(lambda: ops.maxpool3d(x, 3, stride=2, padding=1))
+    assert out.shape == (2, 4, 4, 32, 32)
+    # beyond the output: one block's padded copy (1.33 blocks here) beside its
+    # running max along frames (0.53), and numpy's ufunc buffers for the two
+    # strided taps of one np.maximum (at most bufsize elements each, which a
+    # 2 MiB block dwarfs); a padded copy of the whole input would be 10.6 blocks
+    ufunc_buffers = 2 * np.getbufsize() * x.data.itemsize
+    assert transient < 2 * ops.BLOCK_BYTES + ufunc_buffers
 
 
 def test_blocked_taped_batchnorm_forward_allocates_out_and_about_one_block(monkeypatch, rng):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from res3atn import ops
+from res3atn.network import NetworkSpec, build_res3atn
 from res3atn.optim import NesterovSGD
-from res3atn.tensor import Parameter
+from res3atn.tensor import Parameter, Tape, Tensor, backward
 
 
 # valid settings for the tests that do not depend on them; NesterovSGD has no defaults
@@ -91,6 +93,68 @@ def test_step_without_gradient_is_an_error():
     opt = NesterovSGD([p], **HYPER)
     with pytest.raises(RuntimeError, match="has no gradient"):
         opt.step()
+
+
+# a desk-sized network: its tape has fan-out (residual adds, attention) and
+# parameters whose last reader runs early and late in backward
+SMALL_NET = NetworkSpec(num_classes=4, input_frames=8, input_size=16, input_channels=1,
+                        channel_scale=32)
+
+
+def _train_steps(in_backward: bool, steps: int = 2):
+    """Two SGD steps on SMALL_NET; the update runs in backward or in step()."""
+    net = build_res3atn(SMALL_NET, seed=0)
+    opt = NesterovSGD(net.parameters(), lr=0.1, momentum=0.9, weight_decay=0.001,
+                      decay_bn=False)
+    rng = np.random.default_rng(0)
+    for _ in range(steps):
+        x = Tensor(rng.normal(size=(2, 1, 8, 16, 16)).astype(np.float32))
+        with Tape():
+            loss = ops.softmax_cross_entropy(net(x), rng.integers(0, 4, size=2))
+        backward(loss, opt.update if in_backward else None)
+        opt.step()
+    return net, opt
+
+
+def test_update_in_backward_is_bitwise_the_update_in_step():
+    net_b, opt_b = _train_steps(in_backward=True)
+    net_s, opt_s = _train_steps(in_backward=False)
+    for (name, p), (_, q) in zip(net_b.named_parameters(), net_s.named_parameters()):
+        assert p.grad is None and q.grad is None
+        assert p.data.tobytes() == q.data.tobytes(), name
+        assert opt_b.velocities[name].tobytes() == opt_s.velocities[name].tobytes(), name
+
+
+def test_no_parameter_holds_a_gradient_after_its_last_reader_has_run():
+    net = build_res3atn(SMALL_NET, seed=0)
+    opt = NesterovSGD(net.parameters(), **HYPER)
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.normal(size=(2, 1, 8, 16, 16)).astype(np.float32))
+    with Tape() as tape:
+        loss = ops.softmax_cross_entropy(net(x), rng.integers(0, 4, size=2))
+    params = {p.cell: p for p in net.parameters()}
+    last_reader = {}  # nodes pop from the end, so a cell's last reader has the lowest index
+    for i, node in reversed(list(enumerate(tape.nodes))):
+        for cell in node.inputs:
+            if cell in params:
+                last_reader[cell] = i
+    assert len(last_reader) == len(params)
+    stale = []
+
+    def checking(rule, index):
+        def rule_at(g):
+            stale.extend(params[c].name for c, last in last_reader.items()
+                         if last > index and params[c].grad is not None)
+            return rule(g)
+
+        return rule_at
+
+    for i, node in enumerate(tape.nodes):
+        node.backward_fn = checking(node.backward_fn, i)
+    backward(loss, opt.update)
+    assert not stale
+    assert all(p.grad is None for p in net.parameters())
+    opt.step()  # every parameter was updated in backward; step still ends the step
 
 
 def test_velocities_match_parameter_shapes():

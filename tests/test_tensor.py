@@ -7,6 +7,7 @@ import pytest
 
 from res3atn import ops
 from res3atn.network import NetworkSpec, build_res3atn
+from res3atn.optim import NesterovSGD
 from res3atn.tensor import Parameter, Tape, Tensor, active_tape, backward, zero_grads
 
 
@@ -316,3 +317,77 @@ def test_held_intermediates_leave_parameter_gradients_bitwise_equal(monkeypatch)
     assert handed_off.keys() == copied.keys()
     for name, g in handed_off.items():
         assert g.tobytes() == copied[name].tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# on_final: each cell is reported once its last reader has run
+
+
+def _logged(rule, index, events):
+    """rule, which first appends ("rule", index) to events."""
+
+    def logged(g):
+        events.append(("rule", index))
+        return rule(g)
+
+    return logged
+
+
+def test_on_final_fires_once_per_cell_after_its_last_reader():
+    events = []
+    a = Parameter(np.array([1.0, 2.0], dtype=np.float32), name="a")
+    b = Parameter(np.array([3.0, -1.0], dtype=np.float32), name="b")
+    with Tape() as tape:
+        h = ops.mul(a, b)
+        loss = ops.sum_all(ops.add(ops.relu(h), a))
+        del h
+    readers = {}  # cell -> indices of the nodes that read it
+    for i, node in enumerate(tape.nodes):
+        for cell in node.inputs:
+            if cell is not None:
+                readers.setdefault(cell, set()).add(i)
+        node.backward_fn = _logged(node.backward_fn, i, events)
+    backward(loss, lambda cell: events.append(("final", cell)))
+    finals = [e[1] for e in events if e[0] == "final"]
+    assert len(finals) == len(set(finals)) == len(readers)
+    assert set(finals) == set(readers)
+    for cell, indices in readers.items():
+        at = events.index(("final", cell))
+        ran = {e[1] for e in events[:at] if e[0] == "rule"}
+        assert indices <= ran  # every reader ran before the call
+    assert {a.cell, b.cell} <= set(finals)
+
+
+def test_on_final_hands_a_fanned_out_parameter_its_full_gradient_once():
+    p = Parameter(np.array([0.5, -2.0, 3.0], dtype=np.float32), name="p")
+    x = Tensor(np.array([2.0, 1.0, -1.0], dtype=np.float32))
+
+    def run(on_final=None):
+        p.grad = None
+        with Tape():
+            loss = ops.sum_all(ops.add(ops.mul(p, x), ops.relu(p)))  # two readers of p
+        backward(loss, on_final)
+        return p.grad
+
+    want = run()
+    calls = []
+    run(lambda cell: calls.append(cell.grad.copy()) if cell is p.cell else None)
+    assert len(calls) == 1
+    assert calls[0].tobytes() == want.tobytes()
+    assert want.tolist() == [3.0, 1.0, 0.0]
+
+
+def test_on_final_counts_down_a_reader_whose_output_got_no_gradient():
+    p = Parameter(np.array([1.0, 2.0], dtype=np.float32), name="p")
+    unused = Parameter(np.array([4.0], dtype=np.float32), name="unused")
+    opt = NesterovSGD([p, unused], lr=0.1, momentum=0.9, weight_decay=0.0, decay_bn=True)
+    finals = []
+    with Tape():
+        ops.relu(unused)  # recorded, but the loss does not read it
+        loss = ops.sum_all(p)
+    backward(loss, lambda cell: (finals.append(cell), opt.update(cell)))
+    assert unused.cell in finals and unused.grad is None
+    assert p.grad is None  # updated during backward: v = g, lr * (g + mu * v)
+    np.testing.assert_allclose(p.data, [1.0 - 0.19, 2.0 - 0.19], rtol=1e-6)
+    with pytest.raises(RuntimeError, match="parameter 'unused' has no gradient"):
+        opt.step()
