@@ -338,23 +338,15 @@ def _channel_sum(total: np.ndarray, block, part: np.ndarray) -> None:
         np.add.reduce(part, axis=(0, 2, 3, 4), keepdims=True, out=dest)
 
 
-def _strided_max(a: np.ndarray, axis: int, k: int, s: int, o: int, out=None) -> np.ndarray:
-    """Running max along one axis: out[i] = max(a[s*i : s*i + k]), o outputs.
-
-    Written into out if given, else into a new array.
-    """
+def _strided_max(a: np.ndarray, axis: int, k: int, s: int, o: int) -> np.ndarray:
+    """Running max along one axis: out[i] = max(a[s*i : s*i + k]), o outputs."""
 
     def tap(j):
         index = [slice(None)] * a.ndim
         index[axis] = slice(j, j + s * o, s)
         return a[tuple(index)]
 
-    if k > 1:
-        out = np.maximum(tap(0), tap(1), out=out)
-    elif out is None:
-        out = np.array(tap(0))
-    else:
-        np.copyto(out, tap(0))
+    out = np.maximum(tap(0), tap(1)) if k > 1 else np.array(tap(0))
     for j in range(2, k):
         np.maximum(out, tap(j), out=out)
     return out
@@ -431,9 +423,9 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
     if not _recording([x]):
         for block in blocks:
             part = _pad5(x.data[block], padding, value=-np.inf)
-            for axis in (0, 1):
-                part = _strided_max(part, 2 + axis, kernel[axis], stride[axis], out_shape[axis])
-            _strided_max(part, 4, kernel[2], stride[2], out_shape[2], out=out[block])
+            for axis, (k, s, o) in enumerate(zip(kernel, stride, out_shape)):
+                part = _strided_max(part, 2 + axis, k, s, o)
+            out[block] = part
         return _finish("maxpool3d", out, [x], None)
 
     sf, sh, sw = stride

@@ -214,16 +214,12 @@ class Tape:
             raise RuntimeError("loss was not produced under this tape")
         loss.grad = np.ones_like(loss.data)
         self.consumed = True
-        if on_final is None:
-            while self.nodes:
-                _apply(self.nodes.pop())
-            return
         readers = Counter(c for node in self.nodes for c in node.inputs if c is not None)
         while self.nodes:
             for cell in _apply(self.nodes.pop()):
                 if cell is not None:
                     readers[cell] -= 1
-                    if not readers[cell]:
+                    if not readers[cell] and on_final is not None:
                         on_final(cell)
 
 
