@@ -2,9 +2,9 @@
 
 An attention block splits into a trunk branch T(x) and a mask branch M(x)
 whose sigmoid output gates the trunk: residual fusion computes (1 + M) * T
-so an all-zero mask passes the trunk through unchanged, while plain fusion
-computes M * T and exists for the gradient-identity tests. One stride-1
-residual block closes the attention block.
+(the residual attention learning of Wang et al. 2017), so an all-zero mask
+passes the trunk through unchanged. One stride-1 residual block closes the
+attention block.
 """
 
 from __future__ import annotations
@@ -178,8 +178,13 @@ class MaskBranch(Module):
         return ops.sigmoid(h)
 
 
+def residual_fusion(mask: Tensor, trunk: Tensor) -> Tensor:
+    """(1 + M) * T, the attention block's fusion of its two branches."""
+    return ops.mul(ops.add_scalar(mask, 1.0), trunk)
+
+
 class AttentionBlock(Module):
-    """Trunk/mask split, fusion, and the stride-1 output residual block."""
+    """Trunk/mask split, residual fusion, and the stride-1 output residual block."""
 
     def __init__(self, spec: AttentionBlockSpec, *, rng: np.random.Generator):
         super().__init__()
@@ -190,32 +195,11 @@ class AttentionBlock(Module):
         set_role(self.trunk, "trunk")
         set_role(self.mask, "mask")
 
-    def forward(
-        self,
-        x: Tensor,
-        fusion: str = "residual",
-        mask_override=None,
-        capture: Optional[dict] = None,
-    ) -> Tensor:
-        """Apply the block; mask_override substitutes a constant mask value.
-
-        fusion "residual" computes (1 + M) * T, "plain" computes M * T.
-        capture, when given, receives the trunk/mask/fused tensors.
-        """
-        if fusion not in ("residual", "plain"):
-            raise ValueError(f"unknown fusion mode {fusion!r}")
+    def forward(self, x: Tensor, capture: Optional[dict] = None) -> Tensor:
+        """Apply the block; capture, when given, receives the trunk/mask/fused tensors."""
         t = self.trunk(x)
-        if mask_override is not None:
-            m_data = np.broadcast_to(np.asarray(mask_override, dtype=t.dtype), t.shape)
-            m = Tensor(m_data.copy(), dtype=t.dtype)
-        else:
-            m = self.mask(x)
-        if m.shape != t.shape:
-            raise ValueError(f"mask shape {m.shape} does not match trunk shape {t.shape}")
-        if fusion == "residual":
-            fused = ops.mul(ops.add_scalar(m, 1.0), t)
-        else:
-            fused = ops.mul(m, t)
+        m = self.mask(x)
+        fused = residual_fusion(m, t)
         if capture is not None:
             capture["trunk"] = t
             capture["mask"] = m

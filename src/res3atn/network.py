@@ -78,11 +78,8 @@ class NetworkSpec:
         return max(1, channels // self.channel_scale)
 
     def site_input_extents(self, site: int) -> tuple[int, int, int]:
-        """(F, H, W) seen by the attention block at `site`."""
-        f, s = self.input_frames, self.input_size
-        for _ in range(site + 1):  # stem pool plus `site` stride-2 stages
-            f, s = _halve(f), _halve(s)
-        return (f, s, s)
+        """(F, H, W) seen by the attention block at `site`: its stage's output."""
+        return dict(stage_trace(self))[f"stage{site}"][2:]
 
     def site_spec(self, site: int) -> AttentionBlockSpec:
         depth_cfg, skip_cfg = SITE_DEFAULTS[site]
@@ -143,9 +140,6 @@ class Res3ATN(Module):
         self.fc2 = Linear(sc(FC_HIDDEN), spec.num_classes, rng=rng, gain=0.1)
         stamp_parameter_names(self)
 
-    def _attention(self, site: int) -> Optional[AttentionBlock]:
-        return getattr(self, f"attention{site}", None)
-
     def _check_input(self, x: Tensor) -> None:
         spec = self.spec
         expected = (spec.input_channels, spec.input_frames, spec.input_size, spec.input_size)
@@ -168,7 +162,7 @@ class Res3ATN(Module):
         h = ops.relu(ops.maxpool3d(h, 3, stride=2, padding=1))
         for idx, stage in enumerate(self.stages[:stop_after], start=1):
             h = stage(h)
-            att = self._attention(idx)
+            att = getattr(self, f"attention{idx}", None)
             if att is None:
                 continue
             if masks is None:
@@ -201,14 +195,6 @@ class Res3ATN(Module):
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters())
-
-    def mask_geometry(self) -> dict[int, tuple[int, int]]:
-        """site -> (effective mask depth, effective skip count)."""
-        out = {}
-        for site in self.spec.attention_sites:
-            att = self._attention(site)
-            out[site] = (att.spec.depth, att.spec.skip_count)
-        return out
 
 
 def build_res3atn(spec: NetworkSpec, seed: int = 0) -> Res3ATN:

@@ -99,13 +99,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def detach(self) -> "Tensor":
-        """A view of the same storage with no gradient tracking."""
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        self.cell.accumulate(g)
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .data import AugmentConfig, LabeledClip, augment_clip, check_crop_fits, eval_preprocess
-from .network import NetworkSpec, Res3ATN, build_res3atn
+from .network import NetworkSpec, Res3ATN, build_res3atn, stage_trace
 from .ops import softmax_cross_entropy
 from .optim import NesterovSGD, check_hyperparameters
 from .tensor import Tape, Tensor, backward
@@ -166,7 +166,8 @@ def read_metrics(path) -> list[MetricsRecord]:
 
 def _check_inputs(config: RunConfig, train_clips, eval_clips) -> None:
     """Every check train makes before it writes anything under out_dir."""
-    num_classes = config.network.num_classes
+    spec = config.network
+    num_classes = spec.num_classes
     for split, clips in (("train", train_clips), ("eval", eval_clips)):
         if not clips:
             raise ValueError(f"{split} split is empty")
@@ -179,11 +180,23 @@ def _check_inputs(config: RunConfig, train_clips, eval_clips) -> None:
                 f"train split covers {len(labels)} classes, network expects {num_classes}"
             )
         for clip in clips:
+            if clip.shape[3] != spec.input_channels:
+                raise ValueError(
+                    f"clip {clip.clip_id!r} has {clip.shape[3]} channels, "
+                    f"network expects {spec.input_channels}"
+                )
             check_crop_fits(clip, config.augment.crop, augmented=split == "train")
     if config.epochs and len(train_clips) < config.batch_size:
         raise ValueError(
             f"train split ({len(train_clips)} clips) smaller than one batch "
             f"of {config.batch_size}"
+        )
+    # stage 7 holds the smallest train-mode batchnorm input, which needs 2 values
+    cells = int(np.prod(dict(stage_trace(spec))["stage7"][2:]))
+    if config.epochs and config.batch_size * cells < 2:
+        raise ValueError(
+            f"batch_size {config.batch_size} leaves stage7's train-mode batchnorm "
+            f"{config.batch_size * cells} sample per channel; it needs at least 2"
         )
 
 

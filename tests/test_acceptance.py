@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from res3atn import ops
-from res3atn.blocks import AttentionBlock, AttentionBlockSpec
+from res3atn.blocks import AttentionBlock, AttentionBlockSpec, residual_fusion
 from res3atn.checkpoint import load_state, restore_network, save_checkpoint
 from res3atn.checksuite import OPERATOR_CHECKS, conv3d_direct, network_check, operator_suite
 from res3atn.data import (
@@ -103,18 +103,19 @@ def test_residual_fusion_identity():
     att = _tiny_attention(1)
     rng = np.random.default_rng(2)
 
-    x = Tensor(rng.standard_normal((2, 4, 2, 4, 4)).astype(np.float32))
-    cap = {}
-    att(x, mask_override=0.0, capture=cap)
-    assert np.array_equal(cap["fused"].data, cap["trunk"].data)
+    t = att.trunk(Tensor(rng.standard_normal((2, 4, 2, 4, 4)).astype(np.float32)))
+    zeros = Tensor(np.zeros(t.shape, dtype=np.float32))
+    assert np.array_equal(residual_fusion(zeros, t).data, t.data)
 
     for _ in range(100):
         x = Tensor(rng.standard_normal((1, 4, 2, 4, 4)).astype(np.float32))
-        cap = {}
-        att(x, capture=cap)
-        m = cap["mask"].data
+        m = att.mask(x).data
         assert np.all(m > 0.0) and np.all(m < 1.0)
         assert np.all(1.0 + m > 1.0) and np.all(1.0 + m < 2.0)
+
+
+def _constant_mask(value, like):
+    return Tensor(np.full(like.shape, value, dtype=like.dtype))
 
 
 @pytest.mark.criterion("criterion 04: mask gradient law")
@@ -123,15 +124,17 @@ def test_mask_gradient_law():
     x = Tensor(np.random.default_rng(4).standard_normal(
         (2, 4, 2, 4, 4)).astype(np.float32))
 
-    cap = {}
     with Tape() as tape:
-        out = att(x, fusion="plain", mask_override=0.37, capture=cap)
-        tape.backward(ops.sum_all(out))
-    assert np.array_equal(cap["trunk"].grad, cap["mask"].data * cap["fused"].grad)
+        t = att.trunk(x)
+        m = _constant_mask(0.37, t)
+        fused = residual_fusion(m, t)
+        tape.backward(ops.sum_all(att.out_block(fused)))
+    assert np.array_equal(t.grad, (1.0 + m.data) * fused.grad)
 
     att = _tiny_attention(3)
     with Tape() as tape:
-        out = att(x, fusion="plain", mask_override=0.0)
+        t = att.trunk(x)
+        out = att.out_block(residual_fusion(_constant_mask(-1.0, t), t))
         tape.backward(ops.sum_all(out))
     trunk_params = [p for p in att.parameters() if p.role == "trunk"]
     assert trunk_params

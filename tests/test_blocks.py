@@ -10,6 +10,7 @@ from res3atn.blocks import (
     MaskBranch,
     ResidualBlock,
     ResidualBlockSpec,
+    residual_fusion,
 )
 from res3atn.gradcheck import grad_check
 from res3atn.tensor import Tape, Tensor
@@ -160,11 +161,21 @@ def _tiny_attention(seed=9):
     return att, x
 
 
+def _constant_mask(value, like):
+    return Tensor(np.full(like.shape, value, dtype=like.dtype))
+
+
+def test_forward_is_trunk_mask_fusion_then_out_block():
+    att, x = _tiny_attention(7)
+    pieces, _ = _tiny_attention(7)
+    expected = pieces.out_block(residual_fusion(pieces.mask(x), pieces.trunk(x)))
+    assert np.array_equal(att(x).data, expected.data)
+
+
 def test_zero_mask_residual_fusion_passes_trunk_through():
     att, x = _tiny_attention()
-    cap = {}
-    att(x, mask_override=0.0, capture=cap)
-    assert np.array_equal(cap["fused"].data, cap["trunk"].data)
+    t = att.trunk(x)
+    assert np.array_equal(residual_fusion(_constant_mask(0.0, t), t).data, t.data)
 
 
 def test_learned_mask_stays_strictly_inside_unit_interval():
@@ -176,53 +187,44 @@ def test_learned_mask_stays_strictly_inside_unit_interval():
     assert np.all(m > 0.0) and np.all(m < 1.0)
 
 
-def test_plain_fusion_gradient_scales_by_mask():
+def test_residual_fusion_gradient_scales_by_one_plus_mask():
     att, x = _tiny_attention(13)
     cap = {}
     with Tape() as tape:
-        out = att(x, fusion="plain", capture=cap)
+        out = att(x, capture=cap)
         loss = ops.sum_all(out)
         tape.backward(loss)
-    assert np.array_equal(cap["trunk"].grad, cap["mask"].data * cap["fused"].grad)
+    assert np.array_equal(cap["trunk"].grad, (1.0 + cap["mask"].data) * cap["fused"].grad)
 
 
-def test_zero_mask_plain_fusion_silences_trunk_parameters():
-    att, x = _tiny_attention(17)
-    with Tape() as tape:
-        out = att(x, fusion="plain", mask_override=0.0)
-        tape.backward(ops.sum_all(out))
-    trunk_params = [p for p in att.parameters() if p.role == "trunk"]
-    assert trunk_params
-    for p in trunk_params:
-        assert p.grad is not None and not p.grad.any()
+def test_minus_one_mask_silences_trunk_parameters():
+    def trunk_grads(value):
+        att, x = _tiny_attention(17)
+        with Tape() as tape:
+            t = att.trunk(x)
+            out = att.out_block(residual_fusion(_constant_mask(value, t), t))
+            tape.backward(ops.sum_all(out))
+        return [p.grad for p in att.parameters() if p.role == "trunk"]
 
-    # control: any nonzero constant mask lets gradient reach the trunk
-    att, x = _tiny_attention(17)
-    with Tape() as tape:
-        out = att(x, fusion="plain", mask_override=0.5)
-        tape.backward(ops.sum_all(out))
-    assert any(
-        p.grad is not None and p.grad.any()
-        for p in att.parameters()
-        if p.role == "trunk"
-    )
+    grads = trunk_grads(-1.0)
+    assert grads
+    for g in grads:
+        assert g is not None and not g.any()
+
+    # control: any other constant mask lets gradient reach the trunk
+    assert any(g is not None and g.any() for g in trunk_grads(-0.5))
 
 
-def test_mask_override_skips_mask_branch_gradients():
+def test_fusion_sends_gradient_into_both_branches():
     att, x = _tiny_attention(19)
     with Tape() as tape:
-        out = att(x, mask_override=0.5)
-        tape.backward(ops.sum_all(out))
-    assert all(p.grad is None for p in att.parameters() if p.role == "mask")
+        tape.backward(ops.sum_all(att(x)))
+    for role in ("trunk", "mask"):
+        assert any(p.grad is not None and p.grad.any()
+                   for p in att.parameters() if p.role == role), role
 
 
 def test_parameter_roles_cover_both_branches():
     att, _ = _tiny_attention(23)
     roles = {p.role for p in att.parameters()}
     assert roles == {"trunk", "mask", "other"}
-
-
-def test_unknown_fusion_mode_is_rejected():
-    att, x = _tiny_attention(29)
-    with pytest.raises(ValueError, match="unknown fusion mode"):
-        att(x, fusion="multiplicative")

@@ -550,6 +550,37 @@ def test_default_geometry_synthetic_train_is_exit_2_before_writing(tmp_path, cap
     assert not out.exists()
 
 
+def test_data_clips_with_one_channel_are_exit_2_before_writing(tmp_path, capsys):
+    # the CLI has no channels flag, so the network keeps its 3 input channels
+    for split, stream in (("train", 0), ("eval", 1)):
+        clips = synth_dataset(4, 2, frames=8, extent=32, channels=1, stream=stream)
+        save_dataset(tmp_path / "data" / split, clips, [f"class{i}" for i in range(4)])
+    out = tmp_path / "out"
+    assert cli.main(["train", "--data", str(tmp_path / "data"), *TINY, "--out", str(out)]) == 2
+    assert "has 1 channels, network expects 3" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+DESK = ("--synthetic", "--classes", "4", "--train-per-class", "1", "--eval-per-class", "1",
+        "--extent", "48", "--source-frames", "16", "--channel-scale", "64",
+        "--input-size", "24", "--frames", "16", "--epochs", "1")
+
+
+def test_desk_batch_one_is_exit_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["train", *DESK, "--batch-size", "1", "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == (
+        "r3atn: error: batch_size 1 leaves stage7's train-mode batchnorm 1 sample "
+        "per channel; it needs at least 2\n")
+    assert not out.exists()
+
+
+def test_desk_batch_two_trains(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["train", *DESK, "--batch-size", "2", "--out", str(out)]) == 0
+    assert (out / "summary.txt").exists()
+
+
 def _rewritten(checkpoint_path, tmp_path, config):
     """A copy of a checkpoint whose embedded run config is `config` (None: no config)."""
     state = load_state(checkpoint_path)

@@ -66,15 +66,28 @@ def test_trace_drops_rows_for_disabled_sites():
     assert "attention1" not in names and "attention3" not in names
 
 
+def _mask_geometry(spec):
+    """site -> (effective mask depth, effective skip count)."""
+    return {s: (spec.site_spec(s).depth, spec.site_spec(s).skip_count)
+            for s in spec.attention_sites}
+
+
 def test_full_scale_mask_geometry():
     # skip counts clamp to the effective depth at each site
-    net = build_res3atn(NetworkSpec(num_classes=10, channel_scale=64))
-    assert net.mask_geometry() == {1: (3, 3), 2: (2, 2), 3: (1, 0)}
+    assert _mask_geometry(NetworkSpec(num_classes=10)) == {1: (3, 3), 2: (2, 2), 3: (1, 0)}
 
 
 def test_desk_scale_mask_geometry_clamps_depth():
+    assert _mask_geometry(DESK_SPEC) == {1: (2, 2), 2: (1, 1), 3: (0, 0)}
     net = build_res3atn(DESK_SPEC)
-    assert net.mask_geometry() == {1: (2, 2), 2: (1, 1), 3: (0, 0)}
+    for site in (1, 2, 3):
+        assert getattr(net, f"attention{site}").spec == DESK_SPEC.site_spec(site)
+
+
+def test_site_input_extents_are_the_stage_outputs():
+    full = NetworkSpec(num_classes=10)
+    assert [full.site_input_extents(s) for s in (1, 2, 3)] == [(8, 28, 28), (4, 14, 14), (2, 7, 7)]
+    assert [DESK_SPEC.site_input_extents(s) for s in (1, 2, 3)] == [(4, 6, 6), (2, 3, 3), (1, 2, 2)]
 
 
 @pytest.mark.parametrize("frames", [8, 16, 32])
@@ -140,7 +153,6 @@ def test_no_attention_variant_has_no_attention_parameters():
         input_channels=1, attention_sites=(), channel_scale=8,
     )
     net = build_res3atn(spec)
-    assert net.mask_geometry() == {}
     assert not any(n.startswith("attention") for n, _ in net.named_parameters())
     with pytest.raises(ValueError, match="no attention sites"):
         net.attention_masks(Tensor(np.zeros((1, 1, 16, 24, 24), dtype=np.float32)))

@@ -32,14 +32,6 @@ def test_tensor_defaults():
     assert t.size == 6
 
 
-def test_detach_shares_storage_without_grad():
-    t = Tensor(np.ones(4), requires_grad=True)
-    d = t.detach()
-    assert not d.requires_grad
-    d.data[0] = 7.0
-    assert t.data[0] == 7.0
-
-
 def test_parameter_requires_grad_and_roles():
     p = Parameter(np.ones(2), name="w", role="mask")
     assert p.requires_grad
@@ -51,11 +43,11 @@ def test_parameter_requires_grad_and_roles():
 
 def test_accumulate_grad_sums_and_checks_shape():
     t = Tensor(np.zeros(3), requires_grad=True)
-    t.accumulate_grad(np.ones(3))
-    t.accumulate_grad(np.ones(3) * 2)
+    t.cell.accumulate(np.ones(3))
+    t.cell.accumulate(np.ones(3) * 2)
     assert t.grad.tolist() == [3.0, 3.0, 3.0]
     with pytest.raises(ValueError, match="gradient shape"):
-        t.accumulate_grad(np.ones(4))
+        t.cell.accumulate(np.ones(4))
 
 
 def test_ops_without_tape_are_untracked():

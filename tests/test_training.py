@@ -205,6 +205,33 @@ def test_clips_below_the_crop_are_rejected_before_writing(tmp_path, split, exten
     assert not out.exists()
 
 
+def test_clips_with_other_channel_counts_are_rejected_before_writing(tmp_path):
+    train_clips, eval_clips = _tiny_splits()
+    rgb = LabeledClip(np.repeat(eval_clips[0].frames, 3, axis=3), 0, "rgb")
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="clip 'rgb' has 3 channels, network expects 1"):
+        train(_tiny_config(), train_clips, [rgb, *eval_clips], out)
+    assert not out.exists()
+
+
+def test_a_batch_of_one_value_per_batchnorm_channel_is_rejected_before_writing(tmp_path):
+    # stage7 is 1x1x1 at this geometry, so batch 1 leaves its batchnorm one value
+    train_clips, eval_clips = _tiny_splits()
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="batch_size 1 leaves stage7's train-mode batchnorm"):
+        train(_tiny_config(batch_size=1), train_clips, eval_clips, out)
+    assert not out.exists()
+    train(_tiny_config(batch_size=1, epochs=0), train_clips, eval_clips, out)
+
+
+def test_paper_geometry_accepts_batch_one():
+    # stage7 is 1x4x4 there: 16 values per batchnorm channel from one clip
+    clips = [LabeledClip(np.zeros((32, 224, 224, 3), np.uint8), label) for label in (0, 1)]
+    config = RunConfig(network=NetworkSpec(num_classes=2), augment=AugmentConfig(),
+                       batch_size=1, epochs=1)
+    training._check_inputs(config, clips, clips)
+
+
 def test_zero_epochs_accepts_a_split_smaller_than_a_batch(tmp_path):
     train_clips, eval_clips = _tiny_splits()
     train(_tiny_config(epochs=0, batch_size=50), train_clips, eval_clips, tmp_path)
