@@ -83,14 +83,27 @@ def _conv3d_case(rng, n, cin, cout, f, h, w, k, s, p, use_bias):
     return (lambda *ts: ops.conv3d(*ts, stride=s, padding=p)), [x, wt] + bias
 
 
-def _maxpool3d_case(rng, n, c, f, h, w, k, s, p):
+def _maxpool3d_case(rng, n, c, f, h, w, k, s, p, mode=None):
     # A shuffled, evenly spaced grid with the spread of N(0, 10^2): no two
     # values lie closer than 20*sqrt(3)/(size-1) >= 0.069, far beyond the
     # FD step, so no probe can move a window's maximum onto another value.
     size = n * c * f * h * w
     grid = np.linspace(-10.0 * np.sqrt(3.0), 10.0 * np.sqrt(3.0), size)
     x = _leaf(rng.permutation(grid).reshape(n, c, f, h, w).astype(np.float32))
-    return (lambda x: ops.maxpool3d(x, k, stride=s, padding=p)), [x]
+    if mode is None:
+        return (lambda x: ops.maxpool3d(x, k, stride=s, padding=p)), [x]
+    # mode "train" or "eval": the pool normalizes x first (norm). A
+    # channel's map is monotone and one for all its cells, and |gamma| >=
+    # 0.5 keeps a probe from flipping gamma's sign, so no probe moves a
+    # winner there either.
+    gamma = _leaf((rng.uniform(0.5, 1.5, c) * rng.choice([-1.0, 1.0], c)).astype(np.float32))
+    beta = _leaf(_randn(rng, (c,), scale=0.5))
+    norm = _running_stats(rng, c, mode == "train") + (mode == "train",)
+
+    def op(x, gamma, beta):
+        return ops.maxpool3d(x, k, stride=s, padding=p, norm=(gamma, beta, *norm))
+
+    return op, [x, gamma, beta]
 
 
 def _avgpool_case(rng, *shape):
@@ -101,16 +114,20 @@ def _upsample_case(rng, shape, target):
     return (lambda x: ops.trilinear_upsample(x, target)), [_leaf(_randn(rng, shape))]
 
 
+def _running_stats(rng, c, training):
+    """Running mean and variance buffers: the init values, or fixed statistics for eval."""
+    if training:
+        return np.zeros(c, dtype=np.float32), np.ones(c, dtype=np.float32)
+    rm = _randn(rng, (c,), scale=0.3)
+    return rm, (np.abs(_randn(rng, (c,))) + 0.5).astype(np.float32)
+
+
 def _batchnorm_case(rng, shape, training):
     c = shape[1]
     x = _leaf(_randn(rng, shape))
     gamma = _leaf(_randn(rng, (c,), scale=0.5) + 1.0)
     beta = _leaf(_randn(rng, (c,), scale=0.5))
-    if training:
-        rm, rv = np.zeros(c, dtype=np.float32), np.ones(c, dtype=np.float32)
-    else:  # fixed running statistics
-        rm = _randn(rng, (c,), scale=0.3)
-        rv = (np.abs(_randn(rng, (c,))) + 0.5).astype(np.float32)
+    rm, rv = _running_stats(rng, c, training)
 
     def op(x, gamma, beta):
         return ops.batchnorm3d(x, gamma, beta, rm, rv, training=training)
@@ -206,12 +223,14 @@ OPERATOR_CHECKS = {
         (1, 4, 2, 4, 72, 72, 3, 1, 1, True),
     ]),
     "maxpool3d": partial(_check, 2, _maxpool3d_case, [
-        # (N, C, F, H, W, k, stride, pad)
+        # (N, C, F, H, W, k, stride, pad[, norm mode])
         (1, 1, 4, 6, 6, 2, 2, 0),
         (2, 2, 5, 5, 5, 3, 2, 1),
         (1, 3, 6, 4, 4, 2, 1, 1),
         (2, 1, 4, 4, 6, 3, 3, 0),
         (1, 2, 5, 6, 5, 3, 2, 1),
+        (2, 3, 5, 6, 5, 3, 2, 1, "train"),
+        (1, 4, 4, 5, 6, 3, 2, 1, "eval"),
     ]),
     "avgpool3d_adaptive": partial(_check, 3, _avgpool_case, [
         (1, 1, 2, 3, 3), (2, 3, 4, 4, 4), (1, 2, 5, 3, 6), (3, 1, 2, 2, 2), (1, 4, 3, 5, 4),

@@ -168,15 +168,20 @@ class BatchNorm3d(Module):
     def stats_ready(self) -> bool:
         return float(self.steps[0]) > 0
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, pool=None) -> Tensor:
+        """The normalized x; pool = (kernel, stride, padding) max-pools it too,
+        through ops.maxpool3d's norm, without making the normalized x."""
         if not self.training and not self.stats_ready:
             raise RuntimeError(
                 "batchnorm eval requested before any running-stat update; "
                 "train first or load statistics from a checkpoint"
             )
-        out = ops.batchnorm3d(
-            x, self.gamma, self.beta, self.running_mean, self.running_var, training=self.training
-        )
+        norm = (self.gamma, self.beta, self.running_mean, self.running_var)
+        if pool is None:
+            out = ops.batchnorm3d(x, *norm, training=self.training)
+        else:
+            kernel, stride, padding = pool
+            out = ops.maxpool3d(x, kernel, stride, padding, norm=(*norm, self.training))
         if self.training:
             self.steps[0] += 1
         return out

@@ -156,10 +156,11 @@ class Res3ATN(Module):
         it under the block's site.
         """
         self._check_input(x)
-        # pooling before the ReLU gives the same output and gradients (max is
-        # exact and monotone), and the ReLU runs on 1/8 of the stem's cells
-        h = self.stem_bn(self.stem_conv(x))
-        h = ops.relu(ops.maxpool3d(h, 3, stride=2, padding=1))
+        # the stem pools before its ReLU, which gives the same output and
+        # gradients (max is exact and monotone), so the ReLU runs on 1/8 of
+        # the stem's cells; its batchnorm is applied inside the pool, which
+        # in eval normalizes only those cells (ops.maxpool3d's norm)
+        h = ops.relu(self.stem_bn(self.stem_conv(x), pool=(3, 2, 1)))
         for idx, stage in enumerate(self.stages[:stop_after], start=1):
             h = stage(h)
             att = getattr(self, f"attention{idx}", None)

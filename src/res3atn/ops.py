@@ -26,6 +26,13 @@ constants BN_MOMENTUM and BN_EPS, and every train-mode call moves the
 running buffers it is given. Its rule keeps its input, not the normalized
 input, and forms that again block by block.
 
+maxpool3d can apply a batchnorm to its input first (norm): the stem's
+batchnorm-then-pool as one operator and one tape node, bitwise the two
+ops' output, that never makes the full-size normalized input. Untaped it
+pools the raw input and normalizes only the pooled cells, which
+monotonicity allows (see maxpool3d). batchnorm3d and this route share one
+statistics pass, one per-block normalization and one rule (_BatchNorm).
+
 Batchnorm and the max-pool make several passes over their input; they run
 them one block at a time (_channel_blocks), one sample's run of whole
 channels of at most BLOCK_BYTES, so later passes find the block in cache,
@@ -338,6 +345,119 @@ def _channel_sum(total: np.ndarray, block, part: np.ndarray) -> None:
         np.add.reduce(part, axis=(0, 2, 3, 4), keepdims=True, out=dest)
 
 
+class _BatchNorm:
+    """One batchnorm call: its statistics, its per-block map and its rule.
+
+    batchnorm3d and maxpool3d's norm share it. Building it checks gamma,
+    beta and the channel count and takes the statistics. scratch(block) is
+    an array of the block's shape and of dtype result_type(gamma, x), the
+    dtype of scale * xhat, where train mode may centre the block: the
+    caller's output, or a one-block buffer it reuses. Train mode uses
+    biased batch statistics, with np.mean's and np.var's own steps
+    (add-reduce, divide; centre, square, add-reduce, divide) run block by
+    block (_channel_blocks), so mean and var equal theirs bitwise. It moves
+    the running buffers in place by BN_MOMENTUM toward them. Eval mode
+    normalizes with the running buffers. BN_EPS is added to the variance.
+
+    normalize forms scale * xhat + shift for a block, with xhat = (x - mean)
+    * inv_std, into the destination it is given. The rule (backward) keeps
+    x, not xhat, which costs no more than xhat would and nothing where
+    another rule keeps x too, and forms each block's xhat again with the
+    same two ops, so its values are the forward's. It takes one pass for the
+    four channel sums and a second (train mode) to form dx, both in place in
+    g. Each forms a block's xhat in a one-block scratch, the first pass
+    twice, as the scratch holds g * xhat in between.
+    """
+
+    def __init__(self, op: str, x: Tensor, gamma: Tensor, beta: Tensor,
+                 running_mean: np.ndarray, running_var: np.ndarray, training: bool, scratch):
+        n, c, f, h, w = x.shape
+        if gamma.shape != (c,) or beta.shape != (c,):
+            raise ValueError(
+                f"{op}: gamma/beta must have shape ({c},), got {gamma.shape} and {beta.shape}"
+            )
+        m = n * f * h * w
+        if training and m < 2:
+            raise ValueError(f"{op}: train mode needs at least 2 samples per channel, got {m}")
+        gshape = (1, c, 1, 1, 1)
+        xd = self.xd = x.data
+        blocks = self.blocks = _channel_blocks(xd)
+        self.m, self.training = m, training
+        self.needs = (x.requires_grad, gamma.requires_grad, beta.requires_grad)
+        if training:
+            mean, var = np.empty((2, *gshape), dtype=x.dtype)
+            self.mean = mean
+            for block in blocks:
+                _channel_sum(mean, block, xd[block])
+            np.true_divide(mean, np.intp(m), out=mean, casting="unsafe")
+            for block in blocks:
+                sq = self.centred(block[1], scratch(block), xd[block], scaled=False)
+                _channel_sum(var, block, np.multiply(sq, sq, out=sq))
+            var /= m
+            running_mean *= 1.0 - BN_MOMENTUM
+            running_mean += BN_MOMENTUM * mean.reshape(c).astype(running_mean.dtype)
+            running_var *= 1.0 - BN_MOMENTUM
+            running_var += BN_MOMENTUM * var.reshape(c).astype(running_var.dtype)
+        else:
+            self.mean = running_mean.astype(x.dtype).reshape(gshape)
+            var = running_var.astype(x.dtype).reshape(gshape)
+        self.inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        self.scale, self.shift = gamma.data.reshape(gshape), beta.data.reshape(gshape)
+
+    def centred(self, ch: slice, dest: np.ndarray, src: np.ndarray, scaled=True) -> np.ndarray:
+        """xhat = (src - mean) * inv_std of src's channels ch, formed in dest."""
+        xb = np.subtract(src, self.mean[:, ch], out=dest)
+        if scaled:
+            xb *= self.inv_std[:, ch]
+        return xb
+
+    def normalize(self, ch: slice, dest: np.ndarray, src: np.ndarray) -> None:
+        """scale * xhat + shift of src's channels ch, formed in dest."""
+        np.multiply(self.scale[:, ch], self.centred(ch, dest, src), out=dest)
+        dest += self.shift[:, ch]
+
+    def backward(self, g: np.ndarray) -> tuple:
+        """Gradients of (x, gamma, beta) given the output's g; None where not needed."""
+        # dx is built in place in dxhat = g * scale, in the order of the
+        # expressions (inv_std / m) * (m * dxhat - sum_dxhat - xhat *
+        # sum_dxhat_xhat) in train mode and dxhat * inv_std in eval mode
+        xd, blocks, m, scale, inv_std = self.xd, self.blocks, self.m, self.scale, self.inv_std
+        need_x, need_gamma, need_beta = self.needs
+        gshape = scale.shape
+        dgamma, sum_dxhat_xhat = np.empty((2, *gshape), dtype=xd.dtype)
+        dbeta, sum_dxhat = np.empty((2, *gshape), dtype=g.dtype)
+        scratch = np.empty_like(xd[blocks[0]])
+        for block in blocks:
+            ch = (slice(None), block[1])
+            gb, sb = g[block], scratch[:, : g[block].shape[1]]
+            if need_gamma:
+                xb = self.centred(block[1], sb, xd[block])
+                _channel_sum(dgamma, block, np.multiply(gb, xb, out=xb))
+            if need_beta:
+                _channel_sum(dbeta, block, gb)
+            if not need_x:
+                continue
+            dxhat = np.multiply(gb, scale[ch], out=gb)  # dgamma and dbeta have read g
+            if self.training:
+                _channel_sum(sum_dxhat, block, dxhat)
+                xb = self.centred(block[1], sb, xd[block])
+                _channel_sum(sum_dxhat_xhat, block, np.multiply(dxhat, xb, out=xb))
+            else:
+                dxhat *= inv_std[ch]
+        if need_x and self.training:
+            for block in blocks:
+                ch = (slice(None), block[1])
+                dxhat = g[block]
+                dxhat *= m
+                dxhat -= sum_dxhat[ch]
+                xb = self.centred(block[1], scratch[:, : dxhat.shape[1]], xd[block])
+                dxhat -= np.multiply(xb, sum_dxhat_xhat[ch], out=xb)
+                dxhat *= inv_std[ch] / m
+        c = gshape[1]
+        return (g if need_x else None, dgamma.reshape(c) if need_gamma else None,
+                dbeta.reshape(c) if need_beta else None)
+
+
 def _strided_max(a: np.ndarray, axis: int, k: int, s: int, o: int) -> np.ndarray:
     """Running max along one axis: out[i] = max(a[s*i : s*i + k]), o outputs."""
 
@@ -382,8 +502,14 @@ def _phase_planes(x: np.ndarray, kernel, stride, padding, out_shape) -> dict:
     return planes
 
 
-def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
+def maxpool3d(x: Tensor, kernel, stride=None, padding=0, norm=None) -> Tensor:
     """Max pooling with -inf padding; backward routes to the recorded winner.
+
+    norm, if given, is (gamma, beta, running_mean, running_var, training):
+    the op then returns the pool of batchnorm3d's output for those
+    arguments, bitwise, moves the running buffers as batchnorm3d does, and
+    records one node whose inputs are [x, gamma, beta]. The full-size
+    normalized array is never made.
 
     No window tensor is built, and both routes run one block of channels at
     a time (_channel_blocks) into a preallocated output, so no full-size
@@ -407,6 +533,21 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
     index. A winner never lies in the -inf border: the padding is narrower
     than the window and a recorded output is finite. So backward indexes the
     unpadded input directly and scatters into a gradient of its shape.
+
+    With norm, the untaped route pools x itself and normalizes only the
+    pooled cells (_BatchNorm.normalize). That is bitwise the pool of the
+    normalized values because each of normalization's steps, x - mean,
+    * inv_std, * gamma and + beta, is monotone under rounding. Where gamma
+    > 0 they do not decrease, so the max of the normalized values is the
+    normalized max. Where gamma < 0 they do not increase, so the block
+    pools -x, exactly, and the normalized min is the max. Where gamma = 0
+    every value is beta (a beta of -0.0 gives zeros of either sign). The
+    taped route normalizes each block into a one-block scratch that
+    _phase_planes then copies into the planes (normalizing into the planes'
+    strided interiors is slower), so winners are found on normalized
+    values, as without norm. Its rule is the scatter above followed by
+    batchnorm's rule (_BatchNorm.backward) applied to its dx, which that
+    rule turns into x's gradient in place.
     """
     if x.ndim != 5:
         raise ValueError(f"maxpool3d: input must be rank 5, got shape {x.shape}")
@@ -418,21 +559,46 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
     fo, ho, wo = out_shape
     ksize = kernel[0] * kernel[1] * kernel[2]
 
-    blocks = _channel_blocks(x.data)
-    out = np.empty((n, c, fo, ho, wo), dtype=x.dtype)
-    if not _recording([x]):
+    inputs, bn, blocks, dtype = [x], None, _channel_blocks(x.data), x.dtype
+    if norm is not None:
+        gamma, beta, running_mean, running_var, training = norm
+        inputs, dtype = [x, gamma, beta], np.result_type(gamma.data, x.data)
+        buf = np.empty(x.data[blocks[0]].shape, dtype)
+
+        def one_block(block):  # train mode's statistics scratch, then the taped route's
+            return buf[:, : x.data[block].shape[1]]
+
+        bn = _BatchNorm("maxpool3d", x, gamma, beta, running_mean, running_var, training,
+                        one_block)
+    out = np.empty((n, c, fo, ho, wo), dtype=dtype)
+    if not _recording(inputs):
+        # +1 or -1 per channel: a block pools sign * x, and the sign undoes it
+        sign = None if bn is None else np.where(bn.scale < 0, -1, 1).astype(x.dtype)
         for block in blocks:
-            part = _pad5(x.data[block], padding, value=-np.inf)
+            part = x.data[block]
+            flip = None if sign is None or sign[:, block[1]].min() > 0 else sign[:, block[1]]
+            if flip is not None:
+                part = part * flip
+            part = _pad5(part, padding, value=-np.inf)
             for axis, (k, s, o) in enumerate(zip(kernel, stride, out_shape)):
                 part = _strided_max(part, 2 + axis, k, s, o)
-            out[block] = part
-        return _finish("maxpool3d", out, [x], None)
+            if flip is not None:
+                part *= flip
+            if bn is None:
+                out[block] = part
+            else:
+                bn.normalize(block[1], out[block], part)
+        return _finish("maxpool3d", out, inputs, None)
 
     sf, sh, sw = stride
     am = np.zeros(out.shape, dtype=np.min_scalar_type(ksize))  # the score, then the winner
     hit = np.empty_like(am[blocks[0]])
     for block in blocks:
-        planes = _phase_planes(x.data[block], kernel, stride, padding, out_shape)
+        src = x.data[block]
+        if bn is not None:
+            src = one_block(block)
+            bn.normalize(block[1], src, x.data[block])
+        planes = _phase_planes(src, kernel, stride, padding, out_shape)
         taps = [  # offset j = (a, b, d) in linear order, each a unit-stride view
             planes[(a % sf, b % sh, d % sw)][
                 :, :, a // sf : a // sf + fo, b // sh : b // sh + ho, d // sw : d // sw + wo
@@ -467,9 +633,9 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0) -> Tensor:
             index += origin
             index += (np.arange(nb * cb) * plane).reshape(nb, cb, 1)
             np.add.at(dx[block].reshape(-1), index.ravel(), g[block].ravel())
-        return (dx,)
+        return (dx,) if bn is None else bn.backward(dx)
 
-    return _finish("maxpool3d", out, [x], backward_fn)
+    return _finish("maxpool3d", out, inputs, backward_fn)
 
 
 def avgpool3d_adaptive(x: Tensor) -> Tensor:
@@ -556,109 +722,19 @@ def batchnorm3d(
 
     Train mode normalizes with biased batch statistics and moves the running
     buffers in place by BN_MOMENTUM toward them. Eval mode normalizes with
-    the running buffers. BN_EPS is added to the variance.
-
-    Every pass runs block by block (_channel_blocks), and the channel sums
-    keep numpy's order, so mean and var equal x.mean and x.var bitwise.
-    Train mode sums x, then centres each block and sums its squares. The
-    output pass forms each block's xhat = (x - mean) * inv_std and scales
-    and shifts it; eval mode makes only that pass. Both work in the block of
-    the output being made, so no full-size xhat is made. The rule keeps x
-    instead, which costs no more than xhat would and nothing where another
-    rule keeps x too, and forms each block's xhat again with the same two
-    ops, so its values are the forward's. Backward takes one pass for the
-    four channel sums and a second (train mode) to form dx, both in place
-    in g. Each forms a block's xhat in a one-block scratch, the first pass
-    twice, as the scratch holds g * xhat in between.
+    the running buffers. BN_EPS is added to the variance. The statistics,
+    the per-block map and the rule are _BatchNorm's; the output pass forms
+    each block's xhat in the block of the output being made, so no
+    full-size xhat is made.
     """
     if x.ndim != 5:
         raise ValueError(f"batchnorm3d: input must be rank 5, got shape {x.shape}")
-    n, c, f, h, w = x.shape
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ValueError(
-            f"batchnorm3d: gamma/beta must have shape ({c},), got {gamma.shape} and {beta.shape}"
-        )
-    m = n * f * h * w
-    gshape = (1, c, 1, 1, 1)
-    if training and m < 2:
-        raise ValueError(f"batchnorm3d: train mode needs at least 2 samples per channel, got {m}")
-
-    xd = x.data
-    blocks = _channel_blocks(xd)
-    out = np.empty(xd.shape, np.result_type(gamma.data, xd))  # the dtype of scale * xhat
-
-    def centred(block, dest, scaled=True):
-        """One block's xhat = (x - mean) * inv_std, formed in dest."""
-        xb = np.subtract(xd[block], mean[:, block[1]], out=dest)
-        if scaled:
-            xb *= inv_std[:, block[1]]
-        return xb
-
-    if training:
-        # np.mean's and np.var's own steps (add-reduce, divide; centre,
-        # square, add-reduce, divide), so mean and var equal theirs bitwise
-        mean, var = np.empty((2, *gshape), dtype=x.dtype)
-        for block in blocks:
-            _channel_sum(mean, block, xd[block])
-        np.true_divide(mean, np.intp(m), out=mean, casting="unsafe")
-        for block in blocks:
-            sq = centred(block, out[block], scaled=False)
-            _channel_sum(var, block, np.multiply(sq, sq, out=sq))
-        var /= m
-        running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mean.reshape(c).astype(running_mean.dtype)
-        running_var *= 1.0 - BN_MOMENTUM
-        running_var += BN_MOMENTUM * var.reshape(c).astype(running_var.dtype)
-    else:
-        mean = running_mean.astype(x.dtype).reshape(gshape)
-        var = running_var.astype(x.dtype).reshape(gshape)
-
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    scale, shift = gamma.data.reshape(gshape), beta.data.reshape(gshape)
-    for block in blocks:
-        ch = (slice(None), block[1])
-        ob = out[block]
-        np.multiply(scale[ch], centred(block, ob), out=ob)
-        ob += shift[ch]
-    need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
-
-    def backward_fn(g):
-        # dx is built in place in dxhat = g * scale, in the order of the
-        # expressions (inv_std / m) * (m * dxhat - sum_dxhat - xhat *
-        # sum_dxhat_xhat) in train mode and dxhat * inv_std in eval mode
-        dgamma, sum_dxhat_xhat = np.empty((2, *gshape), dtype=xd.dtype)
-        dbeta, sum_dxhat = np.empty((2, *gshape), dtype=g.dtype)
-        scratch = np.empty_like(xd[blocks[0]])
-        for block in blocks:
-            ch = (slice(None), block[1])
-            gb = g[block]
-            if need_gamma:
-                xb = centred(block, scratch[:, : gb.shape[1]])
-                _channel_sum(dgamma, block, np.multiply(gb, xb, out=xb))
-            if need_beta:
-                _channel_sum(dbeta, block, gb)
-            if not need_x:
-                continue
-            dxhat = np.multiply(gb, scale[ch], out=gb)  # dgamma and dbeta have read g
-            if training:
-                _channel_sum(sum_dxhat, block, dxhat)
-                xb = centred(block, scratch[:, : gb.shape[1]])
-                _channel_sum(sum_dxhat_xhat, block, np.multiply(dxhat, xb, out=xb))
-            else:
-                dxhat *= inv_std[ch]
-        if need_x and training:
-            for block in blocks:
-                ch = (slice(None), block[1])
-                dxhat = g[block]
-                dxhat *= m
-                dxhat -= sum_dxhat[ch]
-                xb = centred(block, scratch[:, : dxhat.shape[1]])
-                dxhat -= np.multiply(xb, sum_dxhat_xhat[ch], out=xb)
-                dxhat *= inv_std[ch] / m
-        dgamma, dbeta = dgamma.reshape(c), dbeta.reshape(c)
-        return (g if need_x else None, dgamma if need_gamma else None, dbeta if need_beta else None)
-
-    return _finish("batchnorm3d", out, [x, gamma, beta], backward_fn)
+    out = np.empty(x.shape, np.result_type(gamma.data, x.data))
+    bn = _BatchNorm("batchnorm3d", x, gamma, beta, running_mean, running_var, training,
+                    out.__getitem__)
+    for block in bn.blocks:
+        bn.normalize(block[1], out[block], x.data[block])
+    return _finish("batchnorm3d", out, [x, gamma, beta], bn.backward)
 
 
 def relu(x: Tensor) -> Tensor:

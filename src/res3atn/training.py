@@ -431,10 +431,13 @@ def ablation_run(
 ) -> list[dict]:
     """Train one variant per attention-site subset under identical settings.
 
-    Every variant's config is built, and so checked, before the first trains.
-    The table goes to ablation.txt, not to log; the caller shows it.
+    Every variant's config is built, and its inputs checked as train checks
+    them, before out_dir is made. The table goes to ablation.txt, not to
+    log; the caller shows it.
     """
     variants = ablation_variants(base, sites_list)
+    for cfg in variants:
+        _check_inputs(cfg, train_clips, eval_clips)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -575,6 +575,13 @@ def test_desk_batch_one_is_exit_2_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_desk_ablate_batch_one_is_exit_2_before_making_its_out_dir(tmp_path, capsys):
+    out = tmp_path / "ablation"
+    assert cli.main(["ablate", *DESK, "--batch-size", "1", "--out", str(out)]) == 2
+    assert "leaves stage7's train-mode batchnorm 1 sample" in _one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_desk_batch_two_trains(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["train", *DESK, "--batch-size", "2", "--out", str(out)]) == 0

@@ -239,9 +239,10 @@ def test_network_check_passes_where_a_kink_lies_near_the_point(seed):
     assert report.coords_checked >= 64
 
 
-@pytest.mark.parametrize("name", ["conv3d", "add_scalar"])
+@pytest.mark.parametrize("name", ["conv3d", "add_scalar", "maxpool3d"])
 def test_network_check_detects_a_mutated_backward(name):
-    # add_scalar is reached only through the attention fusion (1 + mask) * trunk
+    # add_scalar is reached only through the attention fusion (1 + mask) * trunk,
+    # and the stem's batchnorm only through maxpool3d's norm
     with mutate_backward(name):
         report = network_check(seed=0)
     assert not report.passed, str(report)

@@ -823,6 +823,88 @@ def test_blocked_untaped_maxpool_bitwise_equals_the_taped_output(n, dtype, kerne
         assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
 
 
+def _bn_pool_run(data, gamma, beta, g, training, taped, kernel, stride, padding, fused):
+    """Output, running buffers and, taped, the three gradients of batchnorm
+    then max-pool: maxpool3d's norm if fused, else the two ops."""
+    c = data.shape[1]
+    rm = np.linspace(-1.0, 1.0, c).astype(np.float32)
+    rv = np.linspace(0.5, 2.0, c).astype(np.float32)
+    tensors = [Tensor(a, requires_grad=taped) for a in (data, gamma, beta)]
+    with Tape() as tape:
+        if fused:
+            out = ops.maxpool3d(tensors[0], kernel, stride, padding,
+                                norm=(*tensors[1:], rm, rv, training))
+        else:
+            out = ops.maxpool3d(ops.batchnorm3d(*tensors, rm, rv, training=training),
+                                kernel, stride, padding)
+        loss = ops.sum_all(ops.mul(out, Tensor(g)))
+    if not taped:
+        assert not tape.nodes
+        return [out.data, rm, rv]
+    assert len(tape.nodes) == (3 if fused else 4)  # one node for the normalizing pool
+    backward(loss)
+    return [out.data, rm, rv] + [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("dtype, param_dtype", [
+    (np.float32, np.float32), (np.float64, np.float64), (np.float64, np.float32),
+    (np.float32, np.float64),
+])
+@pytest.mark.parametrize("kernel, stride, padding", [
+    (3, 2, 1), ((1, 3, 3), (1, 2, 2), (0, 1, 1)),
+    (3, 1, 2),  # corner windows hold one input cell and the rest -inf border
+])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("training, taped", [(True, True), (True, False), (False, False),
+                                             (False, True)])
+def test_normalizing_maxpool_bitwise_equals_batchnorm_then_maxpool(
+        training, taped, n, kernel, stride, padding, dtype, param_dtype, monkeypatch):
+    rng = np.random.default_rng(n)
+    shape = (n, 7, 4, 7, 6)
+    # small integers tie often, before and after the map; channels 1, 4 and
+    # 6 pool the negated input, and channel 2's values are all beta
+    data = (rng.integers(-4, 5, size=shape) * 1.5 + 0.25).astype(dtype)
+    gamma = np.array([1.5, -0.7, 0.0, 2.0, -1.2, 0.3, -1e-3], dtype=param_dtype)
+    beta = (rng.normal(size=7) + 0.1).astype(param_dtype)
+    geometry = [ops._triple(v, "") for v in (kernel, stride, padding)]
+    out_shape = ops._check_window_geometry("maxpool3d", shape[2:], *geometry)
+    g = rng.normal(size=(n, 7, *out_shape)).astype(np.result_type(dtype, param_dtype))
+    args = (data, gamma, beta, g, training, taped, kernel, stride, padding)
+    for blocked in (False, True):
+        if blocked:
+            assert _blocks_of(monkeypatch, data, 2) == 4 * n  # runs of 2, 2, 2 and 1
+        want = _bn_pool_run(*args, fused=False)
+        got = _bn_pool_run(*args, fused=True)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_taped_normalizing_maxpool_allocates_its_output_winners_and_a_few_blocks(
+        monkeypatch, rng):
+    x = Tensor(rng.normal(size=(2, 8, 8, 64, 64)).astype(np.float32), requires_grad=True)
+    gamma = Tensor(np.linspace(-1.0, 1.0, 8).astype(np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
+    rm, rv = np.zeros(8, dtype=np.float32), np.ones(8, dtype=np.float32)
+    assert _blocks_of(monkeypatch, x.data, 1) == 16
+    tracemalloc.start()
+    try:
+        with Tape():
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = ops.maxpool3d(x, 3, 2, 1, norm=(gamma, beta, rm, rv, True))
+            grown, peak = (v - before for v in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    kept = out.data.nbytes + out.size  # the output and a one-byte winner per window
+    # the rule keeps x, which was alive already, and per-channel statistics;
+    # a kept normalized input would add 16 blocks
+    assert kept <= grown < kept + out.size // 2
+    # on the way: one normalized block beside its phase planes (1.2 blocks
+    # here); the normalized input would add 16 blocks
+    assert peak < kept + 3 * ops.BLOCK_BYTES
+
+
 def test_blocked_reductions_keep_numpys_order(monkeypatch):
     # Reducing a strided one-channel slice of an N > 1 array sums in another
     # order than numpy's reduction of the whole array; the blocks (one
