@@ -32,6 +32,11 @@ ops' output, that never makes the full-size normalized input. Untaped it
 pools the raw input and normalizes only the pooled cells, which
 monotonicity allows (see maxpool3d). batchnorm3d and this route share one
 statistics pass, one per-block normalization and one rule (_BatchNorm).
+That rule reads its output gradient one block at a time, so the pool
+scatters each block's winners into a one-block scratch, and it writes dx
+into its input's own storage when nothing else can read that array
+(_BatchNorm.owns_x): the stem's conv output and its gradient then share
+one buffer.
 
 Batchnorm and the max-pool make several passes over their input; they run
 them one block at a time (_channel_blocks), one sample's run of whole
@@ -44,6 +49,8 @@ passes; an input of one block runs as one.
 from __future__ import annotations
 
 import itertools
+import sys
+import weakref
 from typing import Optional, Sequence
 
 import numpy as np
@@ -355,18 +362,22 @@ class _BatchNorm:
     caller's output, or a one-block buffer it reuses. Train mode uses
     biased batch statistics, with np.mean's and np.var's own steps
     (add-reduce, divide; centre, square, add-reduce, divide) run block by
-    block (_channel_blocks), so mean and var equal theirs bitwise. It moves
-    the running buffers in place by BN_MOMENTUM toward them. Eval mode
-    normalizes with the running buffers. BN_EPS is added to the variance.
+    block (_channel_blocks), so mean and var equal theirs bitwise. The
+    squares are summed in the scratch's dtype and rounded to x's once, so
+    blocking never changes var, whatever the dtypes. It moves the running
+    buffers in place by BN_MOMENTUM toward them. Eval mode normalizes with
+    the running buffers. BN_EPS is added to the variance.
 
     normalize forms scale * xhat + shift for a block, with xhat = (x - mean)
     * inv_std, into the destination it is given. The rule (backward) keeps
     x, not xhat, which costs no more than xhat would and nothing where
     another rule keeps x too, and forms each block's xhat again with the
-    same two ops, so its values are the forward's. It takes one pass for the
-    four channel sums and a second (train mode) to form dx, both in place in
-    g. Each forms a block's xhat in a one-block scratch, the first pass
-    twice, as the scratch holds g * xhat in between.
+    same two ops, so its values are the forward's. It reads the output
+    gradient one block at a time, through the caller's grad(block), and
+    never whole: once for the four channel sums, and in train mode again
+    to form dx, each block's xhat taken from x before its dx is written.
+    So when the rule owns x (owns_x) dx goes into x's own storage, and
+    the stem's rule makes no full-size array.
     """
 
     def __init__(self, op: str, x: Tensor, gamma: Tensor, beta: Tensor,
@@ -381,18 +392,21 @@ class _BatchNorm:
             raise ValueError(f"{op}: train mode needs at least 2 samples per channel, got {m}")
         gshape = (1, c, 1, 1, 1)
         xd = self.xd = x.data
+        self.x = weakref.ref(x)
         blocks = self.blocks = _channel_blocks(xd)
         self.m, self.training = m, training
         self.needs = (x.requires_grad, gamma.requires_grad, beta.requires_grad)
         if training:
-            mean, var = np.empty((2, *gshape), dtype=x.dtype)
+            mean = np.empty(gshape, dtype=x.dtype)
+            squares = np.empty(gshape, dtype=np.result_type(gamma.data, xd))
             self.mean = mean
             for block in blocks:
                 _channel_sum(mean, block, xd[block])
             np.true_divide(mean, np.intp(m), out=mean, casting="unsafe")
             for block in blocks:
                 sq = self.centred(block[1], scratch(block), xd[block], scaled=False)
-                _channel_sum(var, block, np.multiply(sq, sq, out=sq))
+                _channel_sum(squares, block, np.multiply(sq, sq, out=sq))
+            var = squares.astype(x.dtype)
             var /= m
             running_mean *= 1.0 - BN_MOMENTUM
             running_mean += BN_MOMENTUM * mean.reshape(c).astype(running_mean.dtype)
@@ -416,20 +430,45 @@ class _BatchNorm:
         np.multiply(self.scale[:, ch], self.centred(ch, dest, src), out=dest)
         dest += self.shift[:, ch]
 
-    def backward(self, g: np.ndarray) -> tuple:
-        """Gradients of (x, gamma, beta) given the output's g; None where not needed."""
-        # dx is built in place in dxhat = g * scale, in the order of the
+    def owns_x(self, dtype) -> bool:
+        """Whether x's storage may take x's gradient, of dtype: x's Tensor
+        is gone, the dtypes match, and no other rule or view can read the
+        array. Reference counts show the last, as numpy's own test for
+        eliding a temporary does: self.xd is the array's one reference, and
+        the array the one reference to the base it views, if any."""
+        if self.x() is not None or self.xd.dtype != dtype or not self.xd.flags.writeable:
+            return False
+        if self.xd.base is None:
+            return sys.getrefcount(self.xd) == 2  # self.xd and the argument
+        return (type(self.xd.base) is np.ndarray and self.xd.base.flags.owndata
+                and sys.getrefcount(self.xd.base) == 2 and sys.getrefcount(self.xd) == 2)
+
+    def backward(self, grad, dtype, dx: Optional[np.ndarray] = None) -> tuple:
+        """Gradients of (x, gamma, beta); None where not needed.
+
+        grad(block) gives the output gradient's block, of dtype, in a buffer
+        the rule may overwrite. dx, of dtype and x's shape, takes x's
+        gradient. batchnorm3d hands its g as dx, and grad gives g's blocks,
+        so the first pass leaves each block's dxhat there for the second.
+        With no dx, dx is x's own storage if the rule owns x (owns_x), else
+        a new array, and the second pass asks grad for each block again,
+        unless there is one block.
+        """
+        # dx is formed from dxhat = g * scale, in the order of the
         # expressions (inv_std / m) * (m * dxhat - sum_dxhat - xhat *
         # sum_dxhat_xhat) in train mode and dxhat * inv_std in eval mode
-        xd, blocks, m, scale, inv_std = self.xd, self.blocks, self.m, self.scale, self.inv_std
         need_x, need_gamma, need_beta = self.needs
+        again = dx is None
+        if need_x and again:
+            dx = self.xd if self.owns_x(dtype) else np.empty(self.xd.shape, dtype)
+        xd, blocks, m, scale, inv_std = self.xd, self.blocks, self.m, self.scale, self.inv_std
         gshape = scale.shape
         dgamma, sum_dxhat_xhat = np.empty((2, *gshape), dtype=xd.dtype)
-        dbeta, sum_dxhat = np.empty((2, *gshape), dtype=g.dtype)
+        dbeta, sum_dxhat = np.empty((2, *gshape), dtype=dtype)
         scratch = np.empty_like(xd[blocks[0]])
         for block in blocks:
-            ch = (slice(None), block[1])
-            gb, sb = g[block], scratch[:, : g[block].shape[1]]
+            ch, gb = (slice(None), block[1]), grad(block)
+            sb = scratch[:, : gb.shape[1]]
             if need_gamma:
                 xb = self.centred(block[1], sb, xd[block])
                 _channel_sum(dgamma, block, np.multiply(gb, xb, out=xb))
@@ -442,19 +481,23 @@ class _BatchNorm:
                 _channel_sum(sum_dxhat, block, dxhat)
                 xb = self.centred(block[1], sb, xd[block])
                 _channel_sum(sum_dxhat_xhat, block, np.multiply(dxhat, xb, out=xb))
-            else:
-                dxhat *= inv_std[ch]
+            else:  # x's block has been read
+                np.multiply(dxhat, inv_std[ch], out=dx[block])
         if need_x and self.training:
             for block in blocks:
                 ch = (slice(None), block[1])
-                dxhat = g[block]
+                if not again:
+                    dxhat = dx[block]
+                elif len(blocks) > 1:  # one block's dxhat is still in grad's buffer
+                    gb = grad(block)
+                    dxhat = np.multiply(gb, scale[ch], out=gb)
                 dxhat *= m
                 dxhat -= sum_dxhat[ch]
                 xb = self.centred(block[1], scratch[:, : dxhat.shape[1]], xd[block])
                 dxhat -= np.multiply(xb, sum_dxhat_xhat[ch], out=xb)
-                dxhat *= inv_std[ch] / m
+                np.multiply(dxhat, inv_std[ch] / m, out=dx[block])  # x's block has been read
         c = gshape[1]
-        return (g if need_x else None, dgamma.reshape(c) if need_gamma else None,
+        return (dx if need_x else None, dgamma.reshape(c) if need_gamma else None,
                 dbeta.reshape(c) if need_beta else None)
 
 
@@ -545,9 +588,11 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0, norm=None) -> Tensor:
     taped route normalizes each block into a one-block scratch that
     _phase_planes then copies into the planes (normalizing into the planes'
     strided interiors is slower), so winners are found on normalized
-    values, as without norm. Its rule is the scatter above followed by
-    batchnorm's rule (_BatchNorm.backward) applied to its dx, which that
-    rule turns into x's gradient in place.
+    values, as without norm. Its rule is batchnorm's (_BatchNorm.backward),
+    fed one block at a time: each block's scatter above goes into a zeroed
+    one-block scratch, once for each of that rule's two passes. The rule
+    writes x's gradient into x's own storage when it owns x, so no
+    full-size array is made, and into a new array otherwise.
     """
     if x.ndim != 5:
         raise ValueError(f"maxpool3d: input must be rank 5, got shape {x.shape}")
@@ -560,10 +605,11 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0, norm=None) -> Tensor:
     ksize = kernel[0] * kernel[1] * kernel[2]
 
     inputs, bn, blocks, dtype = [x], None, _channel_blocks(x.data), x.dtype
+    block_shape = x.data[blocks[0]].shape
     if norm is not None:
         gamma, beta, running_mean, running_var, training = norm
         inputs, dtype = [x, gamma, beta], np.result_type(gamma.data, x.data)
-        buf = np.empty(x.data[blocks[0]].shape, dtype)
+        buf = np.empty(block_shape, dtype)
 
         def one_block(block):  # train mode's statistics scratch, then the taped route's
             return buf[:, : x.data[block].shape[1]]
@@ -625,15 +671,29 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0, norm=None) -> Tensor:
         pf, ph, pw = padding
         origin = (((lf * sf - pf) * h + (lh * sh - ph)) * w + (lw * sw - pw)).ravel()
         plane = f * h * w
-        dx = np.zeros((n, c, f, h, w), dtype=g.dtype)
-        for block in blocks:  # the forward's, so an index plane is one block's
+
+        def scatter(block, dest):  # g's block to its winners in dest, zeros of x[block]'s shape
             score = am[block]
             nb, cb = score.shape[:2]
             index = tap_offset[score.reshape(nb, cb, -1)]  # built in place
             index += origin
             index += (np.arange(nb * cb) * plane).reshape(nb, cb, 1)
-            np.add.at(dx[block].reshape(-1), index.ravel(), g[block].ravel())
-        return (dx,) if bn is None else bn.backward(dx)
+            np.add.at(dest.reshape(-1), index.ravel(), g[block].ravel())
+            return dest
+
+        if bn is None:
+            dx = np.zeros((n, c, f, h, w), dtype=g.dtype)
+            for block in blocks:  # the forward's, so an index plane is one block's
+                scatter(block, dx[block])
+            return (dx,)
+        scratch = np.empty(block_shape, g.dtype)
+
+        def grad(block):  # batchnorm's output gradient, one block at a time
+            dest = scratch[:, : am[block].shape[1]]
+            dest.fill(0)
+            return scatter(block, dest)
+
+        return bn.backward(grad, g.dtype)
 
     return _finish("maxpool3d", out, inputs, backward_fn)
 
@@ -734,7 +794,8 @@ def batchnorm3d(
                     out.__getitem__)
     for block in bn.blocks:
         bn.normalize(block[1], out[block], x.data[block])
-    return _finish("batchnorm3d", out, [x, gamma, beta], bn.backward)
+    return _finish("batchnorm3d", out, [x, gamma, beta],
+                   lambda g: bn.backward(g.__getitem__, g.dtype, g))
 
 
 def relu(x: Tensor) -> Tensor:

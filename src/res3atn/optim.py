@@ -19,6 +19,17 @@ every gradient at once. `step` then ends the step: it updates any
 parameter that still holds a gradient and raises for one that got none.
 The arithmetic is the same either way, so parameters and velocities are
 bitwise those of an update made wholly in `step`.
+
+The update makes no temporary the size of a parameter. It runs the three
+lines above, op by op in the same order, over one chunk of at most CHUNK
+elements of the flattened (C-ordered) parameter at a time, into two
+chunk-sized scratch arrays the optimizer keeps per dtype. Each parameter
+keeps views of them shaped like its chunks, so a small parameter's update
+costs no more than whole-array arithmetic. Every op is elementwise, so
+parameters and velocities are bitwise those of whole-array arithmetic.
+The hyperparameters are Python floats, so it runs in the parameter's and
+the gradient's dtype, and each parameter's weight decay is fixed when the
+optimizer is built.
 """
 
 from __future__ import annotations
@@ -30,6 +41,9 @@ import numpy as np
 from .tensor import GradCell, Parameter
 
 _BN_SUFFIXES = (".gamma", ".beta")
+
+# elements per chunk of the update: a pair of float32 scratch chunks is 512 KiB
+CHUNK = 1 << 16
 
 
 def check_hyperparameters(lr: float, momentum: float, weight_decay: float) -> None:
@@ -60,20 +74,33 @@ class NesterovSGD:
         if any(not n for n in names) or len(set(names)) != len(names):
             raise ValueError("optimizer parameters must carry unique names")
         check_hyperparameters(lr, momentum, weight_decay)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.decay_bn = decay_bn
+        self.lr = float(lr)
+        self.momentum = float(momentum)
+        self.weight_decay = float(weight_decay)
         self.velocities: dict[str, np.ndarray] = {
             p.name: np.zeros_like(p.data) for p in self.params
         }
+        self._scratch: dict[np.dtype, tuple] = {}  # dtype -> two chunk-sized arrays
+        self._chunks: dict[GradCell, list] = {}  # cell -> _chunk_views of its parameter
         self._owners = {p.cell: p for p in self.params}
+        self._decay = {  # batchnorm's gamma and beta take none unless decay_bn
+            p.cell: self.weight_decay if decay_bn or not p.name.endswith(_BN_SUFFIXES) else 0.0
+            for p in self.params
+        }
         self._updated: set[GradCell] = set()  # updated by `update` since the last step
 
-    def _decays(self, p: Parameter) -> bool:
-        if self.decay_bn:
-            return True
-        return not p.name.endswith(_BN_SUFFIXES)
+    def _chunk_views(self, p: Parameter, dtype) -> list:
+        """p's chunks, each (index, a, b): its index into p's arrays, which
+        are flattened when p spans several chunks, and the views of the two
+        dtype scratch arrays it computes in, of its shape."""
+        scratch = self._scratch.get(dtype)
+        if scratch is None:
+            scratch = self._scratch[dtype] = (np.empty(CHUNK, dtype), np.empty(CHUNK, dtype))
+        size = p.size
+        if size <= CHUNK:
+            return [(..., *(s[:size].reshape(p.shape) for s in scratch))]
+        return [(slice(lo, lo + CHUNK), *(s[: min(CHUNK, size - lo)] for s in scratch))
+                for lo in range(0, size, CHUNK)]
 
     def update(self, cell: GradCell) -> None:
         """Update the parameter whose gradient cell this is, then free its gradient.
@@ -81,16 +108,25 @@ class NesterovSGD:
         A cell that is no parameter's, or that holds no gradient, is left alone.
         """
         p = self._owners.get(cell)
-        if p is None or p.grad is None:
+        if p is None or cell.grad is None:
             return
-        g = p.grad
-        if self.weight_decay and self._decays(p):
-            g = g + self.weight_decay * p.data
-        v = self.velocities[p.name]
-        v *= self.momentum
-        v += g
-        p.data -= self.lr * (g + self.momentum * v)
-        p.grad = None
+        grad, data, velocity = cell.grad, p.data, self.velocities[p.name]
+        dtype = np.result_type(grad, data)
+        chunks = self._chunks.get(cell)
+        if chunks is None or chunks[0][1].dtype != dtype:
+            chunks = self._chunks[cell] = self._chunk_views(p, dtype)
+        if len(chunks) > 1:
+            grad, data, velocity = grad.reshape(-1), data.reshape(-1), velocity.reshape(-1)
+        decay, lr, momentum = self._decay[cell], self.lr, self.momentum
+        for index, a, b in chunks:
+            g, d, v = grad[index], data[index], velocity[index]
+            if decay:  # g <- grad + weight_decay * p
+                g = np.add(g, np.multiply(decay, d, a), a)
+            v *= momentum  # v <- momentum * v + g
+            v += g
+            # p <- p - lr * (g + momentum * v)
+            np.subtract(d, np.multiply(lr, np.add(g, np.multiply(momentum, v, b), b), b), d)
+        cell.grad = None
         self._updated.add(cell)
 
     def step(self) -> None:
@@ -113,4 +149,4 @@ class NesterovSGD:
                 raise KeyError(f"velocity for unknown parameter {name!r}")
             if v.shape != self.velocities[name].shape:
                 raise ValueError(f"velocity shape mismatch for {name!r}")
-            self.velocities[name] = v.astype(self.velocities[name].dtype)
+            np.copyto(self.velocities[name], v, casting="unsafe")

@@ -1,10 +1,13 @@
 """Network assembly: spec validation, stage geometry, and variant builds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from res3atn import ops
 from res3atn.network import NetworkSpec, build_res3atn, stage_trace
+from res3atn.optim import NesterovSGD
 from res3atn.tensor import Tape, Tensor, backward
 
 FULL_SPEC = NetworkSpec(num_classes=10)
@@ -212,3 +215,28 @@ def test_every_desk_conv_at_batch_6_keeps_its_columns(monkeypatch):
         loss = ops.softmax_cross_entropy(net(x), np.arange(6) % 4)
     backward(loss)
     assert len(columns) > 50 and max(columns) <= ops.KEEP_COLUMNS_BYTES
+
+
+def test_full_geometry_training_step_stays_under_its_traced_memory_peak():
+    """One taped paper-geometry step at batch 1, as training runs it: forward,
+    backward with each parameter updated as its gradient is final, then
+    opt.step. Its tracemalloc peak does not depend on the allocator, so a
+    memory regression shows here as well as in a benchmark run."""
+    net = build_res3atn(NetworkSpec(num_classes=8), seed=0)
+    opt = NesterovSGD(net.parameters(), lr=0.01, momentum=0.9, weight_decay=0.001,
+                      decay_bn=False)
+    x = Tensor(np.random.default_rng(0).normal(size=(1, 3, 32, 112, 112)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        with Tape():
+            loss = ops.softmax_cross_entropy(net(x), np.array([3]))
+        backward(loss, opt.update)
+        opt.step()
+        peak = (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        tracemalloc.stop()
+    # 295.7 MiB above the parameters, velocities and clip: the tape after
+    # the forward, then the stem conv output sharing its storage with its
+    # gradient; a second full-size stem array would add 98 MiB
+    assert peak < 310.0

@@ -738,9 +738,11 @@ def _blocks_of(monkeypatch, x, channels):
     return len(ops._channel_blocks(x))
 
 
-# (input dtype, gamma/beta dtype): a float32 network also takes float64 input
+# (input dtype, gamma/beta dtype): a float32 network also takes float64
+# input; float64 gamma on float32 input centres and squares in float64
 @pytest.mark.parametrize("dtype, param_dtype", [
     (np.float32, np.float32), (np.float64, np.float64), (np.float64, np.float32),
+    (np.float32, np.float64),
 ])
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("n", [1, 2, 6])
@@ -903,6 +905,103 @@ def test_taped_normalizing_maxpool_allocates_its_output_winners_and_a_few_blocks
     # on the way: one normalized block beside its phase planes (1.2 blocks
     # here); the normalized input would add 16 blocks
     assert peak < kept + 3 * ops.BLOCK_BYTES
+
+
+def _stem_run(data, gamma, beta, g, keep, reader, dtype=np.float32):
+    """One taped normalizing pool of x = x0 + 0, a new array, as the stem
+    pools its conv output. keep holds x until backward has run. reader is
+    None; "mul", x * y recorded before the pool and summed into the loss, so
+    that y's gradient is x's data as mul's rule reads it after the pool's;
+    or "view", a held ops.reshape of x.
+
+    Returns the gradients of x0, gamma, beta and y, whether x0's gradient
+    is x's storage, x's bytes before backward, and after it as the holder
+    or the reader sees them (None if nothing can see them).
+    """
+    x0 = Tensor(data, requires_grad=True)
+    params = [Tensor(a, dtype=dtype, requires_grad=True) for a in (gamma, beta)]
+    c = data.shape[1]
+    rm, rv = np.zeros(c, dtype=np.float32), np.ones(c, dtype=np.float32)
+    y = Tensor(np.ones_like(data), requires_grad=True)
+    with Tape():
+        x = ops.add_scalar(x0, 0.0)
+        address, before = x.data.ctypes.data, x.data.tobytes()
+        extra = ops.sum_all(ops.mul(x, y)) if reader == "mul" else None
+        view = ops.reshape(x, (-1,)) if reader == "view" else None
+        out = ops.maxpool3d(x, 3, 2, 1, norm=(*params, rm, rv, True))
+        loss = ops.sum_all(ops.mul(out, Tensor(g)))
+        if extra is not None:
+            loss = ops.add(loss, extra)
+    held = x if keep else None
+    del x, out
+    backward(loss)
+    if keep:
+        seen = held.data
+    elif reader == "mul":
+        seen = y.grad
+    elif reader == "view":
+        seen = view.data
+    else:
+        seen = None
+    grads = [t.grad for t in (x0, *params, y)]
+    return (grads, x0.grad.ctypes.data == address, before,
+            None if seen is None else seen.tobytes())
+
+
+@pytest.mark.parametrize("reader", [None, "mul", "view"])
+def test_stem_rule_leaves_x_alone_while_anything_can_read_it(reader, monkeypatch, rng):
+    # the caller holding x, a rule recorded before the pool that reads x's
+    # array, or a held view of it: each keeps dx out of x's storage
+    data = rng.normal(size=(2, 4, 4, 8, 6)).astype(np.float32)
+    gamma, beta = np.array([1.5, -0.7, 0.3, 2.0]), np.array([0.1, -0.2, 0.3, 0.0])
+    g = rng.normal(size=(2, 4, 2, 4, 3)).astype(np.float32)
+    assert _blocks_of(monkeypatch, data, 1) == 8
+    want = _stem_run(data, gamma, beta, g, keep=True, reader=reader)[0]
+    for keep in (True, False) if reader else (True,):
+        grads, in_x, before, after = _stem_run(data, gamma, beta, g, keep, reader)
+        assert not in_x and after == before
+        for a, b in zip(grads, want):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stem_rule_writes_dx_into_a_dropped_xs_storage(dtype, monkeypatch, rng):
+    # with float64 gamma, dx is float64 and float32 x's storage cannot take it
+    data = rng.normal(size=(2, 4, 4, 8, 6)).astype(np.float32)
+    gamma, beta = np.array([1.5, -0.7, 0.3, 2.0]), np.array([0.1, -0.2, 0.3, 0.0])
+    g = rng.normal(size=(2, 4, 2, 4, 3)).astype(np.result_type(np.float32, dtype))
+    assert _blocks_of(monkeypatch, data, 1) == 8
+    want = _stem_run(data, gamma, beta, g, keep=True, reader=None, dtype=dtype)[0]
+    grads, in_x, _, _ = _stem_run(data, gamma, beta, g, False, None, dtype)
+    assert in_x == (dtype == np.float32)
+    for a, b in zip(grads[:3], want[:3]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_stem_rule_on_a_dropped_x_allocates_a_few_blocks(monkeypatch, rng):
+    # x, made inline, has no reference but the rule's
+    gamma = Tensor(np.linspace(-1.0, 1.0, 8).astype(np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
+    rm, rv = np.zeros(8, dtype=np.float32), np.ones(8, dtype=np.float32)
+    monkeypatch.setattr(ops, "BLOCK_BYTES", 8 * 32 * 32 * 4)  # one channel of x
+    with Tape() as tape:
+        out = ops.maxpool3d(
+            Tensor(rng.normal(size=(2, 8, 8, 32, 32)).astype(np.float32), requires_grad=True),
+            3, 2, 1, norm=(gamma, beta, rm, rv, True))
+    rule = tape.nodes[-1].backward_fn
+    g = rng.normal(size=out.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        dx, dgamma, dbeta = rule(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert dx.shape == (2, 8, 8, 32, 32) and dgamma.shape == dbeta.shape == (8,)
+    # a block of scattered gradient, a block of xhat and one block's int64
+    # index plane (a quarter block here); a new dx would be 16 blocks
+    assert peak < 4 * ops.BLOCK_BYTES
 
 
 def test_blocked_reductions_keep_numpys_order(monkeypatch):

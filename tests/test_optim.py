@@ -1,9 +1,11 @@
 """Update-rule arithmetic and bookkeeping of the Nesterov optimizer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from res3atn import ops
+from res3atn import ops, optim
 from res3atn.network import NetworkSpec, build_res3atn
 from res3atn.optim import NesterovSGD
 from res3atn.tensor import Parameter, Tape, Tensor, backward
@@ -155,6 +157,57 @@ def test_no_parameter_holds_a_gradient_after_its_last_reader_has_run():
     assert not stale
     assert all(p.grad is None for p in net.parameters())
     opt.step()  # every parameter was updated in backward; step still ends the step
+
+
+def _whole_array_update(data, grad, velocity, lr, momentum, weight_decay):
+    """The update rule on whole arrays, as the module docstring writes it."""
+    g = grad + weight_decay * data
+    velocity = velocity * momentum
+    velocity += g
+    return data - lr * (g + momentum * velocity), velocity
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_chunked_update_allocates_two_chunks_and_is_bitwise_the_whole_array_update(dtype):
+    rng = np.random.default_rng(2)
+    shape = (5, 2 * optim.CHUNK + 123)  # ten chunks and a part
+    p = Parameter(rng.normal(size=shape), name="w", dtype=dtype)
+    grads = [rng.normal(size=shape).astype(dtype) for _ in range(2)]
+    want_p, want_v = p.data.copy(), np.zeros_like(p.data)
+    opt = NesterovSGD([p], **HYPER)
+    for grad in grads:
+        want_p, want_v = _whole_array_update(want_p, grad, want_v, 0.1, 0.9, 0.001)
+        p.grad = grad
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            opt.update(p.cell)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the first update makes the two scratch chunks; one temporary of
+        # the parameter's size would be ten chunks
+        assert peak < 2.5 * optim.CHUNK * np.dtype(dtype).itemsize
+        assert p.grad is None
+        assert p.data.tobytes() == want_p.tobytes()
+        assert opt.velocities["w"].tobytes() == want_v.tobytes()
+
+
+def test_f_ordered_loaded_velocity_is_updated_bitwise():
+    rng = np.random.default_rng(3)
+    shape = (3, optim.CHUNK + 7)
+    p = Parameter(rng.normal(size=shape), name="w", dtype=np.float32)
+    velocity = np.asfortranarray(rng.normal(size=shape).astype(np.float32))
+    grad = rng.normal(size=shape).astype(np.float32)
+    want_p, want_v = _whole_array_update(p.data, grad, velocity, 0.1, 0.9, 0.001)
+    opt = NesterovSGD([p], **HYPER)
+    opt.load_velocities({"w": velocity})
+    assert opt.velocities["w"].flags.c_contiguous
+    p.grad = grad
+    opt.step()
+    assert p.data.tobytes() == want_p.tobytes()
+    assert opt.velocities["w"].tobytes() == want_v.tobytes()
 
 
 def test_velocities_match_parameter_shapes():
