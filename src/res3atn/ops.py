@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-import weakref
 from typing import Optional, Sequence
 
 import numpy as np
@@ -392,7 +391,6 @@ class _BatchNorm:
             raise ValueError(f"{op}: train mode needs at least 2 samples per channel, got {m}")
         gshape = (1, c, 1, 1, 1)
         xd = self.xd = x.data
-        self.x = weakref.ref(x)
         blocks = self.blocks = _channel_blocks(xd)
         self.m, self.training = m, training
         self.needs = (x.requires_grad, gamma.requires_grad, beta.requires_grad)
@@ -431,12 +429,13 @@ class _BatchNorm:
         dest += self.shift[:, ch]
 
     def owns_x(self, dtype) -> bool:
-        """Whether x's storage may take x's gradient, of dtype: x's Tensor
-        is gone, the dtypes match, and no other rule or view can read the
-        array. Reference counts show the last, as numpy's own test for
-        eliding a temporary does: self.xd is the array's one reference, and
-        the array the one reference to the base it views, if any."""
-        if self.x() is not None or self.xd.dtype != dtype or not self.xd.flags.writeable:
+        """Whether x's storage may take x's gradient, of dtype: the dtypes
+        match, and neither x's Tensor nor any other rule or view can read
+        the array. Reference counts show that, as numpy's own test for
+        eliding a temporary does (a live Tensor's data is a reference):
+        self.xd is the array's one reference, and the array the one
+        reference to the base it views, if any."""
+        if self.xd.dtype != dtype or not self.xd.flags.writeable:
             return False
         if self.xd.base is None:
             return sys.getrefcount(self.xd) == 2  # self.xd and the argument
@@ -452,7 +451,8 @@ class _BatchNorm:
         so the first pass leaves each block's dxhat there for the second.
         With no dx, dx is x's own storage if the rule owns x (owns_x), else
         a new array, and the second pass asks grad for each block again,
-        unless there is one block.
+        unless there is one block: its dxhat is still in grad's buffer, and
+        asking again would cost the desk stem's rule 18–20% more.
         """
         # dx is formed from dxhat = g * scale, in the order of the
         # expressions (inv_std / m) * (m * dxhat - sum_dxhat - xhat *
@@ -484,13 +484,17 @@ class _BatchNorm:
             else:  # x's block has been read
                 np.multiply(dxhat, inv_std[ch], out=dx[block])
         if need_x and self.training:
+            # grad's buffer still holds the first pass's dxhat of a lone block
+            kept = dxhat if again and len(blocks) == 1 else None
             for block in blocks:
                 ch = (slice(None), block[1])
-                if not again:
-                    dxhat = dx[block]
-                elif len(blocks) > 1:  # one block's dxhat is still in grad's buffer
+                if kept is not None:
+                    dxhat = kept
+                elif again:
                     gb = grad(block)
                     dxhat = np.multiply(gb, scale[ch], out=gb)
+                else:
+                    dxhat = dx[block]
                 dxhat *= m
                 dxhat -= sum_dxhat[ch]
                 xb = self.centred(block[1], scratch[:, : dxhat.shape[1]], xd[block])

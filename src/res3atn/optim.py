@@ -28,8 +28,7 @@ keeps views of them shaped like its chunks, so a small parameter's update
 costs no more than whole-array arithmetic. Every op is elementwise, so
 parameters and velocities are bitwise those of whole-array arithmetic.
 The hyperparameters are Python floats, so it runs in the parameter's and
-the gradient's dtype, and each parameter's weight decay is fixed when the
-optimizer is built.
+the gradient's dtype.
 """
 
 from __future__ import annotations
@@ -83,9 +82,8 @@ class NesterovSGD:
         self._scratch: dict[np.dtype, tuple] = {}  # dtype -> two chunk-sized arrays
         self._chunks: dict[GradCell, list] = {}  # cell -> _chunk_views of its parameter
         self._owners = {p.cell: p for p in self.params}
-        self._decay = {  # batchnorm's gamma and beta take none unless decay_bn
-            p.cell: self.weight_decay if decay_bn or not p.name.endswith(_BN_SUFFIXES) else 0.0
-            for p in self.params
+        self._decays = {  # batchnorm's gamma and beta take none unless decay_bn
+            p.cell: decay_bn or not p.name.endswith(_BN_SUFFIXES) for p in self.params
         }
         self._updated: set[GradCell] = set()  # updated by `update` since the last step
 
@@ -117,7 +115,8 @@ class NesterovSGD:
             chunks = self._chunks[cell] = self._chunk_views(p, dtype)
         if len(chunks) > 1:
             grad, data, velocity = grad.reshape(-1), data.reshape(-1), velocity.reshape(-1)
-        decay, lr, momentum = self._decay[cell], self.lr, self.momentum
+        decay = self.weight_decay if self._decays[cell] else 0.0
+        lr, momentum = self.lr, self.momentum
         for index, a, b in chunks:
             g, d, v = grad[index], data[index], velocity[index]
             if decay:  # g <- grad + weight_decay * p

@@ -73,6 +73,20 @@ def test_decay_bn_flag_spares_gamma_and_beta():
     np.testing.assert_allclose(weight.data, [1.0 - 1e-5], rtol=1e-6)
 
 
+def test_hyperparameters_assigned_after_construction_take_effect():
+    built, assigned = (_param([4.0, -2.0], name="w"), _param([4.0, -2.0], name="w"))
+    opt_built = NesterovSGD([built], lr=0.05, momentum=0.5, weight_decay=0.01, decay_bn=True)
+    opt_assigned = NesterovSGD([assigned], lr=0.1, momentum=0.9, weight_decay=0.0,
+                               decay_bn=True)
+    opt_assigned.lr, opt_assigned.momentum, opt_assigned.weight_decay = 0.05, 0.5, 0.01
+    for _ in range(2):
+        for p, opt in ((built, opt_built), (assigned, opt_assigned)):
+            _set_grad(p, [0.5, 1.0])
+            opt.step()
+    assert assigned.data.tobytes() == built.data.tobytes()
+    assert opt_assigned.velocities["w"].tobytes() == opt_built.velocities["w"].tobytes()
+
+
 def test_quadratic_converges_to_minimum():
     p = _param([0.0])
     opt = NesterovSGD([p], lr=0.01, momentum=0.9, weight_decay=0.0, decay_bn=True)
