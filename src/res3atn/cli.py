@@ -229,6 +229,8 @@ def _cmd_gradcheck(args) -> int:
         raise ValueError(f"{flags} set the network check, which --no-network skips")
     if geometry.get("max_coords", 1) < 1:  # checked here, before the suite runs
         raise ValueError(f"max_coords must be >= 1, got {geometry['max_coords']}")
+    if args.seed < 0:
+        raise ValueError("seed must be >= 0")
     guard = checksuite.mutate_backward(args.mutate) if args.mutate else nullcontext()
     failed = False
     with guard:

@@ -33,10 +33,10 @@ pools the raw input and normalizes only the pooled cells, which
 monotonicity allows (see maxpool3d). batchnorm3d and this route share one
 statistics pass, one per-block normalization and one rule (_BatchNorm).
 That rule reads its output gradient one block at a time, so the pool
-scatters each block's winners into a one-block scratch, and it writes dx
-into its input's own storage when nothing else can read that array
-(_BatchNorm.owns_x): the stem's conv output and its gradient then share
-one buffer.
+scatters each block's winners into a one-block scratch. dx goes where the
+caller hands it over (batchnorm3d's g, or a one-block pool's scratch), else
+into the input's own storage when nothing else can read it (owns_x): the
+stem's conv output and its gradient then share one buffer.
 
 Batchnorm and the max-pool make several passes over their input; they run
 them one block at a time (_channel_blocks), one sample's run of whole
@@ -374,9 +374,9 @@ class _BatchNorm:
     same two ops, so its values are the forward's. It reads the output
     gradient one block at a time, through the caller's grad(block), and
     never whole: once for the four channel sums, and in train mode again
-    to form dx, each block's xhat taken from x before its dx is written.
-    So when the rule owns x (owns_x) dx goes into x's own storage, and
-    the stem's rule makes no full-size array.
+    to form dx unless the caller handed dx over, each block's xhat taken
+    from x before its dx is written. So when the rule owns x (owns_x) dx
+    goes into x's own storage, and the stem's rule makes no full-size array.
     """
 
     def __init__(self, op: str, x: Tensor, gamma: Tensor, beta: Tensor,
@@ -447,12 +447,11 @@ class _BatchNorm:
 
         grad(block) gives the output gradient's block, of dtype, in a buffer
         the rule may overwrite. dx, of dtype and x's shape, takes x's
-        gradient. batchnorm3d hands its g as dx, and grad gives g's blocks,
-        so the first pass leaves each block's dxhat there for the second.
+        gradient. A caller hands over dx when grad's buffers are its blocks:
+        batchnorm3d hands over g, and the pool a one-block scratch. The
+        first pass then leaves each block's dxhat there for the second.
         With no dx, dx is x's own storage if the rule owns x (owns_x), else
-        a new array, and the second pass asks grad for each block again,
-        unless there is one block: its dxhat is still in grad's buffer, and
-        asking again would cost the desk stem's rule 18–20% more.
+        a new array, and the second pass asks grad for each block again.
         """
         # dx is formed from dxhat = g * scale, in the order of the
         # expressions (inv_std / m) * (m * dxhat - sum_dxhat - xhat *
@@ -484,13 +483,9 @@ class _BatchNorm:
             else:  # x's block has been read
                 np.multiply(dxhat, inv_std[ch], out=dx[block])
         if need_x and self.training:
-            # grad's buffer still holds the first pass's dxhat of a lone block
-            kept = dxhat if again and len(blocks) == 1 else None
             for block in blocks:
                 ch = (slice(None), block[1])
-                if kept is not None:
-                    dxhat = kept
-                elif again:
+                if again:
                     gb = grad(block)
                     dxhat = np.multiply(gb, scale[ch], out=gb)
                 else:
@@ -594,8 +589,9 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0, norm=None) -> Tensor:
     strided interiors is slower), so winners are found on normalized
     values, as without norm. Its rule is batchnorm's (_BatchNorm.backward),
     fed one block at a time: each block's scatter above goes into a zeroed
-    one-block scratch, once for each of that rule's two passes. The rule
-    writes x's gradient into x's own storage when it owns x, so no
+    one-block scratch. An x of one block hands that scratch over as dx; an
+    x of many blocks is scattered again in the rule's second pass, and its
+    gradient goes into x's own storage when the rule owns x, so no
     full-size array is made, and into a new array otherwise.
     """
     if x.ndim != 5:
@@ -697,7 +693,7 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0, norm=None) -> Tensor:
             dest.fill(0)
             return scatter(block, dest)
 
-        return bn.backward(grad, g.dtype)
+        return bn.backward(grad, g.dtype, scratch if len(blocks) == 1 else None)
 
     return _finish("maxpool3d", out, inputs, backward_fn)
 

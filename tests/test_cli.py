@@ -227,7 +227,8 @@ def test_gradcheck_that_checks_no_coordinate_is_exit_2(coords):
     (("--no-network", "--scale", "8", "--coords", "0"),
      "--scale, --coords set the network check, which --no-network skips"),
     (("--coords", "0"), "max_coords must be >= 1, got 0"),
-], ids=["no-network-size", "no-network-scale-coords", "coords-0"])
+    (("--seed", "-1"), "seed must be >= 0"),
+], ids=["no-network-size", "no-network-scale-coords", "coords-0", "seed-negative"])
 def test_gradcheck_rejects_network_flags_before_the_suite_runs(flags, message):
     proc = run_cli("gradcheck", "--ops", "relu", *flags)
     assert proc.returncode == 2

@@ -1004,6 +1004,58 @@ def test_stem_rule_on_a_dropped_x_allocates_a_few_blocks(monkeypatch, rng):
     assert peak < 4 * ops.BLOCK_BYTES
 
 
+def _stem_rule(x):
+    """The rule of a taped normalizing pool of x, whose output is dropped."""
+    gamma = Tensor(np.array([1.5, -0.7, 0.3, 2.0], dtype=np.float32), requires_grad=True)
+    beta = Tensor(np.array([0.1, -0.2, 0.3, 0.0], dtype=np.float32), requires_grad=True)
+    rm, rv = np.zeros(4, dtype=np.float32), np.ones(4, dtype=np.float32)
+    with Tape() as tape:
+        ops.maxpool3d(x, 3, 2, 1, norm=(gamma, beta, rm, rv, True))
+    return tape.nodes[-1].backward_fn
+
+
+@pytest.mark.parametrize("storage", [
+    "read-only", "held-view", "frombuffer", "bytearray-base",
+])
+def test_stem_rule_leaves_borrowed_storage_of_a_dropped_x_alone(storage, monkeypatch, rng):
+    # x's Tensor is dropped, but its array is not the rule's to write: one
+    # case for each guard of owns_x that a dropped x can meet
+    data = rng.normal(size=(2, 4, 4, 8, 6)).astype(np.float32)
+    g = rng.normal(size=(2, 4, 2, 4, 3)).astype(np.float32)
+    assert _blocks_of(monkeypatch, data, 1) == 8
+    if storage == "read-only":  # not writeable
+        arr = data.copy()
+        arr.flags.writeable = False
+        holder = weakref.ref(arr)  # a strong one would raise the array's count
+
+        def read():
+            return holder().tobytes()
+    elif storage == "held-view":  # the base it views has another reference
+        holder = data.copy()
+        arr, read = holder.reshape(data.shape), holder.tobytes
+    else:
+        holder = bytearray(data.tobytes())
+        if storage == "frombuffer":  # the ndarray base it views owns no data
+            arr = np.frombuffer(holder, np.float32).reshape(data.shape)
+        else:  # the base is no ndarray
+            arr = np.ndarray(data.shape, np.float32, buffer=holder)
+
+        def read():
+            return bytes(holder)
+    before = read()
+    # held x views a base that nothing else holds, as the stem's conv output
+    # does, so only the count of x's own references keeps dx out of it
+    held = Tensor(data.copy().reshape(data.shape), requires_grad=True)
+    want = _stem_rule(held)(g.copy())
+    assert held.data.tobytes() == data.tobytes()
+    rule = _stem_rule(Tensor(arr, requires_grad=True))
+    del arr
+    got = rule(g.copy())
+    assert read() == before
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_blocked_reductions_keep_numpys_order(monkeypatch):
     # Reducing a strided one-channel slice of an N > 1 array sums in another
     # order than numpy's reduction of the whole array; the blocks (one
