@@ -1,53 +1,22 @@
 """Command-line interface: train, eval, gradcheck, ablate, masks.
 
-When this module loads, before its first numpy-backed import, it applies
-the R3ATN_THREADS cap to the BLAS thread-count environment variables; main
-reports an invalid value. Every failure prints a single `r3atn: error: ...`
-line on stderr, and its exit code follows the error's type (_EXIT_CODES):
-3 a CheckpointFormatError, 2 any other ValueError (a configuration, usage
-or data problem), 4 a FloatingPointError (a non-finite value produced by an
-operator outside training), 1 a RuntimeError or OSError, 130 an interrupt
-(Ctrl-C). The CLI's own checks raise ValueError or CheckpointFormatError.
+Every failure prints a single `r3atn: error: ...` line on stderr, and its
+exit code follows the error's type (_EXIT_CODES): 3 a CheckpointFormatError,
+2 any other ValueError (a configuration, usage or data problem), 4 a
+FloatingPointError (a non-finite value produced by an operator outside
+training), 1 a RuntimeError or OSError, 130 an interrupt (Ctrl-C). The
+CLI's own checks raise ValueError or CheckpointFormatError.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
-
-
-def _apply_thread_env() -> str | None:
-    """Set each unset thread variable to R3ATN_THREADS; the error for a bad value."""
-    raw = os.environ.get("R3ATN_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        return f"R3ATN_THREADS must be an integer, got {raw!r}"
-    if n < 0:
-        return f"R3ATN_THREADS must be >= 0, got {n}"
-    if n > 0:  # 0 is auto: leave library defaults alone
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, str(n))
-    return None
-
-
-_THREAD_ERROR = _apply_thread_env()
-
-from . import checkpoint, checksuite, data, network, training  # noqa: E402  (numpy loads here)
+from . import checkpoint, checksuite, data, network, training
 
 
 class _Parser(argparse.ArgumentParser):
@@ -222,7 +191,7 @@ _NETWORK_FLAGS = {"channel_scale": "--scale", "frames": "--frames", "size": "--s
 
 
 def _cmd_gradcheck(args) -> int:
-    only = args.ops.split(",") if args.ops else None
+    only = None if args.ops is None else args.ops.split(",")
     geometry = {dest: value for dest, value in vars(args).items() if dest in _NETWORK_FLAGS}
     if geometry and not args.network:
         flags = ", ".join(_NETWORK_FLAGS[dest] for dest in geometry)
@@ -231,6 +200,8 @@ def _cmd_gradcheck(args) -> int:
         raise ValueError(f"max_coords must be >= 1, got {geometry['max_coords']}")
     if args.seed < 0:
         raise ValueError("seed must be >= 0")
+    if not args.network and only is not None and args.mutate not in (None, *only):
+        raise ValueError(f"--no-network and --ops leave --mutate {args.mutate} unchecked")
     guard = checksuite.mutate_backward(args.mutate) if args.mutate else nullcontext()
     failed = False
     with guard:
@@ -366,8 +337,6 @@ _EXIT_CODES = {
 
 def main(argv=None) -> int:
     try:
-        if _THREAD_ERROR:
-            raise ValueError(_THREAD_ERROR)
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except KeyboardInterrupt:  # the commands remove their own partial files

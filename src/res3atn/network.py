@@ -1,8 +1,10 @@
 """Full gesture-classification network assembly.
 
-The backbone is a 3x3x3 stem conv (BN+ReLU) and maxpool, four stride-2
-bottleneck stages widening 64 -> 128 -> 256 -> 512 -> 1028, three stride-1
-stages ending at 2048 channels, global average pooling, and two FC layers.
+The backbone is a 3x3x3 stem conv, a batchnorm inside the stride-2 maxpool
+(ops.maxpool3d's norm) and a ReLU after the pool (Res3ATN._walk); four
+stride-2 bottleneck stages widening 64 -> 128 -> 256 -> 512 -> 1028, three
+stride-1 stages ending at 2048 channels, global average pooling, and two FC
+layers.
 Attention blocks slot in after the first three stride-2 stages at sites
 1/2/3 with mask depths 3/2/1 and skip counts 4/2/0 (both clamped to what
 the site's extents allow). The 1028-channel widths are kept verbatim.

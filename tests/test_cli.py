@@ -33,11 +33,9 @@ TINY = (
 TINY_ABLATE = TINY[:-4] + TINY[-2:]
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     env = os.environ.copy()
     env.setdefault("OMP_NUM_THREADS", "2")
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "res3atn", *args],
         capture_output=True, text=True, env=env, timeout=600,
@@ -228,7 +226,10 @@ def test_gradcheck_that_checks_no_coordinate_is_exit_2(coords):
      "--scale, --coords set the network check, which --no-network skips"),
     (("--coords", "0"), "max_coords must be >= 1, got 0"),
     (("--seed", "-1"), "seed must be >= 0"),
-], ids=["no-network-size", "no-network-scale-coords", "coords-0", "seed-negative"])
+    (("--no-network", "--mutate", "conv3d"), "--no-network and --ops leave --mutate conv3d unchecked"),
+    (("--ops", ""), "unknown operator names: ['']"),
+], ids=["no-network-size", "no-network-scale-coords", "coords-0", "seed-negative",
+        "no-network-mutate-unchecked", "ops-empty"])
 def test_gradcheck_rejects_network_flags_before_the_suite_runs(flags, message):
     proc = run_cli("gradcheck", "--ops", "relu", *flags)
     assert proc.returncode == 2
@@ -448,49 +449,6 @@ def test_bad_sites_value_is_exit_2(tmp_path):
                    "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert "comma-separated site numbers" in proc.stderr
-
-
-def test_thread_cap_validation_and_smoke():
-    bad = run_cli("gradcheck", "--ops", "relu", "--no-network",
-                  env_extra={"R3ATN_THREADS": "many"})
-    assert bad.returncode == 2
-    assert "must be an integer" in bad.stderr
-
-    ok = run_cli("gradcheck", "--ops", "relu", "--no-network",
-                 env_extra={"R3ATN_THREADS": "1"})
-    assert ok.returncode == 0, ok.stderr
-
-
-# Runs in a fresh interpreter: a finder placed first on sys.meta_path sees
-# the thread variables at the moment the CLI's imports first load numpy.
-_NUMPY_LOAD_SPY = """
-import os, sys
-
-seen = []
-
-class Spy:
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy" and not seen:
-            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
-        return None
-
-loaded_before = "numpy" in sys.modules
-sys.meta_path.insert(0, Spy())
-import res3atn.cli
-print(loaded_before, seen)
-"""
-
-
-@pytest.mark.parametrize("openblas, expected", [(None, "3"), ("5", "5")], ids=["unset", "set"])
-def test_importing_the_cli_caps_the_threads_before_numpy_loads(openblas, expected):
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["R3ATN_THREADS"] = "3"
-    if openblas is not None:
-        env["OPENBLAS_NUM_THREADS"] = openblas
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_LOAD_SPY],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == f"False [{expected!r}]"
 
 
 def test_errors_use_the_single_line_prefix():

@@ -18,17 +18,3 @@ def test_package_source_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
-
-
-def test_cli_imports_only_at_module_scope():
-    # cli applies R3ATN_THREADS once, before its module-scope imports load
-    # numpy; an import inside a function would be a second place to order.
-    tree = ast.parse((SRC / "cli.py").read_text())
-    nested = [
-        f"cli.py:{node.lineno}"
-        for func in ast.walk(tree)
-        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for node in ast.walk(func)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-    ]
-    assert nested == []
