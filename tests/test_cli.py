@@ -188,6 +188,23 @@ def test_gradcheck_mutates_any_suite_op():
     assert [ln.split()[-1] for ln in lines] == ["FAIL", "pass"]
 
 
+def test_gradcheck_without_ops_checks_the_mutation_in_the_full_suite():
+    proc = run_cli("gradcheck", "--no-network", "--mutate", "conv3d")
+    assert proc.returncode == 1, proc.stderr
+    rows = dict(ln.split()[::3] for ln in proc.stdout.strip().splitlines())
+    assert rows["conv3d"] == "FAIL"
+    assert [op for op, verdict in rows.items() if verdict != "pass"] == ["conv3d"]
+
+
+def test_gradcheck_network_check_catches_a_mutation_outside_ops():
+    proc = run_cli("gradcheck", "--ops", "relu", "--mutate", "conv3d", "--coords", "4")
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert [(ln.split()[0], ln.split()[-1]) for ln in lines] == [
+        ("relu", "pass"), ("network", "FAIL"),
+    ]
+
+
 def test_gradcheck_network_geometry_defaults_live_in_network_check(monkeypatch):
     signature = inspect.signature(checksuite.network_check)
     defaults = {name: p.default for name, p in signature.parameters.items()}
