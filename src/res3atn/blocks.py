@@ -18,8 +18,6 @@ from . import ops
 from .modules import BatchNorm3d, Conv3d, Module, ModuleList, set_role
 from .tensor import Tensor
 
-_AXIS_NAMES = ("frame", "height", "width")
-
 # Branch output convs start small so every block is near-identity at init;
 # the constant-lr recipe is unstable from a cold start without this.
 BRANCH_OUTPUT_GAIN = 0.1
@@ -158,7 +156,7 @@ class MaskBranch(Module):
             if extent < minimum:
                 raise ValueError(
                     f"mask branch of depth {depth} needs every extent >= {minimum}; "
-                    f"{_AXIS_NAMES[axis]} extent is {extent}"
+                    f"{ops._AXIS_NAMES[axis]} extent is {extent}"
                 )
         feats = [x]
         h = x

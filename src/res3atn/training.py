@@ -101,18 +101,17 @@ class RunConfig:
         if extra:
             raise ValueError(f"unknown config sections: {sorted(extra)}")
         sections = {name: dict(d.get(name, {})) for name in schema}
+        for name, values in sections.items():
+            unknown = sorted(set(values) - set(schema[name]))
+            if unknown:
+                raise ValueError(f"unknown config key {name}.{unknown[0]}")
         network = NetworkSpec(**sections.pop("network"))
         augment = AugmentConfig(**{
             "crop": network.input_size,
             "frames_out": network.input_frames,
             **sections.pop("augment"),
         })
-        flat = {}
-        for name, values in sections.items():
-            unknown = sorted(set(values) - set(schema[name]))
-            if unknown:
-                raise ValueError(f"unknown config key {name}.{unknown[0]}")
-            flat.update(values)
+        flat = {key: value for values in sections.values() for key, value in values.items()}
         return RunConfig(network=network, augment=augment, **flat)
 
 

@@ -157,106 +157,79 @@ def test_masks_export_from_checkpoint(train_run, tmp_path):
     ]
 
 
-def test_gradcheck_subset_is_deterministic():
-    a = run_cli("gradcheck", "--ops", "relu,linear", "--no-network")
-    b = run_cli("gradcheck", "--ops", "relu,linear", "--no-network")
+def _gradcheck_rows(stdout: str) -> dict:
+    """Row name -> verdict ("pass" or "FAIL"), in the order the rows printed."""
+    return dict(ln.split()[::3] for ln in stdout.strip().splitlines())
+
+
+def test_gradcheck_suite_is_deterministic():
+    a = run_cli("gradcheck", "--no-network")
+    b = run_cli("gradcheck", "--no-network")
     assert a.returncode == 0, a.stderr
     assert a.stdout == b.stdout
-    lines = a.stdout.strip().splitlines()
-    assert [ln.split()[0] for ln in lines] == ["relu", "linear"]
-    assert all("pass" in ln for ln in lines)
+    rows = _gradcheck_rows(a.stdout)
+    assert list(rows) == list(checksuite.OPERATOR_CHECKS)
+    assert set(rows.values()) == {"pass"}
 
 
-def test_gradcheck_unknown_op_is_exit_2():
-    proc = run_cli("gradcheck", "--ops", "conv9d", "--no-network")
-    assert proc.returncode == 2
-    assert "unknown operator names" in proc.stderr
+@pytest.mark.parametrize("flag", ["--ops", "--scale", "--frames", "--size", "--coords"])
+def test_gradcheck_removed_flags_are_usage_errors(flag, capsys):
+    assert cli.main(["gradcheck", flag, "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"r3atn: error: unrecognized arguments: {flag} 4\n"
+    assert captured.out == ""
 
 
-def test_gradcheck_detects_a_mutated_backward():
-    proc = run_cli(
-        "gradcheck", "--ops", "conv3d", "--no-network", "--mutate", "conv3d"
-    )
-    assert proc.returncode == 1
-    assert "FAIL" in proc.stdout
-
-
-def test_gradcheck_mutates_any_suite_op():
-    proc = run_cli("gradcheck", "--ops", "sigmoid,relu", "--no-network", "--mutate", "sigmoid")
-    assert proc.returncode == 1
-    lines = proc.stdout.strip().splitlines()
-    assert [ln.split()[-1] for ln in lines] == ["FAIL", "pass"]
-
-
-def test_gradcheck_without_ops_checks_the_mutation_in_the_full_suite():
-    proc = run_cli("gradcheck", "--no-network", "--mutate", "conv3d")
+# the rows a doubled rule fails. sum_all is the one operator the reduced
+# network never calls. Every other row but softmax_cross_entropy's projects
+# its op's output to a scalar through sum_all, so those rows fail with it.
+@pytest.mark.parametrize("name, failing", [
+    ("conv3d", {"conv3d"}),
+    ("sigmoid", {"sigmoid"}),
+    ("sum_all", set(checksuite.OPERATOR_CHECKS) - {"softmax_cross_entropy"}),
+], ids=["conv3d", "sigmoid", "sum_all"])
+def test_gradcheck_detects_a_mutated_backward(name, failing):
+    proc = run_cli("gradcheck", "--no-network", "--mutate", name)
     assert proc.returncode == 1, proc.stderr
-    rows = dict(ln.split()[::3] for ln in proc.stdout.strip().splitlines())
-    assert rows["conv3d"] == "FAIL"
-    assert [op for op, verdict in rows.items() if verdict != "pass"] == ["conv3d"]
+    rows = _gradcheck_rows(proc.stdout)
+    assert list(rows) == list(checksuite.OPERATOR_CHECKS)
+    assert rows[name] == "FAIL"
+    assert {op for op, verdict in rows.items() if verdict != "pass"} == failing
 
 
-def test_gradcheck_network_check_catches_a_mutation_outside_ops():
-    proc = run_cli("gradcheck", "--ops", "relu", "--mutate", "conv3d", "--coords", "4")
+def test_gradcheck_network_check_runs_under_the_mutation():
+    proc = run_cli("gradcheck", "--mutate", "conv3d")
     assert proc.returncode == 1, proc.stderr
-    lines = proc.stdout.strip().splitlines()
-    assert [(ln.split()[0], ln.split()[-1]) for ln in lines] == [
-        ("relu", "pass"), ("network", "FAIL"),
-    ]
+    rows = _gradcheck_rows(proc.stdout)
+    assert list(rows) == [*checksuite.OPERATOR_CHECKS, "network"]
+    assert [op for op, verdict in rows.items() if verdict != "pass"] == ["conv3d", "network"]
 
 
-def test_gradcheck_network_geometry_defaults_live_in_network_check(monkeypatch):
-    signature = inspect.signature(checksuite.network_check)
-    defaults = {name: p.default for name, p in signature.parameters.items()}
-    seen = []
+def test_gradcheck_calls_network_check_with_seed_alone(monkeypatch):
+    calls = []
 
-    def fake_network_check(**kwargs):
-        bound = signature.bind(**kwargs)
-        bound.apply_defaults()
-        seen.append(dict(bound.arguments))
+    def fake_network_check(*args, **kwargs):
+        calls.append((args, kwargs))
         return GradCheckReport(0.0, 1.0, 1)
 
-    monkeypatch.setattr(checksuite, "operator_suite", lambda seed, only: {})
+    monkeypatch.setattr(checksuite, "operator_suite", lambda seed: {})
     monkeypatch.setattr(checksuite, "network_check", fake_network_check)
     assert cli.main(["gradcheck"]) == 0
-    assert cli.main(["gradcheck", "--size", "16"]) == 0
-    assert cli.main(["gradcheck", "--scale", "8", "--frames", "16", "--coords", "5"]) == 0
-    assert seen == [
-        defaults,
-        {**defaults, "size": 16},
-        {**defaults, "channel_scale": 8, "frames": 16, "max_coords": 5},
-    ]
+    assert cli.main(["gradcheck", "--seed", "3"]) == 0
+    assert cli.main(["gradcheck", "--no-network"]) == 0
+    assert calls == [((), {"seed": 0}), ((), {"seed": 3})]
 
 
-@pytest.mark.parametrize("coords", ["0", "-3"])
-def test_gradcheck_that_checks_no_coordinate_is_exit_2(coords):
-    proc = run_cli("gradcheck", "--ops", "relu", "--coords", coords)
+def test_gradcheck_rejects_a_negative_seed_before_the_suite_runs():
+    proc = run_cli("gradcheck", "--seed", "-1")
     assert proc.returncode == 2
     err_lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
-    assert err_lines == [f"r3atn: error: max_coords must be >= 1, got {coords}"]
-    assert "network" not in proc.stdout
-
-
-@pytest.mark.parametrize("flags, message", [
-    (("--no-network", "--size", "5"), "--size set the network check, which --no-network skips"),
-    (("--no-network", "--scale", "8", "--coords", "0"),
-     "--scale, --coords set the network check, which --no-network skips"),
-    (("--coords", "0"), "max_coords must be >= 1, got 0"),
-    (("--seed", "-1"), "seed must be >= 0"),
-    (("--no-network", "--mutate", "conv3d"), "--no-network and --ops leave --mutate conv3d unchecked"),
-    (("--ops", ""), "unknown operator names: ['']"),
-], ids=["no-network-size", "no-network-scale-coords", "coords-0", "seed-negative",
-        "no-network-mutate-unchecked", "ops-empty"])
-def test_gradcheck_rejects_network_flags_before_the_suite_runs(flags, message):
-    proc = run_cli("gradcheck", "--ops", "relu", *flags)
-    assert proc.returncode == 2
-    err_lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
-    assert err_lines == [f"r3atn: error: {message}"]
+    assert err_lines == ["r3atn: error: seed must be >= 0"]
     assert proc.stdout == ""
 
 
 def test_gradcheck_unknown_mutation_is_exit_2():
-    proc = run_cli("gradcheck", "--ops", "relu", "--no-network", "--mutate", "conv9d")
+    proc = run_cli("gradcheck", "--no-network", "--mutate", "conv9d")
     assert proc.returncode == 2
     assert "argument --mutate: invalid choice: 'conv9d'" in proc.stderr
     assert proc.stdout == ""
@@ -344,6 +317,16 @@ def test_unknown_config_key_is_exit_2(tmp_path):
                    "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert "unknown config key network.wingspan" in proc.stderr
+
+
+def test_unknown_config_section_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[surprise]\n")  # no keys: the section alone is the error
+    out = tmp_path / "out"
+    assert cli.main(["train", *SYNTH, *TINY, "--config", str(bad), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "r3atn: error: unknown config sections: ['surprise']\n"
+    assert not out.exists()
 
 
 def test_config_file_values_reach_the_run(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from res3atn import ops
-from res3atn.checksuite import OPERATOR_CHECKS, mutate_backward, network_check, operator_suite
+from res3atn.checksuite import OPERATOR_CHECKS, mutate_backward, network_check
 from res3atn.gradcheck import FD_DTYPE, grad_check
 from res3atn.tensor import Tensor
 
@@ -197,7 +197,7 @@ def test_maxpool_suite_has_no_near_ties_on_any_seed(name):
     # maxpool3d: seed 23 once drew two window values 1.2e-4 apart, closer than
     # the FD step; the rows added after it must pass on every seed as well
     for seed in range(60):
-        reports = operator_suite(seed, only=[name])[name]
+        reports = OPERATOR_CHECKS[name](seed)
         assert all(r.passed for r in reports), (seed, [str(r) for r in reports])
 
 
@@ -220,7 +220,7 @@ def test_mutated_backward_fails_its_own_checks(name):
     original = getattr(ops, name)
     with mutate_backward(name):
         assert getattr(ops, name) is not original
-        reports = operator_suite(0, only=[name])[name]
+        reports = OPERATOR_CHECKS[name](0)
     assert getattr(ops, name) is original
     assert len(reports) >= 5
     assert not any(r.passed for r in reports), [str(r) for r in reports]
@@ -228,7 +228,7 @@ def test_mutated_backward_fails_its_own_checks(name):
         with mutate_backward(name):
             raise KeyError("inside the block")
     assert getattr(ops, name) is original
-    assert all(r.passed for r in operator_suite(0, only=[name])[name])
+    assert all(r.passed for r in OPERATOR_CHECKS[name](0))
 
 
 @pytest.mark.parametrize("seed", [49, 29001])

@@ -70,6 +70,10 @@ def test_run_config_round_trip_and_validation():
         RunConfig.from_dict({"surprise": {}})
     with pytest.raises(ValueError, match="unknown config key run.lr"):
         RunConfig.from_dict({"network": {"num_classes": 4}, "run": {"lr": 0.1}})
+    with pytest.raises(ValueError, match="unknown config key network.wingspan"):
+        RunConfig.from_dict({"network": {"num_classes": 4, "wingspan": 3}})
+    with pytest.raises(ValueError, match="unknown config key augment.blur"):
+        RunConfig.from_dict({"network": {"num_classes": 4}, "augment": {"blur": 1.0}})
     with pytest.raises(ValueError, match="crop 32 must equal"):
         RunConfig(network=TINY_NET, augment=AugmentConfig(crop=32, frames_out=8))
     with pytest.raises(ValueError, match="frames_out 16 must equal"):
