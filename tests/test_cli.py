@@ -172,6 +172,14 @@ def test_gradcheck_suite_is_deterministic():
     assert set(rows.values()) == {"pass"}
 
 
+def test_gradcheck_help_lists_only_its_three_flags(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["gradcheck", "--help"])
+    assert exit_info.value.code == 0
+    flags = re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out)
+    assert sorted(set(flags)) == ["--help", "--mutate", "--no-network", "--seed"]
+
+
 @pytest.mark.parametrize("flag", ["--ops", "--scale", "--frames", "--size", "--coords"])
 def test_gradcheck_removed_flags_are_usage_errors(flag, capsys):
     assert cli.main(["gradcheck", flag, "4"]) == 2
@@ -203,6 +211,16 @@ def test_gradcheck_network_check_runs_under_the_mutation():
     rows = _gradcheck_rows(proc.stdout)
     assert list(rows) == [*checksuite.OPERATOR_CHECKS, "network"]
     assert [op for op, verdict in rows.items() if verdict != "pass"] == ["conv3d", "network"]
+
+
+def test_gradcheck_sum_all_mutation_fails_though_the_network_check_passes():
+    # the reduced network never calls sum_all, so its own row is what fails
+    proc = run_cli("gradcheck", "--mutate", "sum_all")
+    assert proc.returncode == 1, proc.stderr
+    rows = _gradcheck_rows(proc.stdout)
+    assert list(rows) == [*checksuite.OPERATOR_CHECKS, "network"]
+    assert rows["sum_all"] == "FAIL"
+    assert rows["network"] == "pass"
 
 
 def test_gradcheck_calls_network_check_with_seed_alone(monkeypatch):
