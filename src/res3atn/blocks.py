@@ -9,7 +9,6 @@ attention block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,91 +22,44 @@ from .tensor import Tensor
 BRANCH_OUTPUT_GAIN = 0.1
 
 
-@dataclass(frozen=True)
-class ResidualBlockSpec:
-    """Geometry of one pre-activation bottleneck block."""
-
-    in_channels: int
-    bottleneck_channels: int
-    out_channels: int
-    mid_stride: int = 1
-
-    def __post_init__(self):
-        for field_name in ("in_channels", "bottleneck_channels", "out_channels"):
-            if getattr(self, field_name) < 1:
-                raise ValueError(f"{field_name} must be >= 1")
-        if self.mid_stride < 1:
-            raise ValueError("mid_stride must be >= 1")
-
-    @property
-    def identity_shortcut(self) -> bool:
-        return self.in_channels == self.out_channels and self.mid_stride == 1
-
-
 class ResidualBlock(Module):
     """Pre-activation bottleneck: three BN-ReLU-conv stages plus a shortcut.
 
-    Kernels are 1x1x1, 3x3x3 (carrying mid_stride, padding 1), 1x1x1; none
-    of the convs carries a bias. The shortcut is the identity when shapes
-    allow, otherwise a 1x1x1 projection conv with the same stride.
+    Widths run in_channels -> bottleneck_channels -> out_channels through
+    kernels 1x1x1, 3x3x3 (carrying mid_stride, padding 1), 1x1x1; no conv
+    carries a bias. The shortcut is the identity when shapes allow
+    (identity_shortcut), else a 1x1x1 projection conv with the same stride.
     """
 
-    def __init__(self, spec: ResidualBlockSpec, *, rng: np.random.Generator):
+    def __init__(self, in_channels: int, bottleneck_channels: int, out_channels: int,
+                 mid_stride: int = 1, *, rng: np.random.Generator):
         super().__init__()
-        self.spec = spec
-        b = spec.bottleneck_channels
-        self.bn1 = BatchNorm3d(spec.in_channels)
-        self.conv1 = Conv3d(spec.in_channels, b, 1, bias=False, rng=rng)
+        for name, value in zip(("in_channels", "bottleneck_channels", "out_channels", "mid_stride"),
+                               (in_channels, bottleneck_channels, out_channels, mid_stride)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        self.identity_shortcut = in_channels == out_channels and mid_stride == 1
+        b = bottleneck_channels
+        self.bn1 = BatchNorm3d(in_channels)
+        self.conv1 = Conv3d(in_channels, b, 1, bias=False, rng=rng)
         self.bn2 = BatchNorm3d(b)
-        self.conv2 = Conv3d(b, b, 3, stride=spec.mid_stride, padding=1, bias=False, rng=rng)
+        self.conv2 = Conv3d(b, b, 3, stride=mid_stride, padding=1, bias=False, rng=rng)
         self.bn3 = BatchNorm3d(b)
-        self.conv3 = Conv3d(
-            b, spec.out_channels, 1, bias=False, rng=rng, gain=BRANCH_OUTPUT_GAIN
-        )
-        if not spec.identity_shortcut:
-            self.proj = Conv3d(
-                spec.in_channels,
-                spec.out_channels,
-                1,
-                stride=spec.mid_stride,
-                bias=False,
-                rng=rng,
-                gain=1.0,
-            )
+        self.conv3 = Conv3d(b, out_channels, 1, bias=False, rng=rng, gain=BRANCH_OUTPUT_GAIN)
+        if not self.identity_shortcut:
+            self.proj = Conv3d(in_channels, out_channels, 1, mid_stride, bias=False, rng=rng,
+                               gain=1.0)
 
     def forward(self, x: Tensor) -> Tensor:
         h = self.conv1(ops.relu(self.bn1(x)))
         h = self.conv2(ops.relu(self.bn2(h)))
         h = self.conv3(ops.relu(self.bn3(h)))
-        shortcut = x if self.spec.identity_shortcut else self.proj(x)
+        shortcut = x if self.identity_shortcut else self.proj(x)
         return ops.add(h, shortcut)
 
 
-@dataclass(frozen=True)
-class AttentionBlockSpec:
-    """Geometry of one attention block.
-
-    depth is the number of mask-branch downsample levels; skip_count the
-    number of encoder-to-decoder additive skips, filled deepest-first and
-    never exceeding depth.
-    """
-
-    channels: int
-    depth: int
-    skip_count: int
-
-    def __post_init__(self):
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
-        if not 0 <= self.skip_count <= self.depth:
-            raise ValueError("skip_count must lie in [0, depth]")
-
-
 def _channel_block(channels: int, rng) -> ResidualBlock:
-    b = max(1, channels // 4)
-    return ResidualBlock(ResidualBlockSpec(channels, b, channels), rng=rng)
+    return ResidualBlock(channels, max(1, channels // 4), channels, rng=rng)
 
 
 class TrunkBranch(Module):
@@ -122,10 +74,17 @@ class TrunkBranch(Module):
         self.conv2 = Conv3d(channels, channels, 1, bias=True, rng=rng, gain=1.0)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = self.res2(self.res1(x))
-        h = self.conv1(h)
-        h = ops.relu(self.bn(h))
+        h = ops.relu(self.bn(self.conv1(self.res2(self.res1(x)))))
         return self.conv2(h)
+
+
+def _check_mask_geometry(channels: int, depth: int, skip_count: int) -> None:
+    if channels < 1:
+        raise ValueError("channels must be >= 1")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if not 0 <= skip_count <= depth:
+        raise ValueError("skip_count must lie in [0, depth]")
 
 
 class MaskBranch(Module):
@@ -134,23 +93,24 @@ class MaskBranch(Module):
     The encoder applies depth repetitions of (maxpool 3/2/1 -> residual
     block); the decoder mirrors with (residual block -> trilinear upsample
     to the matching encoder shape). Skips add the encoder feature at the
-    same scale right after each upsample, deepest junction first; with
-    skip_count == depth the shallowest junction adds the branch input
-    itself. The head is conv 1x1x1 -> BN -> ReLU -> conv 1x1x1 -> sigmoid.
+    same scale right after each upsample at skip_count of the depth
+    junctions, deepest first; with skip_count == depth the shallowest
+    junction adds the branch input itself. The head is conv 1x1x1 -> BN ->
+    ReLU -> conv 1x1x1 -> sigmoid. Every width is the branch's channels.
     """
 
-    def __init__(self, spec: AttentionBlockSpec, *, rng: np.random.Generator):
+    def __init__(self, channels: int, depth: int, skip_count: int, *, rng: np.random.Generator):
         super().__init__()
-        self.spec = spec
-        c = spec.channels
-        self.encoder = ModuleList(_channel_block(c, rng) for _ in range(spec.depth))
-        self.decoder = ModuleList(_channel_block(c, rng) for _ in range(spec.depth))
-        self.head_conv1 = Conv3d(c, c, 1, bias=False, rng=rng)
-        self.head_bn = BatchNorm3d(c)
-        self.head_conv2 = Conv3d(c, c, 1, bias=True, rng=rng, gain=1.0)
+        _check_mask_geometry(channels, depth, skip_count)
+        self.depth, self.skip_count = depth, skip_count
+        self.encoder = ModuleList(_channel_block(channels, rng) for _ in range(depth))
+        self.decoder = ModuleList(_channel_block(channels, rng) for _ in range(depth))
+        self.head_conv1 = Conv3d(channels, channels, 1, bias=False, rng=rng)
+        self.head_bn = BatchNorm3d(channels)
+        self.head_conv2 = Conv3d(channels, channels, 1, bias=True, rng=rng, gain=1.0)
 
     def forward(self, x: Tensor) -> Tensor:
-        depth = self.spec.depth
+        depth = self.depth
         minimum = 2**depth
         for axis, extent in enumerate(x.shape[2:]):
             if extent < minimum:
@@ -168,12 +128,10 @@ class MaskBranch(Module):
             target_scale = depth - 1 - j
             h = block(h)
             h = ops.trilinear_upsample(h, feats[target_scale].shape[2:])
-            if target_scale >= depth - self.spec.skip_count:
+            if target_scale >= depth - self.skip_count:
                 h = ops.add(h, feats[target_scale])
-        h = self.head_conv1(h)
-        h = ops.relu(self.head_bn(h))
-        h = self.head_conv2(h)
-        return ops.sigmoid(h)
+        h = ops.relu(self.head_bn(self.head_conv1(h)))
+        return ops.sigmoid(self.head_conv2(h))
 
 
 def residual_fusion(mask: Tensor, trunk: Tensor) -> Tensor:
@@ -182,14 +140,17 @@ def residual_fusion(mask: Tensor, trunk: Tensor) -> Tensor:
 
 
 class AttentionBlock(Module):
-    """Trunk/mask split, residual fusion, and the stride-1 output residual block."""
+    """Trunk/mask split, residual fusion, and the stride-1 output residual block.
 
-    def __init__(self, spec: AttentionBlockSpec, *, rng: np.random.Generator):
+    All three keep the block's channels; depth and skip_count shape the mask.
+    """
+
+    def __init__(self, channels: int, depth: int, skip_count: int, *, rng: np.random.Generator):
         super().__init__()
-        self.spec = spec
-        self.trunk = TrunkBranch(spec.channels, rng=rng)
-        self.mask = MaskBranch(spec, rng=rng)
-        self.out_block = _channel_block(spec.channels, rng)
+        _check_mask_geometry(channels, depth, skip_count)
+        self.trunk = TrunkBranch(channels, rng=rng)
+        self.mask = MaskBranch(channels, depth, skip_count, rng=rng)
+        self.out_block = _channel_block(channels, rng)
         set_role(self.trunk, "trunk")
         set_role(self.mask, "mask")
 
@@ -199,7 +160,5 @@ class AttentionBlock(Module):
         m = self.mask(x)
         fused = residual_fusion(m, t)
         if capture is not None:
-            capture["trunk"] = t
-            capture["mask"] = m
-            capture["fused"] = fused
+            capture.update(trunk=t, mask=m, fused=fused)
         return self.out_block(fused)

@@ -4,15 +4,17 @@ Every failure prints a single `r3atn: error: ...` line on stderr, and its
 exit code follows the error's type (_EXIT_CODES): 3 a CheckpointFormatError,
 2 any other ValueError (a configuration, usage or data problem), 4 a
 FloatingPointError (a non-finite value produced by an operator outside
-training), 1 a RuntimeError or OSError, 130 an interrupt (Ctrl-C). The
-CLI's own checks raise ValueError or CheckpointFormatError. gradcheck always
-runs all 14 operator rows, and exits 1 when any check reads FAIL.
+training), 1 a RuntimeError or OSError, 130 an interrupt (Ctrl-C). A closed
+stdout is no failure: the CLI prints nothing and exits 141. The CLI's own
+checks raise ValueError or CheckpointFormatError. gradcheck always runs all
+14 operator rows, and exits 1 when any check reads FAIL.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -67,13 +69,15 @@ _CONFIG_FLAGS = {
 
 def _load_config_file(path) -> dict:
     schema = training.config_schema()
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # values are literal: "5%" stays "5%"
     try:
         loaded = cp.read([path])
     except configparser.Error as exc:
         raise ValueError(f"cannot parse config {path}: {exc}")
     if not loaded:
         raise ValueError(f"config file not found: {path}")
+    if cp.defaults():
+        raise ValueError(f"config keys under [DEFAULT] are not accepted: {sorted(cp.defaults())}")
     out: dict = {}
     for section in cp.sections():
         values = out[section] = {}
@@ -316,10 +320,17 @@ _EXIT_CODES = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader then shows here, not at the interpreter's exit
+        return code
     except KeyboardInterrupt:  # the commands remove their own partial files
         print("r3atn: error: interrupted", file=sys.stderr)
         return 130
+    except BrokenPipeError:  # stdout's reader has gone: quiet, 128 + SIGPIPE as a shell shows
+        # stdout still holds the unwritten lines; on devnull the exit-time flush cannot fail
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except tuple(_EXIT_CODES) as exc:
         print(f"r3atn: error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .blocks import AttentionBlock, AttentionBlockSpec, ResidualBlock, ResidualBlockSpec
+from .blocks import AttentionBlock, ResidualBlock
 from .modules import BatchNorm3d, Conv3d, Linear, Module, stamp_parameter_names
 from .tensor import Tensor
 
@@ -83,16 +83,12 @@ class NetworkSpec:
         """(F, H, W) seen by the attention block at `site`: its stage's output."""
         return dict(stage_trace(self))[f"stage{site}"][2:]
 
-    def site_spec(self, site: int) -> AttentionBlockSpec:
+    def site_spec(self, site: int) -> tuple[int, int, int]:
+        """AttentionBlock's (channels, depth, skip_count) at `site`, SITE_DEFAULTS clamped to
+        what the site's extents allow."""
         depth_cfg, skip_cfg = SITE_DEFAULTS[site]
-        extents = self.site_input_extents(site)
-        max_depth = min(e.bit_length() - 1 for e in extents)
-        depth = min(depth_cfg, max_depth)
-        return AttentionBlockSpec(
-            channels=self.scaled(STAGE_TABLE[site - 1][2]),
-            depth=depth,
-            skip_count=min(skip_cfg, depth),
-        )
+        depth = min(depth_cfg, *(e.bit_length() - 1 for e in self.site_input_extents(site)))
+        return self.scaled(STAGE_TABLE[site - 1][2]), depth, min(skip_cfg, depth)
 
 
 def stage_trace(spec: NetworkSpec) -> list[tuple[str, tuple[int, ...]]]:
@@ -128,13 +124,11 @@ class Res3ATN(Module):
         self.stem_bn = BatchNorm3d(sc(STEM_CHANNELS))
         self.stages = []
         for idx, (in_c, mid_c, out_c, stride) in enumerate(STAGE_TABLE, start=1):
-            block = ResidualBlock(
-                ResidualBlockSpec(sc(in_c), sc(mid_c), sc(out_c), mid_stride=stride), rng=rng
-            )
+            block = ResidualBlock(sc(in_c), sc(mid_c), sc(out_c), stride, rng=rng)
             setattr(self, f"stage{idx}", block)
             self.stages.append(block)
             if idx in (1, 2, 3) and idx in spec.attention_sites:
-                setattr(self, f"attention{idx}", AttentionBlock(spec.site_spec(idx), rng=rng))
+                setattr(self, f"attention{idx}", AttentionBlock(*spec.site_spec(idx), rng=rng))
         self.fc1 = Linear(sc(2048), sc(FC_HIDDEN), rng=rng)
         # Small logit gain: the first steps then move the classifier toward the
         # data before full-strength gradients reach the deep layers, which keeps

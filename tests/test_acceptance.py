@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from res3atn import ops
-from res3atn.blocks import AttentionBlock, AttentionBlockSpec, residual_fusion
+from res3atn.blocks import AttentionBlock, residual_fusion
 from res3atn.checkpoint import load_state, restore_network, save_checkpoint
 from res3atn.checksuite import OPERATOR_CHECKS, conv3d_direct, network_check, operator_suite
 from res3atn.data import (
@@ -54,7 +54,7 @@ def synth_data():
 
 
 def _tiny_attention(seed=0):
-    att = AttentionBlock(AttentionBlockSpec(4, 1, 1), rng=np.random.default_rng(seed))
+    att = AttentionBlock(4, 1, 1, rng=np.random.default_rng(seed))
     att.train()
     return att
 

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from res3atn import ops
-from res3atn.blocks import (
-    AttentionBlock,
-    AttentionBlockSpec,
-    MaskBranch,
-    ResidualBlock,
-    ResidualBlockSpec,
-    residual_fusion,
-)
+from res3atn.blocks import AttentionBlock, MaskBranch, ResidualBlock, residual_fusion
 from res3atn.gradcheck import grad_check
 from res3atn.tensor import Tape, Tensor
 
@@ -25,43 +18,46 @@ def _rng(seed=0):
 
 
 def test_identity_shortcut_has_no_projection():
-    spec = ResidualBlockSpec(8, 4, 8, mid_stride=1)
-    assert spec.identity_shortcut
-    block = ResidualBlock(spec, rng=_rng())
+    block = ResidualBlock(8, 4, 8, mid_stride=1, rng=_rng())
+    assert block.identity_shortcut
     assert not hasattr(block, "proj")
 
 
-@pytest.mark.parametrize("spec", [
-    ResidualBlockSpec(4, 2, 8, mid_stride=1),   # channel change
-    ResidualBlockSpec(8, 4, 8, mid_stride=2),   # stride change
+@pytest.mark.parametrize("geometry", [
+    (4, 2, 8, 1),   # channel change
+    (8, 4, 8, 2),   # stride change
 ])
-def test_projection_shortcut_when_shapes_differ(spec):
-    assert not spec.identity_shortcut
-    block = ResidualBlock(spec, rng=_rng())
+def test_projection_shortcut_when_shapes_differ(geometry):
+    block = ResidualBlock(*geometry, rng=_rng())
+    assert not block.identity_shortcut
     assert hasattr(block, "proj")
 
 
 def test_strided_block_halves_every_extent():
-    block = ResidualBlock(ResidualBlockSpec(4, 2, 8, mid_stride=2), rng=_rng())
+    block = ResidualBlock(4, 2, 8, mid_stride=2, rng=_rng())
     out = block(Tensor(_rng(1).standard_normal((2, 4, 5, 9, 9)).astype(np.float32)))
     assert out.shape == (2, 8, 3, 5, 5)
 
 
 def test_identity_block_preserves_shape():
-    block = ResidualBlock(ResidualBlockSpec(6, 3, 6), rng=_rng())
+    block = ResidualBlock(6, 3, 6, rng=_rng())
     out = block(Tensor(_rng(1).standard_normal((2, 6, 4, 5, 5)).astype(np.float32)))
     assert out.shape == (2, 6, 4, 5, 5)
 
 
-def test_residual_block_spec_validation():
+def test_residual_block_rejects_bad_geometry():
     with pytest.raises(ValueError, match="in_channels must be >= 1"):
-        ResidualBlockSpec(0, 2, 4)
+        ResidualBlock(0, 2, 4, rng=_rng())
+    with pytest.raises(ValueError, match="bottleneck_channels must be >= 1"):
+        ResidualBlock(2, 0, 4, rng=_rng())
+    with pytest.raises(ValueError, match="out_channels must be >= 1"):
+        ResidualBlock(2, 2, 0, rng=_rng())
     with pytest.raises(ValueError, match="mid_stride must be >= 1"):
-        ResidualBlockSpec(2, 2, 4, mid_stride=0)
+        ResidualBlock(2, 2, 4, mid_stride=0, rng=_rng())
 
 
 def test_residual_block_gradients_match_finite_differences():
-    block = ResidualBlock(ResidualBlockSpec(4, 2, 8, mid_stride=2), rng=_rng(3))
+    block = ResidualBlock(4, 2, 8, mid_stride=2, rng=_rng(3))
     block.astype(np.float64)
     block.train()
     rng = _rng(4)
@@ -86,17 +82,20 @@ def test_residual_block_gradients_match_finite_differences():
 # mask branch geometry
 
 
-def test_attention_block_spec_validation():
-    with pytest.raises(ValueError, match="channels must be >= 1"):
-        AttentionBlockSpec(0, 1, 0)
+@pytest.mark.parametrize("block", [MaskBranch, AttentionBlock])
+def test_mask_geometry_is_checked_by_each_constructor(block):
+    with pytest.raises(ValueError, match="^channels must be >= 1"):
+        block(0, 1, 0, rng=_rng())
     with pytest.raises(ValueError, match="depth must be >= 0"):
-        AttentionBlockSpec(4, -1, 0)
+        block(4, -1, 0, rng=_rng())
     with pytest.raises(ValueError, match="skip_count must lie"):
-        AttentionBlockSpec(4, 1, 2)
+        block(4, 1, 2, rng=_rng())
+    with pytest.raises(ValueError, match="skip_count must lie"):
+        block(4, 1, -1, rng=_rng())
 
 
 def test_mask_branch_rejects_too_small_extents():
-    mask = MaskBranch(AttentionBlockSpec(4, 2, 0), rng=_rng())
+    mask = MaskBranch(4, 2, 0, rng=_rng())
     x = Tensor(np.zeros((2, 4, 2, 8, 8), dtype=np.float32))
     with pytest.raises(ValueError, match="depth 2 needs every extent >= 4; frame extent is 2"):
         mask(x)
@@ -120,7 +119,7 @@ def test_mask_branch_scale_chain(monkeypatch):
     monkeypatch.setattr(ops, "maxpool3d", spy_pool)
     monkeypatch.setattr(ops, "trilinear_upsample", spy_up)
 
-    mask = MaskBranch(AttentionBlockSpec(8, 3, 3), rng=_rng(5))
+    mask = MaskBranch(8, 3, 3, rng=_rng(5))
     mask.train()
     x = Tensor(_rng(6).standard_normal((1, 8, 8, 16, 16)).astype(np.float32))
     out = mask(x)
@@ -140,7 +139,7 @@ def test_skip_count_sets_junction_additions(monkeypatch, skip_count, expected_ad
         added.append(a.shape)
         return real_add(a, b)
 
-    mask = MaskBranch(AttentionBlockSpec(4, 2, skip_count), rng=_rng(7))
+    mask = MaskBranch(4, 2, skip_count, rng=_rng(7))
     mask.train()
     monkeypatch.setattr(ops, "add", spy_add)
     x = Tensor(_rng(8).standard_normal((1, 4, 4, 8, 8)).astype(np.float32))
@@ -155,7 +154,7 @@ def test_skip_count_sets_junction_additions(monkeypatch, skip_count, expected_ad
 
 
 def _tiny_attention(seed=9):
-    att = AttentionBlock(AttentionBlockSpec(4, 1, 1), rng=_rng(seed))
+    att = AttentionBlock(4, 1, 1, rng=_rng(seed))
     att.train()
     x = Tensor(_rng(seed + 1).standard_normal((2, 4, 2, 4, 4)).astype(np.float32))
     return att, x

@@ -246,6 +246,21 @@ def test_gradcheck_rejects_a_negative_seed_before_the_suite_runs():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_gradcheck_into_a_closed_pipe_is_quiet_exit_141(unbuffered):
+    # unbuffered, the first row's print meets the closed pipe; buffered, the
+    # flush after the command does, and the interpreter's exit flush must not
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen([sys.executable, "-m", "res3atn", "gradcheck", "--no-network"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()  # before the child writes anything
+        err = proc.stderr.read()
+        assert proc.wait(timeout=600) == 141
+    assert err == b""
+
+
 def test_gradcheck_unknown_mutation_is_exit_2():
     proc = run_cli("gradcheck", "--no-network", "--mutate", "conv9d")
     assert proc.returncode == 2
@@ -345,6 +360,31 @@ def test_unknown_config_section_is_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "r3atn: error: unknown config sections: ['surprise']\n"
     assert not out.exists()
+
+
+def _bad_config_run(tmp_path, capsys, text):
+    """Train with the config `text`; returns the exit code and the stderr lines."""
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    out = tmp_path / "out"
+    code = cli.main(["train", *SYNTH, *TINY, "--config", str(ini), "--out", str(out)])
+    assert not out.exists()
+    return code, capsys.readouterr().err.splitlines()
+
+
+def test_config_values_are_literal_so_a_percent_sign_is_a_bad_value(tmp_path, capsys):
+    code, err_lines = _bad_config_run(tmp_path, capsys, "[optimizer]\nlr = 5%\n")
+    assert code == 2
+    assert err_lines == [
+        "r3atn: error: bad value for optimizer.lr: could not convert string to float: '5%'"]
+
+
+@pytest.mark.parametrize("other", ["", "[run]\nseed = 1\n", "[network]\nchannel_scale = 64\n"])
+def test_default_section_keys_are_rejected(tmp_path, capsys, other):
+    code, err_lines = _bad_config_run(tmp_path, capsys, "[DEFAULT]\nepochs = 3\n" + other)
+    assert code == 2
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("r3atn: error: ") and "[DEFAULT]" in err_lines[0]
 
 
 def test_config_file_values_reach_the_run(tmp_path):

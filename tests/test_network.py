@@ -71,8 +71,7 @@ def test_trace_drops_rows_for_disabled_sites():
 
 def _mask_geometry(spec):
     """site -> (effective mask depth, effective skip count)."""
-    return {s: (spec.site_spec(s).depth, spec.site_spec(s).skip_count)
-            for s in spec.attention_sites}
+    return {s: spec.site_spec(s)[1:] for s in spec.attention_sites}
 
 
 def test_full_scale_mask_geometry():
@@ -84,7 +83,10 @@ def test_desk_scale_mask_geometry_clamps_depth():
     assert _mask_geometry(DESK_SPEC) == {1: (2, 2), 2: (1, 1), 3: (0, 0)}
     net = build_res3atn(DESK_SPEC)
     for site in (1, 2, 3):
-        assert getattr(net, f"attention{site}").spec == DESK_SPEC.site_spec(site)
+        att = getattr(net, f"attention{site}")
+        channels, depth, skip_count = DESK_SPEC.site_spec(site)
+        assert (att.mask.depth, att.mask.skip_count) == (depth, skip_count)
+        assert att.mask.head_conv2.weight.shape[:2] == (channels, channels)
 
 
 def test_site_input_extents_are_the_stage_outputs():
