@@ -221,6 +221,8 @@ OPERATOR_CHECKS = {
         # 8.5 MiB of float32 columns, above ops.KEEP_COLUMNS_BYTES: the
         # regather route, one frame per run, runs sharing input frames
         (1, 4, 2, 4, 72, 72, 3, 1, 1, True),
+        # one input channel: frame columns shared by the output frames
+        (2, 1, 3, 5, 6, 6, 3, 2, 1, True),
     ]),
     "maxpool3d": partial(_check, 2, _maxpool3d_case, [
         # (N, C, F, H, W, k, stride, pad[, norm mode])

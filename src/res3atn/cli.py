@@ -319,7 +319,10 @@ _EXIT_CODES = {
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        try:
+            args = _build_parser().parse_args(argv)
+        finally:  # argparse exits after --help: a closed reader shows here, not at exit
+            sys.stdout.flush()
         code = args.func(args)
         sys.stdout.flush()  # a closed reader then shows here, not at the interpreter's exit
         return code

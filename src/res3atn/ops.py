@@ -12,7 +12,8 @@ elementwise rules (relu, batchnorm3d's dx, add, add_scalar, reshape) make no
 full-size array of their own. Every forward value is scanned, and a NaN or
 infinity raises NonFiniteError naming the operator. Convolution is
 im2col+GEMM; for a 1x1x1 kernel the columns are a view of the (strided)
-input rather than a copy. Columns of more than KEEP_COLUMNS_BYTES are never
+input rather than a copy (with one input channel, of columns gathered
+once per input frame). Columns of more than KEEP_COLUMNS_BYTES are never
 all alive: the forward gathers them one run of output frames at a time, and
 the rule keeps the input and walks the same runs again, so its weight
 gradient is summed run by run. The nested-loop reference it is
@@ -53,6 +54,7 @@ import sys
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Tape, Tensor, active_tape
 
@@ -128,23 +130,16 @@ def _check_window_geometry(op: str, spatial, kernel, stride, padding) -> tuple[i
 def _gather_windows(xp: np.ndarray, kernel, stride, out_shape, out=None) -> np.ndarray:
     """Stack sliding windows: (N, C, kf, kh, kw, Fo, Ho, Wo), into out if given.
 
-    A 1x1x1 window is one input cell, so the stack is the strided input
-    itself, returned as a view.
+    The stack is one strided view of xp, copied in one pass. A 1x1x1 window
+    is one input cell, so with no out the view itself is returned.
     """
-    sf, sh, sw = stride
-    if kernel == (1, 1, 1):
-        return xp[:, :, None, None, None, ::sf, ::sh, ::sw]
-    n, c = xp.shape[:2]
-    kf, kh, kw = kernel
-    fo, ho, wo = out_shape
-    cols = np.empty((n, c, kf, kh, kw, fo, ho, wo), dtype=xp.dtype) if out is None else out
-    for a in range(kf):
-        for b in range(kh):
-            for d in range(kw):
-                cols[:, :, a, b, d] = xp[
-                    :, :, a : a + sf * fo : sf, b : b + sh * ho : sh, d : d + sw * wo : sw
-                ]
-    return cols
+    steps = xp.strides[2:]
+    windows = as_strided(xp, (*xp.shape[:2], *kernel, *out_shape),
+                         (*xp.strides, *(s * t for s, t in zip(stride, steps))), writeable=False)
+    if out is None:
+        return windows if kernel == (1, 1, 1) else windows.copy()
+    np.copyto(out, windows)
+    return out
 
 
 def _scatter_windows(dcols: np.ndarray, padded_shape, kernel, stride, out_shape,
@@ -171,12 +166,16 @@ def _scatter_windows(dcols: np.ndarray, padded_shape, kernel, stride, out_shape,
 
 
 def _pad5(x: np.ndarray, padding, value=0.0) -> np.ndarray:
-    pf, ph, pw = padding
-    if pf == ph == pw == 0:
+    """x with a border of value, padding[i] cells wide on each side of axis 2 + i."""
+    if not any(padding):
         return x
-    return np.pad(
-        x, ((0, 0), (0, 0), (pf, pf), (ph, ph), (pw, pw)), constant_values=value
-    )
+    (pf, ph, pw), (f, h, w) = padding, x.shape[2:]
+    xp = np.empty((*x.shape[:2], f + 2 * pf, h + 2 * ph, w + 2 * pw), x.dtype)
+    xp[:, :, :pf] = xp[:, :, pf + f :] = value  # the border, face by face
+    xp[:, :, pf : pf + f, :ph] = xp[:, :, pf : pf + f, ph + h :] = value
+    xp[:, :, pf : pf + f, ph : ph + h, :pw] = xp[:, :, pf : pf + f, ph : ph + h, pw + w :] = value
+    xp[:, :, pf : pf + f, ph : ph + h, pw : pw + w] = x
+    return xp
 
 
 def _unpad5(xp: np.ndarray, padding) -> np.ndarray:
@@ -227,10 +226,15 @@ def conv3d(
     The windows are gathered into columns (im2col) and contracted with the
     weight. Columns of at most KEEP_COLUMNS_BYTES, and those of a 1x1x1
     kernel (a view of the strided input), are gathered at once, contracted
-    in one GEMM and kept for the weight gradient. Larger columns are never
-    all alive: their forward gathers and contracts one run of output frames
-    at a time (_conv_runs), and their rule keeps the input instead. Its
-    backward walks the same runs: it gathers a run's columns again, adds
+    in one GEMM and kept for the weight gradient. With one input channel
+    (and a larger kernel) each padded input frame's taps are gathered once;
+    output frame t's columns are a view of frames sf*t on, in the 3-D K
+    order, for one GEMM per output frame (bitwise the one GEMM where
+    _conv_runs' GEMMs are), and the rule keeps the input, gathering the 3-D
+    columns once for the weight gradient. Larger columns are never all
+    alive: their forward gathers and contracts one run of output frames at a
+    time (_conv_runs), and their rule keeps the input instead. Its backward
+    walks the same runs: it gathers a run's columns again, adds
     g_run @ cols.T into the weight gradient, then forms the run's column
     gradient w.T @ g_run in the same buffer and scatters it into the run's
     frames of the padded input gradient. So neither direction holds more
@@ -261,7 +265,20 @@ def conv3d(
     xp = _pad5(x.data, padding)
     padded_shape = xp.shape
     w2 = weight.data.reshape(cout, kdim)
-    if kernel == (1, 1, 1) or n * kdim * loc * xp.itemsize <= KEEP_COLUMNS_BYTES:
+    kept = kernel == (1, 1, 1) or n * kdim * loc * xp.itemsize <= KEEP_COLUMNS_BYTES
+    shared = kept and cin == 1 and kernel != (1, 1, 1)
+    if shared:  # frame t's K = (kf, kh, kw) steps one Ho*Wo plane from frame sf*t on
+        xd, cols2, fp = x.data, None, xp.shape[2]
+        frames = np.empty((n, fp, kh, kw, ho, wo), dtype=xp.dtype)
+        _gather_windows(xp, (1, kh, kw), (1, *stride[1:]), (fp, ho, wo),
+                        out=frames[:, None, None].transpose(0, 1, 2, 4, 5, 3, 6, 7))
+        cols = as_strided(frames, (n, fo, kdim, ho * wo), (frames.strides[0],
+                          stride[0] * frames.strides[1], *frames.strides[3::2]))
+        out = np.empty((n, cout, loc), dtype=np.result_type(w2, xp))
+        for t in range(fo):  # into frame t's (N, Co, Ho*Wo) slice of the output
+            np.matmul(w2, cols[:, t], out=out.reshape(n, cout, fo, -1)[:, :, t])
+        del frames, cols
+    elif kept:
         xd = None
         cols2 = _gather_windows(xp, kernel, stride, out_shape).reshape(n, kdim, loc)
         out = np.matmul(w2, cols2)  # (N, Co, L)
@@ -283,11 +300,16 @@ def conv3d(
     def backward_fn(g):
         g2 = g.reshape(n, cout, loc)
         dxp = dw = None
-        if xd is None:
+        if kept:
             if need_w:
                 gflat = g2.transpose(1, 0, 2).reshape(cout, n * loc)
-                cflat = cols2.transpose(1, 0, 2).reshape(kdim, n * loc)
-                dw = gflat @ cflat.T
+                if shared:  # the 3-D columns, gathered once from the input, K-major
+                    cflat = np.empty((*kernel, n, 1, *out_shape), dtype=xd.dtype)
+                    _gather_windows(_pad5(xd, padding), kernel, stride, out_shape,
+                                    out=cflat.transpose(3, 4, 0, 1, 2, 5, 6, 7))
+                else:
+                    cflat = cols2.transpose(1, 0, 2)
+                dw = gflat @ cflat.reshape(kdim, n * loc).T
             if need_x:
                 dcols = np.matmul(w2.T, g2).reshape(n, cin, kf, kh, kw, fo, ho, wo)
                 dxp = _scatter_windows(dcols, padded_shape, kernel, stride, out_shape)

@@ -332,6 +332,28 @@ def test_restore_optimizer_velocities(tmp_path):
     assert any(v.any() for v in fresh_opt.velocities.values())
 
 
+def test_restored_training_continues_bitwise(tmp_path):
+    # restore copies into the parameters and velocities in place, so a
+    # fresh optimizer's storage, built before the restore, takes the values
+    net, opt = _trained_net()
+    path = tmp_path / "net.r3ck"
+    save_checkpoint(path, net, optimizer=opt, epoch=2)
+    fresh_net = build_res3atn(SPEC, seed=99)
+    fresh_opt = NesterovSGD(fresh_net.parameters(), **HYPER)
+    state = load_state(path)
+    restore_network(fresh_net, state)
+    restore_optimizer(fresh_opt, state)
+    x = Tensor(np.random.default_rng(6).standard_normal((2, 1, 8, 16, 16)).astype(np.float32))
+    for model, optimizer in ((net, opt), (fresh_net, fresh_opt)):
+        with Tape():
+            loss = softmax_cross_entropy(model(x), np.array([0, 3]))
+        backward(loss, optimizer.update)
+        optimizer.step()
+    for (name, p), (_, q) in zip(net.named_parameters(), fresh_net.named_parameters()):
+        assert p.data.tobytes() == q.data.tobytes(), name
+        assert opt.velocities[name].tobytes() == fresh_opt.velocities[name].tobytes(), name
+
+
 def test_checkpoint_without_config_yields_none(tmp_path):
     net, _ = _trained_net(steps=1)
     path = tmp_path / "bare.r3ck"

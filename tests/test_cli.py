@@ -261,6 +261,19 @@ def test_gradcheck_into_a_closed_pipe_is_quiet_exit_141(unbuffered):
     assert err == b""
 
 
+@pytest.mark.parametrize("command", ["gradcheck", "train"])
+def test_help_into_a_closed_pipe_is_quiet_exit_141(command):
+    # argparse prints the help into buffered stdout and exits; the flush on
+    # that exit meets the closed pipe, not the interpreter's exit flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with subprocess.Popen([sys.executable, "-m", "res3atn", command, "--help"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()  # before the child writes anything
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 def test_gradcheck_unknown_mutation_is_exit_2():
     proc = run_cli("gradcheck", "--no-network", "--mutate", "conv9d")
     assert proc.returncode == 2

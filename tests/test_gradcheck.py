@@ -201,10 +201,14 @@ def test_maxpool_suite_has_no_near_ties_on_any_seed(name):
         assert all(r.passed for r in reports), (seed, [str(r) for r in reports])
 
 
-def test_the_last_conv3d_case_takes_the_regather_route():
-    n, cin, _cout, f, h, w, k, s, p, _bias = OPERATOR_CHECKS["conv3d"].args[2][-1]
-    fo, ho, wo = ops._check_window_geometry("conv3d", (f, h, w), (k,) * 3, (s,) * 3, (p,) * 3)
-    assert n * cin * k**3 * fo * ho * wo * 4 > ops.KEEP_COLUMNS_BYTES
+def test_conv3d_cases_cover_the_regather_and_shared_frame_routes():
+    routes = []
+    for n, cin, _cout, f, h, w, k, s, p, _bias in OPERATOR_CHECKS["conv3d"].args[2]:
+        fo, ho, wo = ops._check_window_geometry("conv3d", (f, h, w), (k,) * 3, (s,) * 3, (p,) * 3)
+        regather = n * cin * k**3 * fo * ho * wo * 4 > ops.KEEP_COLUMNS_BYTES
+        routes.append("regather" if regather else "shared" if cin == 1 and k > 1 else "kept")
+    # the last case was appended after the regather case, so the earlier draws stay
+    assert routes[-2:] == ["regather", "shared"] and n == 2 and s == 2
 
 
 def test_every_operator_has_a_check_row():

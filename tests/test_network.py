@@ -1,5 +1,8 @@
 """Network assembly: spec validation, stage geometry, and variant builds."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -242,3 +245,46 @@ def test_full_geometry_training_step_stays_under_its_traced_memory_peak():
     # the forward, then the stem conv output sharing its storage with its
     # gradient; a second full-size stem array would add 98 MiB
     assert peak < 310.0
+
+
+_STEP_FAULTS = """
+import resource
+import numpy as np
+from res3atn import ops
+from res3atn.network import NetworkSpec, build_res3atn
+from res3atn.optim import NesterovSGD
+from res3atn.tensor import Tape, Tensor, backward
+
+spec = NetworkSpec(num_classes=4, input_frames=16, input_size=24, input_channels=1,
+                   channel_scale=8)
+net = build_res3atn(spec, seed=0)
+opt = NesterovSGD(net.parameters(), lr=0.01, momentum=0.9, weight_decay=0.001,
+                  decay_bn=True)
+rng = np.random.default_rng(0)
+faults = []
+for _ in range(13):
+    x = Tensor(rng.normal(size=(6, 1, 16, 24, 24)).astype(np.float32))
+    y = rng.integers(0, 4, size=6)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with Tape():
+        loss = ops.softmax_cross_entropy(net(x), y)
+    backward(loss, opt.update)
+    opt.step()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(int(np.median(faults[3:13])))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's heap and ru_minflt")
+def test_desk_steps_do_not_fault_their_heap_back_in():
+    """A taped DESK_NET step at batch 6 in a fresh interpreter, as training
+    runs it. glibc trims a free top of heap of twice the largest mapped
+    array freed so far (here the stem's 5.7 MiB weight-gradient columns) and
+    the next step faults it back in: 2,229 minor faults a step once the 3-D
+    stem columns were kept on the tape. Steps 3-12 leave out the first
+    steps' one-time faults."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _STEP_FAULTS], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 100

@@ -230,6 +230,88 @@ def test_regathered_conv_gradients_match_finite_differences(mutated, monkeypatch
     assert report.passed != mutated, report.max_rel_error
 
 
+def _one_channel_conv(data, w, stride, padding):
+    """Output and weight gradient of a taped cin = 1 conv, and those of the
+    3-D columns: one GEMM per output frame, and one over every frame."""
+    weight = Tensor(w, requires_grad=True)
+    with Tape():
+        out = ops.conv3d(Tensor(data), weight, stride=stride, padding=padding)
+        proj = np.cos(np.arange(out.size)).reshape(out.shape).astype(out.dtype)
+        loss = ops.sum_all(ops.mul(out, Tensor(proj)))
+    backward(loss)
+    n, cout, fo = out.shape[:3]
+    xp = np.pad(data, ((0, 0), (0, 0)) + tuple((p, p) for p in padding))
+    cols = ops._gather_windows(xp, w.shape[2:], ops._triple(stride, "stride"), out.shape[2:])
+    cols = cols.reshape(n, w[0].size, fo, -1)
+    w2 = w.reshape(cout, -1)
+    per_frame = np.stack([np.matmul(w2, cols[:, :, t]) for t in range(fo)], axis=2)
+    one_gemm = np.matmul(w2, cols.reshape(n, w[0].size, -1))
+    gflat = proj.reshape(n, cout, -1).transpose(1, 0, 2).reshape(cout, -1)
+    dw = (gflat @ cols.transpose(1, 0, 2, 3).reshape(w[0].size, -1).T).reshape(w.shape)
+    return (out.data, weight.grad), (per_frame.reshape(out.shape), one_gemm.reshape(out.shape), dw)
+
+
+# A cin = 1 conv contracts frame columns shared by its output frames, one GEMM
+# per output frame, with the 3-D columns' K order. A BLAS kernel may sum a
+# column of a partly filled tile in another order at another GEMM width, so
+# the output is held bitwise to per-frame GEMMs over the 3-D columns, and to
+# one GEMM where a frame fills whole tiles of 16 (as the desk stem's 24x24
+# frames do). The weight gradient is one GEMM over the 3-D columns, as before.
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel", [(3, 3, 3), (1, 3, 3), (3, 1, 1), (2, 2, 2)])
+def test_one_channel_conv_is_bitwise_the_3d_column_arithmetic(kernel, dtype):
+    rng = np.random.default_rng(7)
+    for n, stride, pad, extents in itertools.product(
+        (1, 2, 3), (1, 2, (2, 1, 1)), (0, 1), ((5, 7, 9), (6, 8, 8))
+    ):
+        padding = tuple(min(pad, k - 1) for k in kernel)
+        data = rng.normal(size=(n, 1, *extents)).astype(dtype)
+        w = rng.normal(size=(4, 1, *kernel)).astype(dtype)
+        (out, dw), (per_frame, one_gemm, want_dw) = _one_channel_conv(data, w, stride, padding)
+        case = (n, stride, padding, extents)
+        assert out.dtype == dtype and out.tobytes() == per_frame.tobytes(), case
+        if out.shape[3] * out.shape[4] % 16 == 0:
+            assert out.tobytes() == one_gemm.tobytes(), case
+        assert dw.dtype == dtype and dw.tobytes() == want_dw.tobytes(), case
+
+
+def _conv_routes(monkeypatch, x, w, **kwargs):
+    """Whether a taped conv and its rule walk runs of columns (_conv_runs
+    calls), and the bytes the taped forward leaves live beyond its output."""
+    runs = []
+    conv_runs = ops._conv_runs
+    monkeypatch.setattr(ops, "_conv_runs", lambda *a: runs.append(a) or conv_runs(*a))
+    tracemalloc.start()
+    try:
+        with Tape():
+            before, _ = tracemalloc.get_traced_memory()
+            out = ops.conv3d(x, w, **kwargs)
+            kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+            loss = ops.sum_all(out)
+    finally:
+        tracemalloc.stop()
+    forward_runs = len(runs)
+    backward(loss)
+    return forward_runs, len(runs) - forward_runs, kept
+
+
+def test_one_channel_conv_routes_by_its_3d_columns(monkeypatch, rng):
+    # stem-shaped at one channel: 2x1x8x32x32, 3x3x3, padding 1; 3-D columns
+    # 1.7 MiB, the frame columns shared by the output frames 0.7 MiB
+    x = Tensor(rng.normal(size=(2, 1, 8, 32, 32)).astype(np.float32))
+    w = Tensor(rng.normal(size=(4, 1, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    frames = 2 * 10 * 9 * 32 * 32 * 4
+    assert frames < 2 * 27 * 8 * 32 * 32 * 4 <= ops.KEEP_COLUMNS_BYTES
+    # within the limit: no runs, and the rule keeps the input (alive already),
+    # not columns; its backward gathers the 3-D columns once for dw
+    forward_runs, backward_runs, kept = _conv_routes(monkeypatch, x, w, padding=1)
+    assert (forward_runs, backward_runs) == (0, 0) and kept < frames // 16
+    # above the limit, even with the frame columns within it: the regather route
+    for limit in (frames, frames - 1):
+        monkeypatch.setattr(ops, "KEEP_COLUMNS_BYTES", limit)
+        assert _conv_routes(monkeypatch, x, w, padding=1)[:2] == (1, 1)
+
+
 def test_taped_conv_above_the_column_limit_keeps_its_input_not_its_columns(rng):
     x = Tensor(rng.normal(size=(1, 8, 16, 32, 32)).astype(np.float32), requires_grad=True)
     w = Tensor(rng.normal(size=(8, 8, 3, 3, 3)).astype(np.float32), requires_grad=True)

@@ -295,3 +295,55 @@ def test_parameter_list_validation():
     q = _param([2.0], name="p")
     with pytest.raises(ValueError, match="unique names"):
         NesterovSGD([p, q], **HYPER)
+
+
+def test_small_parameters_update_in_step_bitwise_as_parameter_by_parameter():
+    # decay_bn=False: decayed and undecayed arena groups, each of float32
+    # and float64 parameters, beside one parameter too large for the arena
+    rng = np.random.default_rng(4)
+    shapes = {"conv.weight": (4, 3, 3), "bn.gamma": (4,), "bn.beta": (4,),
+              "head.weight": (3, 5), "big.weight": (optim.SMALL + 1,)}
+    dtypes = {"head.weight": np.float64, "bn.beta": np.float64}
+    params = [Parameter(rng.normal(size=shape), name=name,
+                        dtype=dtypes.get(name, np.float32))
+              for name, shape in shapes.items()]
+    want = {p.name: (p.data.copy(), np.zeros_like(p.data)) for p in params}
+    opt = NesterovSGD(params, lr=0.1, momentum=0.9, weight_decay=0.01, decay_bn=False)
+    for step in range(4):
+        for i, p in enumerate(params):
+            p.grad = rng.normal(size=p.shape).astype(p.dtype)
+            decay = 0.0 if p.name.startswith("bn.") else 0.01
+            data, velocity = want[p.name]
+            want[p.name] = _whole_array_update(data, p.grad, velocity, 0.1, 0.9, decay)
+            if (i + step) % 2:  # the others are taken by step()
+                opt.update(p.cell)
+                assert p.grad is None
+        opt.step()
+        for p in params:
+            assert p.grad is None and p.data.dtype == want[p.name][0].dtype
+            assert p.data.tobytes() == want[p.name][0].tobytes(), (step, p.name)
+            assert opt.velocities[p.name].tobytes() == want[p.name][1].tobytes(), (step, p.name)
+
+
+def test_a_small_parameter_waits_for_step_and_a_large_one_does_not():
+    small = _param(np.ones(optim.SMALL), name="small")
+    large = _param(np.ones(optim.SMALL + 1), name="large")
+    opt = NesterovSGD([small, large], lr=0.1, momentum=0.9, weight_decay=0.0, decay_bn=True)
+    for p in (small, large):
+        p.grad = np.ones(p.shape, dtype=np.float32)
+        opt.update(p.cell)
+    assert small.grad is None and not (small.data - 1.0).any()
+    np.testing.assert_allclose(large.data, 1.0 - 0.19, rtol=1e-6)
+    opt.step()
+    np.testing.assert_allclose(small.data, 1.0 - 0.19, rtol=1e-6)
+
+
+def test_rebinding_a_small_parameter_is_an_error_at_step():
+    p, q = _param([1.0, 2.0], name="p"), _param([3.0], name="q")
+    opt = NesterovSGD([p, q], **HYPER)
+    p.data = p.data.copy()  # no longer the optimizer's storage: it would stop training
+    for t in (p, q):
+        _set_grad(t, np.ones(t.shape))
+    with pytest.raises(RuntimeError, match="parameter 'p' was rebound"):
+        opt.step()
+    assert p.data.tolist() == [1.0, 2.0] and q.data.tolist() == [3.0]

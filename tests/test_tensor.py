@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from res3atn import ops
+from res3atn import ops, optim
 from res3atn.network import NetworkSpec, build_res3atn
 from res3atn.optim import NesterovSGD
 from res3atn.tensor import Parameter, Tape, Tensor, active_tape, backward, zero_grads
@@ -370,16 +370,24 @@ def test_on_final_hands_a_fanned_out_parameter_its_full_gradient_once():
 
 
 def test_on_final_counts_down_a_reader_whose_output_got_no_gradient():
+    big = Parameter(np.ones(optim.SMALL + 1, dtype=np.float32), name="big")
     p = Parameter(np.array([1.0, 2.0], dtype=np.float32), name="p")
     unused = Parameter(np.array([4.0], dtype=np.float32), name="unused")
-    opt = NesterovSGD([p, unused], lr=0.1, momentum=0.9, weight_decay=0.0, decay_bn=True)
+    opt = NesterovSGD([big, p, unused], lr=0.1, momentum=0.9, weight_decay=0.0, decay_bn=True)
     finals = []
     with Tape():
         ops.relu(unused)  # recorded, but the loss does not read it
-        loss = ops.sum_all(p)
+        loss = ops.add(ops.sum_all(big), ops.sum_all(p))
     backward(loss, lambda cell: (finals.append(cell), opt.update(cell)))
     assert unused.cell in finals and unused.grad is None
-    assert p.grad is None  # updated during backward: v = g, lr * (g + mu * v)
-    np.testing.assert_allclose(p.data, [1.0 - 0.19, 2.0 - 0.19], rtol=1e-6)
+    assert big.grad is None  # updated during backward: v = g, lr * (g + mu * v)
+    np.testing.assert_allclose(big.data, 1.0 - 0.19, rtol=1e-6)
+    assert p.grad is None  # taken into the optimizer's arena; step() applies it
+    assert p.data.tolist() == [1.0, 2.0]
     with pytest.raises(RuntimeError, match="parameter 'unused' has no gradient"):
         opt.step()
+    assert p.data.tolist() == [1.0, 2.0]  # a step that raises updates no small parameter
+    for q in (big, p, unused):
+        q.grad = np.ones(q.shape, dtype=np.float32)
+    opt.step()
+    np.testing.assert_allclose(p.data, [1.0 - 0.19, 2.0 - 0.19], rtol=1e-6)
