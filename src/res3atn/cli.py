@@ -26,6 +26,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # single-line errors instead of usage dumps
         raise ValueError(message)
 
+    def _print_message(self, message, file=None):  # argparse's own swallows a write's OSError
+        if message:
+            (file or sys.stderr).write(message)
+
 
 # ---------------------------------------------------------------------------
 # config file handling
@@ -40,17 +44,8 @@ def _parse_sites(raw: str) -> tuple:
         raise ValueError(f"expected comma-separated site numbers, got {raw!r}")
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 # parser of a config value, by the type of the dataclass field that holds it
-_PARSERS = {int: int, float: float, bool: _parse_bool, tuple[int, ...]: _parse_sites}
+_PARSERS = {int: int, float: float, tuple[int, ...]: _parse_sites}
 
 # train/ablate config flags: flag -> (section, key, type, help). argparse
 # applies int and float; --sites is parsed with the other values, in
@@ -260,7 +255,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     for flag, (_section, _key, parse, help_text) in _CONFIG_FLAGS.items():
         p.add_argument(flag, type=None if parse is _parse_sites else parse, help=help_text)
     _add_synth_flags(p)
-    p.add_argument("--classes", type=int, default=4, choices=(4, 8))
+    p.add_argument("--classes", type=int, default=4)
     p.add_argument("--train-per-class", type=int, default=50)
 
 

@@ -2,11 +2,12 @@
 
 A clip is 8-bit video (frames, height, width, channels). The training chain
 applies, in order: frame-window sampling, isotropic random rescale from a
-fixed four-value factor set, random spatial crop, elastic displacement, and
-0-1 normalization into a (1, C, F, H, W) float32 tensor. Random draws use
-one generator per clip so a factor, a crop offset, and a displacement field
-pair are shared by every frame of that clip. Evaluation uses the centered
-frame window and center crop at scale 1 with no elastic displacement.
+fixed four-value factor set, random spatial crop, elastic displacement at
+the fixed ELASTIC_SIGMA and ELASTIC_ALPHA, and 0-1 normalization into a
+(1, C, F, H, W) float32 tensor. Random draws use one generator per clip so
+a factor, a crop offset, and a displacement field pair are shared by every
+frame of that clip. Evaluation uses the centered frame window and center
+crop at scale 1 with no elastic displacement.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ import numpy as np
 from .ops import _linear_axis_coeffs
 
 SCALE_SET = (1.0, 2.0 ** -0.25, 2.0 ** -0.75, 0.5)
+
+# the training chain's elastic blur and scale: a 13-tap kernel, narrower than any crop
+ELASTIC_SIGMA = 2.0
+ELASTIC_ALPHA = 1.0
 
 _MAGIC = b"R3CL"
 _VERSION = 1
@@ -60,8 +65,6 @@ class AugmentConfig:
     """Knobs of the training chain; the rescale factors are always SCALE_SET."""
 
     crop: int = 112
-    elastic_sigma: float = 2.0
-    elastic_alpha: float = 1.0
     frames_out: int = 32
 
     def __post_init__(self):
@@ -69,14 +72,6 @@ class AugmentConfig:
             raise ValueError(f"crop must be an even extent >= 16, got {self.crop}")
         if self.frames_out < 1:
             raise ValueError("frames_out must be >= 1")
-        if not 0 < self.elastic_sigma < math.inf:
-            raise ValueError("elastic_sigma must be positive and finite")
-        if not 0 <= self.elastic_alpha < math.inf:
-            raise ValueError("elastic_alpha must be >= 0 and finite")
-        taps = 2 * _gaussian_radius(self.elastic_sigma) + 1
-        if self.elastic_alpha > 0 and taps > self.crop:
-            raise ValueError(f"elastic_sigma {self.elastic_sigma} gives a {taps}-tap kernel, "
-                             f"wider than the {self.crop} crop")
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +177,9 @@ def center_crop(clip: LabeledClip, crop: int) -> LabeledClip:
     return _crop(clip, (h - crop) // 2, (w - crop) // 2, crop)
 
 
-def _gaussian_radius(sigma: float) -> int:
-    """Half-width of the elastic blur kernel, which is truncated at 3 sigma."""
-    return int(round(3.0 * sigma))
-
-
 def _gaussian_kernel1d(sigma: float) -> np.ndarray:
-    radius = _gaussian_radius(sigma)
+    """The normalized elastic blur kernel, truncated at 3 sigma: 2*round(3*sigma)+1 taps."""
+    radius = int(round(3.0 * sigma))
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
     return (k / k.sum()).astype(np.float32)
@@ -244,9 +235,7 @@ def augment_clip(clip: LabeledClip, cfg: AugmentConfig, rng: np.random.Generator
     out = sample_frames(clip, cfg.frames_out, rng)
     out = random_scale(out, rng, cfg.crop)
     out = random_crop(out, cfg.crop, rng)
-    if cfg.elastic_alpha > 0:
-        out = elastic_displacement(out, cfg.elastic_sigma, cfg.elastic_alpha, rng)
-    return normalize(out)
+    return normalize(elastic_displacement(out, ELASTIC_SIGMA, ELASTIC_ALPHA, rng))
 
 
 def eval_preprocess(clip: LabeledClip, cfg: AugmentConfig) -> np.ndarray:

@@ -7,19 +7,17 @@ Per step and per parameter p with gradient grad and velocity v:
     p <- p - lr * (g + momentum * v)
 
 The learning rate is constant; no schedule exists. Weight decay applies to
-every parameter, including batchnorm affine terms, unless decay_bn=False
-excludes parameters named ``*.gamma``/``*.beta`` (the batchnorm layers own
-those suffixes). The hyperparameters have no defaults here;
-training.RunConfig holds them.
+every parameter, batchnorm's gamma and beta included. The hyperparameters
+have no defaults here; training.RunConfig holds them.
 
 A gradient is freed as soon as it is taken. Training passes `update` to
 backward as its on_final callback (see tensor), so each parameter's
 gradient is taken once the tape's last rule that reads it has run, and no
 step holds every gradient at once. A parameter of more than SMALL elements
 is updated then. A smaller one's data, velocity and gradient are views of
-an arena, one flat buffer per (dtype, decay) group; `update` copies the
-gradient there and `step` updates each group in one pass. Either way the
-parameters and velocities are bitwise those of per-parameter updates.
+an arena, one flat buffer per dtype; `update` copies the gradient there and
+`step` updates each dtype's group in one pass. Either way the parameters
+and velocities are bitwise those of per-parameter updates.
 
 The update makes no temporary the size of a parameter. It runs the three
 lines above, op by op in the same order, over one chunk of at most CHUNK
@@ -40,8 +38,6 @@ import numpy as np
 
 from .tensor import GradCell, Parameter
 
-_BN_SUFFIXES = (".gamma", ".beta")
-
 # elements per chunk of the update: a pair of float32 scratch chunks is 512 KiB
 CHUNK = 1 << 16
 
@@ -60,14 +56,8 @@ def check_hyperparameters(lr: float, momentum: float, weight_decay: float) -> No
 
 
 class NesterovSGD:
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float,
-        momentum: float,
-        weight_decay: float,
-        decay_bn: bool,
-    ):
+    def __init__(self, params: Iterable[Parameter], lr: float, momentum: float,
+                 weight_decay: float):
         self.params = list(params)
         if not self.params:
             raise ValueError("optimizer needs at least one parameter")
@@ -83,17 +73,14 @@ class NesterovSGD:
         self._scratch: dict[np.dtype, tuple] = {}  # dtype -> two chunk-sized arrays
         self._chunks: dict[GradCell, list] = {}  # cell -> _chunk_views of its parameter
         self._owners = {p.cell: p for p in self.params}
-        self._decays = {  # batchnorm's gamma and beta take none unless decay_bn
-            p.cell: decay_bn or not p.name.endswith(_BN_SUFFIXES) for p in self.params
-        }
         self._updated: set[GradCell] = set()  # gradient taken by `update` since the last step
         self.velocities = {p.name: np.zeros_like(p.data) for p in self.params}
-        groups: dict[tuple, list] = {}  # (dtype, decayed) -> its small parameters
+        groups: dict[np.dtype, list] = {}  # dtype -> its small parameters
         for p in (p for p in self.params if p.size <= SMALL):
-            groups.setdefault((p.dtype, self._decays[p.cell]), []).append(p)
+            groups.setdefault(p.dtype, []).append(p)
         self._arena: dict[GradCell, tuple] = {}  # cell -> (data view, gradient view)
-        self._groups = []  # (gradient, data, velocity, decayed, chunk views) per group
-        for (dtype, decayed), group in groups.items():
+        self._groups = []  # (gradient, data, velocity, chunk views) per group
+        for dtype, group in groups.items():
             sizes = [p.size for p in group]
             arena = np.zeros((3, sum(sizes)), dtype)  # gradient, data, velocity
             for p, views in zip(group, np.split(arena, np.cumsum(sizes)[:-1], axis=1)):
@@ -101,7 +88,7 @@ class NesterovSGD:
                 np.copyto(data, p.data)
                 p.data, self.velocities[p.name] = data, velocity
                 self._arena[p.cell] = (data, grad)
-            self._groups.append((*arena, decayed, self._chunk_views(arena[0].shape, dtype)))
+            self._groups.append((*arena, self._chunk_views(arena[0].shape, dtype)))
 
     def _chunk_views(self, shape, dtype) -> list:
         """The chunks of an array of shape, each (index, a, b): its index
@@ -117,12 +104,11 @@ class NesterovSGD:
         return [(slice(lo, lo + CHUNK), *(s[: min(CHUNK, size - lo)] for s in scratch))
                 for lo in range(0, size, CHUNK)]
 
-    def _apply(self, grad, data, velocity, decayed: bool, chunks) -> None:
+    def _apply(self, grad, data, velocity, chunks) -> None:
         """The update of data and velocity by grad, chunk by chunk."""
         if len(chunks) > 1:
             grad, data, velocity = grad.reshape(-1), data.reshape(-1), velocity.reshape(-1)
-        decay = self.weight_decay if decayed else 0.0
-        lr, momentum = self.lr, self.momentum
+        decay, lr, momentum = self.weight_decay, self.lr, self.momentum
         for index, a, b in chunks:
             g, d, v = grad[index], data[index], velocity[index]
             if decay:  # g <- grad + weight_decay * p
@@ -146,7 +132,7 @@ class NesterovSGD:
             chunks = self._chunks.get(cell)
             if chunks is None or chunks[0][1].dtype != dtype:
                 chunks = self._chunks[cell] = self._chunk_views(p.shape, dtype)
-            self._apply(cell.grad, p.data, self.velocities[p.name], self._decays[cell], chunks)
+            self._apply(cell.grad, p.data, self.velocities[p.name], chunks)
         cell.grad = None
         self._updated.add(cell)
 

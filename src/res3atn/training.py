@@ -26,7 +26,8 @@ from typing import get_type_hints
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .data import AugmentConfig, LabeledClip, augment_clip, check_crop_fits, eval_preprocess
+from .data import (ELASTIC_ALPHA, ELASTIC_SIGMA, AugmentConfig, LabeledClip, augment_clip,
+                   check_crop_fits, eval_preprocess)
 from .network import NetworkSpec, Res3ATN, build_res3atn, stage_trace
 from .ops import softmax_cross_entropy
 from .optim import NesterovSGD, check_hyperparameters
@@ -41,6 +42,10 @@ _STREAM_AUGMENT = 2
 
 _OPTIMIZER = {"section": "optimizer"}
 _RUN = {"section": "run"}
+
+# keys that older run configs hold, each with the one value it now always takes
+_RETIRED_KEYS = {("optimizer", "decay_bn"): True, ("augment", "elastic_sigma"): ELASTIC_SIGMA,
+                 ("augment", "elastic_alpha"): ELASTIC_ALPHA}
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,6 @@ class RunConfig:
     lr: float = field(default=0.01, metadata=_OPTIMIZER)
     momentum: float = field(default=0.9, metadata=_OPTIMIZER)
     weight_decay: float = field(default=0.001, metadata=_OPTIMIZER)
-    decay_bn: bool = field(default=True, metadata=_OPTIMIZER)
     batch_size: int = field(default=6, metadata=_RUN)
     epochs: int = field(default=30, metadata=_RUN)
     seed: int = field(default=0, metadata=_RUN)
@@ -94,13 +98,19 @@ class RunConfig:
         """Inverse of to_dict; missing keys take the dataclass defaults.
 
         A missing augment crop or frames_out takes the network's input_size
-        or input_frames, which it must equal.
+        or input_frames, which it must equal. A retired key (_RETIRED_KEYS)
+        is dropped when it holds its fixed value and is a ValueError otherwise.
         """
         schema = config_schema()
         extra = set(d) - set(schema)
         if extra:
             raise ValueError(f"unknown config sections: {sorted(extra)}")
         sections = {name: dict(d.get(name, {})) for name in schema}
+        for (name, key), fixed in _RETIRED_KEYS.items():
+            value = sections[name].pop(key, fixed)
+            if isinstance(value, bool) != isinstance(fixed, bool) or value != fixed:
+                raise ValueError(f"config key {name}.{key} is retired; it may only hold "
+                                 f"its fixed value {json.dumps(fixed)}, got {value!r}")
         for name, values in sections.items():
             unknown = sorted(set(values) - set(schema[name]))
             if unknown:
@@ -330,13 +340,8 @@ def train(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     net = build_res3atn(config.network, seed=config.seed)
-    opt = NesterovSGD(
-        net.parameters(),
-        lr=config.lr,
-        momentum=config.momentum,
-        weight_decay=config.weight_decay,
-        decay_bn=config.decay_bn,
-    )
+    opt = NesterovSGD(net.parameters(), lr=config.lr, momentum=config.momentum,
+                      weight_decay=config.weight_decay)
     config_dict = config.to_dict()
     best = None
 

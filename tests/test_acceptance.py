@@ -240,8 +240,7 @@ def test_determinism_and_persistence(tmp_path):
 
     # checkpoint round trip: restored network computes bitwise-equal logits
     net = build_res3atn(TINY_NET, seed=0)
-    opt = NesterovSGD(net.parameters(), lr=0.01, momentum=0.9, weight_decay=0.001,
-                      decay_bn=True)
+    opt = NesterovSGD(net.parameters(), lr=0.01, momentum=0.9, weight_decay=0.001)
     rng = np.random.default_rng(6)
     net.train()
     for _ in range(2):
@@ -275,8 +274,7 @@ def test_single_batch_overfit(synth_data):
         attention_sites=(1, 3), channel_scale=8,
     )
     net = build_res3atn(spec, seed=0)
-    opt = NesterovSGD(net.parameters(), lr=0.01, momentum=0.9, weight_decay=0.001,
-                      decay_bn=True)
+    opt = NesterovSGD(net.parameters(), lr=0.01, momentum=0.9, weight_decay=0.001)
     batch = train_clips[:3] + train_clips[50:51] + train_clips[100:101] + train_clips[150:151]
     x = Tensor(np.concatenate([eval_preprocess(c, DESK_AUG) for c in batch]))
     y = np.array([c.label for c in batch], dtype=np.int64)

@@ -28,7 +28,7 @@ SPEC = NetworkSpec(
     num_classes=4, input_frames=8, input_size=16, input_channels=1,
     channel_scale=64,
 )
-HYPER = dict(lr=0.01, momentum=0.9, weight_decay=0.001, decay_bn=True)
+HYPER = dict(lr=0.01, momentum=0.9, weight_decay=0.001)
 
 
 def _state():

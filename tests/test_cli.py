@@ -261,11 +261,15 @@ def test_gradcheck_into_a_closed_pipe_is_quiet_exit_141(unbuffered):
     assert err == b""
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("command", ["gradcheck", "train"])
-def test_help_into_a_closed_pipe_is_quiet_exit_141(command):
-    # argparse prints the help into buffered stdout and exits; the flush on
-    # that exit meets the closed pipe, not the interpreter's exit flush
+def test_help_into_a_closed_pipe_is_quiet_exit_141(command, unbuffered):
+    # argparse prints the help and exits; unbuffered, its write meets the
+    # closed pipe, and buffered, the flush on that exit does, not the
+    # interpreter's exit flush
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with subprocess.Popen([sys.executable, "-m", "res3atn", command, "--help"],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         proc.stdout.close()  # before the child writes anything
@@ -425,15 +429,12 @@ channel_scale = 8
 
 [augment]
 crop = 24
-elastic_sigma = 1.5
-elastic_alpha = 0.5
 frames_out = 16
 
 [optimizer]
 lr = 0.05
 momentum = 0.8
 weight_decay = 0.0005
-decay_bn = off
 
 [run]
 epochs = 7
@@ -450,8 +451,8 @@ def test_every_config_key_reaches_the_run_config(tmp_path):
     expected = {
         "network": {"num_classes": 5, "input_frames": 16, "input_size": 24,
                     "input_channels": 1, "attention_sites": (2, 3), "channel_scale": 8},
-        "augment": {"crop": 24, "elastic_sigma": 1.5, "elastic_alpha": 0.5, "frames_out": 16},
-        "optimizer": {"lr": 0.05, "momentum": 0.8, "weight_decay": 0.0005, "decay_bn": False},
+        "augment": {"crop": 24, "frames_out": 16},
+        "optimizer": {"lr": 0.05, "momentum": 0.8, "weight_decay": 0.0005},
         "run": {"batch_size": 3, "epochs": 7, "seed": 11},
     }
     assert config.to_dict() == expected
@@ -503,15 +504,19 @@ def test_readme_ini_table_lists_the_config_schema():
     assert table == {section: list(keys) for section, keys in config_schema().items()}
 
 
-def test_elastic_kernel_wider_than_the_crop_is_exit_2(tmp_path):
-    ini = tmp_path / "wide.ini"
-    ini.write_text("[augment]\nelastic_sigma = 2.5\n")
+@pytest.mark.parametrize("section, key, raw", [
+    ("optimizer", "decay_bn", "true"),
+    ("augment", "elastic_sigma", "2.0"),
+    ("augment", "elastic_alpha", "1.5"),
+])
+def test_a_retired_key_in_a_config_file_is_exit_2(section, key, raw, tmp_path, capsys):
+    # an INI value is text, so even the fixed value's spelling is rejected
+    ini = tmp_path / "retired.ini"
+    ini.write_text(f"[{section}]\n{key} = {raw}\n")
     out = tmp_path / "out"
-    proc = run_cli("train", *SYNTH, *TINY, "--config", str(ini), "--out", str(out))
-    assert proc.returncode == 2
-    err_lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
-    assert len(err_lines) == 1
-    assert err_lines[0].startswith("r3atn: error: elastic_sigma 2.5")
+    assert cli.main(["train", *SYNTH, *TINY, "--config", str(ini), "--out", str(out)]) == 2
+    assert _one_error_line(capsys).startswith(
+        f"r3atn: error: config key {section}.{key} is retired; it may only hold ")
     assert not out.exists()
 
 
@@ -570,6 +575,16 @@ def test_bad_synthetic_data_is_exit_2_before_writing(flags, message, tmp_path, c
     out = tmp_path / "out"
     assert cli.main(["train", *SYNTH, *TINY, *flags, "--out", str(out)]) == 2
     assert _one_error_line(capsys) == f"r3atn: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [("train", TINY), ("ablate", TINY_ABLATE)])
+def test_synthetic_class_count_other_than_4_or_8_is_exit_2_before_writing(
+        command, flags, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main([command, *SYNTH, *flags, "--classes", "5", "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == (
+        "r3atn: error: synthetic datasets support 4 or 8 classes, got 5\n")
     assert not out.exists()
 
 
@@ -637,6 +652,30 @@ def test_checkpoint_of_another_architecture_is_exit_3(train_run, tmp_path, capsy
     assert cli.main(["eval", "--checkpoint", str(bad), *EVAL_SYNTH]) == 3
     assert _one_error_line(capsys).startswith(
         f"r3atn: error: {bad}: checkpoint does not match network: missing [")
+
+
+def test_checkpoint_with_retired_keys_loads_only_at_their_fixed_values(
+        train_run, tmp_path, capsys):
+    out, _ = train_run
+    config = json.loads(bytes(load_state(out / "last.r3ck")["meta.run_config_json"]
+                              .astype(np.uint8)))
+    # the three keys as every checkpoint written before they were retired holds them
+    config["optimizer"]["decay_bn"] = True
+    config["augment"].update(elastic_sigma=2.0, elastic_alpha=1.0)
+    old = _rewritten(out / "last.r3ck", tmp_path, config)
+    assert cli.main(["eval", "--checkpoint", str(old), *EVAL_SYNTH]) == 0
+    clip_path = tmp_path / "probe.r3clip"
+    save_clip(clip_path, synth_dataset(4, 1, frames=8, extent=16, channels=3)[0])
+    argv = ["masks", "--checkpoint", str(old), "--clip", str(clip_path),
+            "--out", str(tmp_path / "masks")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    config["optimizer"]["decay_bn"] = False
+    bad = _rewritten(out / "last.r3ck", tmp_path, config)
+    assert cli.main(["eval", "--checkpoint", str(bad), *EVAL_SYNTH]) == 3
+    assert _one_error_line(capsys) == (
+        f"r3atn: error: {bad}: config key optimizer.decay_bn is retired; it may only hold "
+        "its fixed value true, got False\n")
 
 
 def test_checkpoint_without_a_run_config_is_exit_3(train_run, tmp_path, capsys):

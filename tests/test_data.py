@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from res3atn.data import (
+    ELASTIC_ALPHA,
+    ELASTIC_SIGMA,
     AugmentConfig,
     ClipFormatError,
     LabeledClip,
@@ -26,6 +28,7 @@ from res3atn.data import (
     synth_dataset,
     synthetic_splits,
 )
+from res3atn.data import _gaussian_kernel1d
 
 
 def _clip(frames=6, h=32, w=32, c=1, seed=0, label=2):
@@ -54,25 +57,17 @@ def test_augment_config_validation():
         AugmentConfig(crop=23)
     with pytest.raises(ValueError, match="frames_out"):
         AugmentConfig(crop=24, frames_out=0)
-    for sigma in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="elastic_sigma must be positive and finite"):
-            AugmentConfig(crop=24, elastic_sigma=sigma)
-    for alpha in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="elastic_alpha must be >= 0 and finite"):
-            AugmentConfig(crop=24, elastic_alpha=alpha)
 
 
-def test_elastic_kernel_wider_than_the_crop_is_rejected():
-    # the kernel is truncated at round(3 * 2.5) = 8 taps a side: 17 taps
-    with pytest.raises(ValueError, match="elastic_sigma 2.5 gives a 17-tap kernel"):
-        AugmentConfig(crop=16, elastic_sigma=2.5)
-
-
-def test_elastic_kernel_width_only_binds_when_elastic_is_on():
-    AugmentConfig(crop=16, elastic_sigma=2.5, elastic_alpha=0.0)
-    cfg = AugmentConfig(crop=16, elastic_sigma=2.0, frames_out=4)  # 13 taps
-    out = augment_clip(_clip(frames=6), cfg, np.random.default_rng(0))
-    assert out.shape == (1, 1, 4, 16, 16)
+def test_augment_clip_warps_the_smallest_crop_by_the_fixed_elastic_field():
+    # round(3 * ELASTIC_SIGMA) = 6 taps a side: 13 taps, within any crop (>= 16)
+    assert _gaussian_kernel1d(ELASTIC_SIGMA).size == 13
+    out = augment_clip(_clip(frames=6), AugmentConfig(crop=16, frames_out=4),
+                       np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    clip = random_crop(random_scale(sample_frames(_clip(frames=6), 4, rng), rng, 16), 16, rng)
+    want = normalize(elastic_displacement(clip, ELASTIC_SIGMA, ELASTIC_ALPHA, rng))
+    assert out.shape == (1, 1, 4, 16, 16) and np.array_equal(out, want)
 
 
 # ---------------------------------------------------------------------------

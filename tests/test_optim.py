@@ -12,7 +12,7 @@ from res3atn.tensor import Parameter, Tape, Tensor, backward
 
 
 # valid settings for the tests that do not depend on them; NesterovSGD has no defaults
-HYPER = dict(lr=0.1, momentum=0.9, weight_decay=0.001, decay_bn=True)
+HYPER = dict(lr=0.1, momentum=0.9, weight_decay=0.001)
 
 
 def _param(value, name="p", role="other"):
@@ -27,7 +27,7 @@ def _set_grad(p, value):
 def test_first_step_applies_lookahead():
     # v = g, update = lr * (g + mu * v) = lr * (1 + mu) * g
     p = _param([1.0])
-    opt = NesterovSGD([p], lr=0.1, momentum=0.9, weight_decay=0.0, decay_bn=True)
+    opt = NesterovSGD([p], lr=0.1, momentum=0.9, weight_decay=0.0)
     _set_grad(p, [1.0])
     opt.step()
     np.testing.assert_allclose(p.data, [1.0 - 0.19], rtol=1e-6)
@@ -35,7 +35,7 @@ def test_first_step_applies_lookahead():
 
 def test_second_step_compounds_velocity():
     p = _param([1.0])
-    opt = NesterovSGD([p], lr=0.1, momentum=0.9, weight_decay=0.0, decay_bn=True)
+    opt = NesterovSGD([p], lr=0.1, momentum=0.9, weight_decay=0.0)
     for _ in range(2):
         _set_grad(p, [1.0])
         opt.step()
@@ -45,7 +45,7 @@ def test_second_step_compounds_velocity():
 
 def test_zero_momentum_reduces_to_sgd():
     p = _param([2.0])
-    opt = NesterovSGD([p], lr=0.5, momentum=0.0, weight_decay=0.0, decay_bn=True)
+    opt = NesterovSGD([p], lr=0.5, momentum=0.0, weight_decay=0.0)
     _set_grad(p, [3.0])
     opt.step()
     np.testing.assert_allclose(p.data, [2.0 - 1.5], rtol=1e-6)
@@ -53,31 +53,29 @@ def test_zero_momentum_reduces_to_sgd():
 
 def test_weight_decay_alone_shrinks_parameters():
     p = _param([4.0])
-    opt = NesterovSGD([p], lr=0.01, momentum=0.0, weight_decay=0.001, decay_bn=True)
+    opt = NesterovSGD([p], lr=0.01, momentum=0.0, weight_decay=0.001)
     _set_grad(p, [0.0])
     opt.step()
     np.testing.assert_allclose(p.data, [4.0 * (1.0 - 1e-5)], rtol=1e-6)
 
 
-def test_decay_bn_flag_spares_gamma_and_beta():
+def test_weight_decay_shrinks_batchnorm_gamma_and_beta_too():
     gamma = _param([1.0], name="stem_bn.gamma")
     beta = _param([0.5], name="stem_bn.beta")
     weight = _param([1.0], name="stem_conv.weight")
-    opt = NesterovSGD([gamma, beta, weight], lr=0.01, momentum=0.0,
-                      weight_decay=0.001, decay_bn=False)
+    opt = NesterovSGD([gamma, beta, weight], lr=0.01, momentum=0.0, weight_decay=0.001)
     for p in (gamma, beta, weight):
         _set_grad(p, [0.0])
     opt.step()
-    np.testing.assert_allclose(gamma.data, [1.0])
-    np.testing.assert_allclose(beta.data, [0.5])
+    np.testing.assert_allclose(gamma.data, [1.0 - 1e-5], rtol=1e-6)
+    np.testing.assert_allclose(beta.data, [0.5 * (1.0 - 1e-5)], rtol=1e-6)
     np.testing.assert_allclose(weight.data, [1.0 - 1e-5], rtol=1e-6)
 
 
 def test_hyperparameters_assigned_after_construction_take_effect():
     built, assigned = (_param([4.0, -2.0], name="w"), _param([4.0, -2.0], name="w"))
-    opt_built = NesterovSGD([built], lr=0.05, momentum=0.5, weight_decay=0.01, decay_bn=True)
-    opt_assigned = NesterovSGD([assigned], lr=0.1, momentum=0.9, weight_decay=0.0,
-                               decay_bn=True)
+    opt_built = NesterovSGD([built], lr=0.05, momentum=0.5, weight_decay=0.01)
+    opt_assigned = NesterovSGD([assigned], lr=0.1, momentum=0.9, weight_decay=0.0)
     opt_assigned.lr, opt_assigned.momentum, opt_assigned.weight_decay = 0.05, 0.5, 0.01
     for _ in range(2):
         for p, opt in ((built, opt_built), (assigned, opt_assigned)):
@@ -89,7 +87,7 @@ def test_hyperparameters_assigned_after_construction_take_effect():
 
 def test_quadratic_converges_to_minimum():
     p = _param([0.0])
-    opt = NesterovSGD([p], lr=0.01, momentum=0.9, weight_decay=0.0, decay_bn=True)
+    opt = NesterovSGD([p], lr=0.01, momentum=0.9, weight_decay=0.0)
     for _ in range(2000):
         _set_grad(p, p.data - 3.0)
         opt.step()
@@ -120,8 +118,7 @@ SMALL_NET = NetworkSpec(num_classes=4, input_frames=8, input_size=16, input_chan
 def _train_steps(in_backward: bool, steps: int = 2):
     """Two SGD steps on SMALL_NET; the update runs in backward or in step()."""
     net = build_res3atn(SMALL_NET, seed=0)
-    opt = NesterovSGD(net.parameters(), lr=0.1, momentum=0.9, weight_decay=0.001,
-                      decay_bn=False)
+    opt = NesterovSGD(net.parameters(), lr=0.1, momentum=0.9, weight_decay=0.001)
     rng = np.random.default_rng(0)
     for _ in range(steps):
         x = Tensor(rng.normal(size=(2, 1, 8, 16, 16)).astype(np.float32))
@@ -238,7 +235,7 @@ def test_parameter_order_does_not_change_updates():
         a = _param([1.0], name="a")
         b = _param([2.0], name="b")
         params = [a, b] if order == "ab" else [b, a]
-        opt = NesterovSGD(params, lr=0.1, momentum=0.9, weight_decay=0.001, decay_bn=True)
+        opt = NesterovSGD(params, lr=0.1, momentum=0.9, weight_decay=0.001)
         for _ in range(3):
             _set_grad(a, [0.3])
             _set_grad(b, [-0.7])
@@ -298,8 +295,8 @@ def test_parameter_list_validation():
 
 
 def test_small_parameters_update_in_step_bitwise_as_parameter_by_parameter():
-    # decay_bn=False: decayed and undecayed arena groups, each of float32
-    # and float64 parameters, beside one parameter too large for the arena
+    # a float32 and a float64 arena group, beside one parameter too large
+    # for the arena
     rng = np.random.default_rng(4)
     shapes = {"conv.weight": (4, 3, 3), "bn.gamma": (4,), "bn.beta": (4,),
               "head.weight": (3, 5), "big.weight": (optim.SMALL + 1,)}
@@ -308,13 +305,12 @@ def test_small_parameters_update_in_step_bitwise_as_parameter_by_parameter():
                         dtype=dtypes.get(name, np.float32))
               for name, shape in shapes.items()]
     want = {p.name: (p.data.copy(), np.zeros_like(p.data)) for p in params}
-    opt = NesterovSGD(params, lr=0.1, momentum=0.9, weight_decay=0.01, decay_bn=False)
+    opt = NesterovSGD(params, lr=0.1, momentum=0.9, weight_decay=0.01)
     for step in range(4):
         for i, p in enumerate(params):
             p.grad = rng.normal(size=p.shape).astype(p.dtype)
-            decay = 0.0 if p.name.startswith("bn.") else 0.01
             data, velocity = want[p.name]
-            want[p.name] = _whole_array_update(data, p.grad, velocity, 0.1, 0.9, decay)
+            want[p.name] = _whole_array_update(data, p.grad, velocity, 0.1, 0.9, 0.01)
             if (i + step) % 2:  # the others are taken by step()
                 opt.update(p.cell)
                 assert p.grad is None
@@ -328,7 +324,7 @@ def test_small_parameters_update_in_step_bitwise_as_parameter_by_parameter():
 def test_a_small_parameter_waits_for_step_and_a_large_one_does_not():
     small = _param(np.ones(optim.SMALL), name="small")
     large = _param(np.ones(optim.SMALL + 1), name="large")
-    opt = NesterovSGD([small, large], lr=0.1, momentum=0.9, weight_decay=0.0, decay_bn=True)
+    opt = NesterovSGD([small, large], lr=0.1, momentum=0.9, weight_decay=0.0)
     for p in (small, large):
         p.grad = np.ones(p.shape, dtype=np.float32)
         opt.update(p.cell)

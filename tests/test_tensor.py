@@ -373,7 +373,7 @@ def test_on_final_counts_down_a_reader_whose_output_got_no_gradient():
     big = Parameter(np.ones(optim.SMALL + 1, dtype=np.float32), name="big")
     p = Parameter(np.array([1.0, 2.0], dtype=np.float32), name="p")
     unused = Parameter(np.array([4.0], dtype=np.float32), name="unused")
-    opt = NesterovSGD([big, p, unused], lr=0.1, momentum=0.9, weight_decay=0.0, decay_bn=True)
+    opt = NesterovSGD([big, p, unused], lr=0.1, momentum=0.9, weight_decay=0.0)
     finals = []
     with Tape():
         ops.relu(unused)  # recorded, but the loss does not read it

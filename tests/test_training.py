@@ -63,6 +63,40 @@ def test_topk_ties_rank_lower_class_first():
     assert _topk_hits(logits, np.array([1]), 2).tolist() == [True]
 
 
+# the default config as checkpoints stored it before decay_bn, elastic_sigma
+# and elastic_alpha became fixed behaviour
+STORED_DEFAULT_CONFIG = json.loads("""{
+  "network": {"num_classes": 4, "input_frames": 32, "input_size": 112, "input_channels": 3,
+              "attention_sites": [1, 2, 3], "channel_scale": 1},
+  "augment": {"crop": 112, "elastic_sigma": 2.0, "elastic_alpha": 1.0, "frames_out": 32},
+  "optimizer": {"lr": 0.01, "momentum": 0.9, "weight_decay": 0.001, "decay_bn": true},
+  "run": {"batch_size": 6, "epochs": 30, "seed": 0}
+}""")
+
+
+def test_a_stored_config_with_the_retired_keys_loads_as_the_default_config():
+    default = RunConfig(network=NetworkSpec(num_classes=4), augment=AugmentConfig())
+    assert RunConfig.from_dict(STORED_DEFAULT_CONFIG) == default
+    assert RunConfig.from_dict({"network": {"num_classes": 4},
+                                "augment": {"elastic_sigma": 2}}) == default
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("optimizer", "decay_bn", False),
+    ("optimizer", "decay_bn", 1),
+    ("augment", "elastic_sigma", 2.5),
+    ("augment", "elastic_alpha", 0.0),
+    ("augment", "elastic_alpha", True),
+])
+def test_a_retired_key_off_its_fixed_value_is_an_error(section, key, value):
+    config = json.loads(json.dumps(STORED_DEFAULT_CONFIG))
+    config[section][key] = value
+    fixed = {"decay_bn": "true", "elastic_sigma": "2.0", "elastic_alpha": "1.0"}[key]
+    with pytest.raises(ValueError, match=f"^config key {section}.{key} is retired; it may only "
+                                         f"hold its fixed value {fixed}, got {value!r}$"):
+        RunConfig.from_dict(config)
+
+
 def test_run_config_round_trip_and_validation():
     cfg = _tiny_config()
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
