@@ -175,6 +175,10 @@ def network_state(net) -> dict[str, np.ndarray]:
     return state
 
 
+def _velocity_entries(optimizer) -> dict[str, np.ndarray]:
+    return {_VEL_PREFIX + name: v for name, v in optimizer.velocities.items()}
+
+
 def save_checkpoint(path, net, *, optimizer=None, epoch: int = 0, run_config=None) -> None:
     state = dict(network_state(net))
     state[_META_EPOCH] = np.array([float(epoch)], dtype=np.float32)
@@ -183,8 +187,7 @@ def save_checkpoint(path, net, *, optimizer=None, epoch: int = 0, run_config=Non
         np.float32
     )
     if optimizer is not None:
-        for name, v in optimizer.velocities.items():
-            state[_VEL_PREFIX + name] = v
+        state.update(_velocity_entries(optimizer))
     save_state(path, state)
 
 
@@ -222,20 +225,18 @@ def _network_entries(state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     }
 
 
-def restore_network(net, state: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint entries into the network, all-or-nothing.
+def _restore(what: str, targets: dict[str, np.ndarray], present: dict[str, np.ndarray]) -> None:
+    """Copy each present entry into its target array, all-or-nothing.
 
     Missing, unexpected, and shape-mismatched names abort with a full
     listing before any value is written.
     """
-    expected = network_state(net)
-    present = _network_entries(state)
-    missing = sorted(set(expected) - set(present))
-    unexpected = sorted(set(present) - set(expected))
+    missing = sorted(set(targets) - set(present))
+    unexpected = sorted(set(present) - set(targets))
     mismatched = sorted(
-        f"{k}: checkpoint {present[k].shape} vs network {expected[k].shape}"
-        for k in set(expected) & set(present)
-        if present[k].shape != expected[k].shape
+        f"{k}: checkpoint {present[k].shape} vs {what} {targets[k].shape}"
+        for k in set(targets) & set(present)
+        if present[k].shape != targets[k].shape
     )
     if missing or unexpected or mismatched:
         parts = []
@@ -245,12 +246,17 @@ def restore_network(net, state: dict[str, np.ndarray]) -> None:
             parts.append(f"unexpected {unexpected}")
         if mismatched:
             parts.append(f"shape mismatch [{'; '.join(mismatched)}]")
-        raise ValueError("checkpoint does not match network: " + "; ".join(parts))
-    for name, target in expected.items():
+        raise ValueError(f"checkpoint does not match {what}: " + "; ".join(parts))
+    for name, target in targets.items():
         np.copyto(target, present[name])
 
 
+def restore_network(net, state: dict[str, np.ndarray]) -> None:
+    """Copy the checkpoint's network entries into the network, all-or-nothing."""
+    _restore("network", network_state(net), _network_entries(state))
+
+
 def restore_optimizer(optimizer, state: dict[str, np.ndarray]) -> None:
-    vels = {k[len(_VEL_PREFIX) :]: v for k, v in state.items() if k.startswith(_VEL_PREFIX)}
-    if vels:
-        optimizer.load_velocities(vels)
+    """Copy the checkpoint's optim.v.<name> velocities into the optimizer, all-or-nothing."""
+    present = {k: v for k, v in state.items() if k.startswith(_VEL_PREFIX)}
+    _restore("optimizer", _velocity_entries(optimizer), present)

@@ -2,13 +2,13 @@
 
 Per step and per parameter p with gradient grad and velocity v:
 
-    g <- grad + weight_decay * p
-    v <- momentum * v + g
-    p <- p - lr * (g + momentum * v)
+    g <- grad + WEIGHT_DECAY * p
+    v <- MOMENTUM * v + g
+    p <- p - lr * (g + MOMENTUM * v)
 
-The learning rate is constant; no schedule exists. Weight decay applies to
-every parameter, batchnorm's gamma and beta included. The hyperparameters
-have no defaults here; training.RunConfig holds them.
+The learning rate is the one setting: constant, with no schedule, and with
+no default here (training.RunConfig holds it). Weight decay applies to
+every parameter, batchnorm's gamma and beta included.
 
 A gradient is freed as soon as it is taken. Training passes `update` to
 backward as its on_final callback (see tensor), so each parameter's
@@ -26,7 +26,7 @@ into two chunk-sized scratch arrays the optimizer keeps per dtype. Each
 parameter keeps views of them shaped like its chunks, so a parameter's
 update costs no more than whole-array arithmetic. Every op is elementwise,
 so parameters and velocities are bitwise those of whole-array arithmetic.
-The hyperparameters are Python floats, so it runs in the parameter's and
+lr and the constants are Python floats, so it runs in the parameter's and
 the gradient's dtype (an arena's, in the parameter's).
 """
 
@@ -44,20 +44,19 @@ CHUNK = 1 << 16
 # a parameter of at most this many elements lives in the arena and is updated in step()
 SMALL = 4096
 
+# the momentum and the L2 weight decay (on every parameter) of every run
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-3
 
-def check_hyperparameters(lr: float, momentum: float, weight_decay: float) -> None:
-    """Raise ValueError unless lr > 0, 0 <= momentum < 1 and weight_decay >= 0, all finite."""
+
+def check_lr(lr: float) -> None:
+    """Raise ValueError unless lr is positive and finite."""
     if not (np.isfinite(lr) and lr > 0):
         raise ValueError(f"lr must be positive and finite, got {lr}")
-    if not 0 <= momentum < 1:
-        raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
-    if not (np.isfinite(weight_decay) and weight_decay >= 0):
-        raise ValueError(f"weight_decay must be >= 0 and finite, got {weight_decay}")
 
 
 class NesterovSGD:
-    def __init__(self, params: Iterable[Parameter], lr: float, momentum: float,
-                 weight_decay: float):
+    def __init__(self, params: Iterable[Parameter], lr: float):
         self.params = list(params)
         if not self.params:
             raise ValueError("optimizer needs at least one parameter")
@@ -66,10 +65,8 @@ class NesterovSGD:
             raise ValueError("duplicate parameter passed to optimizer")
         if any(not n for n in names) or len(set(names)) != len(names):
             raise ValueError("optimizer parameters must carry unique names")
-        check_hyperparameters(lr, momentum, weight_decay)
+        check_lr(lr)
         self.lr = float(lr)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
         self._scratch: dict[np.dtype, tuple] = {}  # dtype -> two chunk-sized arrays
         self._chunks: dict[GradCell, list] = {}  # cell -> _chunk_views of its parameter
         self._owners = {p.cell: p for p in self.params}
@@ -108,15 +105,14 @@ class NesterovSGD:
         """The update of data and velocity by grad, chunk by chunk."""
         if len(chunks) > 1:
             grad, data, velocity = grad.reshape(-1), data.reshape(-1), velocity.reshape(-1)
-        decay, lr, momentum = self.weight_decay, self.lr, self.momentum
+        lr = self.lr
         for index, a, b in chunks:
             g, d, v = grad[index], data[index], velocity[index]
-            if decay:  # g <- grad + weight_decay * p
-                g = np.add(g, np.multiply(decay, d, a), a)
-            v *= momentum  # v <- momentum * v + g
+            g = np.add(g, np.multiply(WEIGHT_DECAY, d, a), a)  # g <- grad + WEIGHT_DECAY * p
+            v *= MOMENTUM  # v <- MOMENTUM * v + g
             v += g
-            # p <- p - lr * (g + momentum * v)
-            np.subtract(d, np.multiply(lr, np.add(g, np.multiply(momentum, v, b), b), b), d)
+            # p <- p - lr * (g + MOMENTUM * v)
+            np.subtract(d, np.multiply(lr, np.add(g, np.multiply(MOMENTUM, v, b), b), b), d)
 
     def update(self, cell: GradCell) -> None:
         """Take the gradient of the parameter whose cell this is, then free it:
@@ -152,11 +148,3 @@ class NesterovSGD:
                 self._apply(*group)
         finally:
             self._updated.clear()
-
-    def load_velocities(self, velocities: dict[str, np.ndarray]) -> None:
-        for name, v in velocities.items():
-            if name not in self.velocities:
-                raise KeyError(f"velocity for unknown parameter {name!r}")
-            if v.shape != self.velocities[name].shape:
-                raise ValueError(f"velocity shape mismatch for {name!r}")
-            np.copyto(self.velocities[name], v, casting="unsafe")

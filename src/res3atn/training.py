@@ -30,7 +30,7 @@ from .data import (ELASTIC_ALPHA, ELASTIC_SIGMA, AugmentConfig, LabeledClip, aug
                    check_crop_fits, eval_preprocess)
 from .network import NetworkSpec, Res3ATN, build_res3atn, stage_trace
 from .ops import softmax_cross_entropy
-from .optim import NesterovSGD, check_hyperparameters
+from .optim import MOMENTUM, WEIGHT_DECAY, NesterovSGD, check_lr
 from .tensor import Tape, Tensor, backward
 
 PAPER_GRID = ((), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3))
@@ -45,7 +45,16 @@ _RUN = {"section": "run"}
 
 # keys that older run configs hold, each with the one value it now always takes
 _RETIRED_KEYS = {("optimizer", "decay_bn"): True, ("augment", "elastic_sigma"): ELASTIC_SIGMA,
-                 ("augment", "elastic_alpha"): ELASTIC_ALPHA}
+                 ("augment", "elastic_alpha"): ELASTIC_ALPHA,
+                 ("optimizer", "momentum"): MOMENTUM, ("optimizer", "weight_decay"): WEIGHT_DECAY}
+
+# config field type -> (test of a stored value, what it must be); a bool is no number
+_VALUE_TYPES = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) in (int, float), "a number"),
+    tuple[int, ...]: (lambda v: type(v) in (list, tuple) and all(type(i) is int for i in v),
+                      "a list of integers"),
+}
 
 
 @dataclass(frozen=True)
@@ -60,8 +69,6 @@ class RunConfig:
     network: NetworkSpec
     augment: AugmentConfig
     lr: float = field(default=0.01, metadata=_OPTIMIZER)
-    momentum: float = field(default=0.9, metadata=_OPTIMIZER)
-    weight_decay: float = field(default=0.001, metadata=_OPTIMIZER)
     batch_size: int = field(default=6, metadata=_RUN)
     epochs: int = field(default=30, metadata=_RUN)
     seed: int = field(default=0, metadata=_RUN)
@@ -77,7 +84,7 @@ class RunConfig:
                 f"augment frames_out {self.augment.frames_out} must equal "
                 f"network input_frames {self.network.input_frames}"
             )
-        check_hyperparameters(self.lr, self.momentum, self.weight_decay)
+        check_lr(self.lr)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -100,11 +107,16 @@ class RunConfig:
         A missing augment crop or frames_out takes the network's input_size
         or input_frames, which it must equal. A retired key (_RETIRED_KEYS)
         is dropped when it holds its fixed value and is a ValueError otherwise.
+        A section that is no dict, an unknown key, and a value of the wrong
+        type for its field (_VALUE_TYPES) are ValueErrors naming it.
         """
         schema = config_schema()
         extra = set(d) - set(schema)
         if extra:
             raise ValueError(f"unknown config sections: {sorted(extra)}")
+        for name, values in d.items():
+            if not isinstance(values, dict):
+                raise ValueError(f"config section {name} must map keys to values, got {values!r}")
         sections = {name: dict(d.get(name, {})) for name in schema}
         for (name, key), fixed in _RETIRED_KEYS.items():
             value = sections[name].pop(key, fixed)
@@ -115,6 +127,10 @@ class RunConfig:
             unknown = sorted(set(values) - set(schema[name]))
             if unknown:
                 raise ValueError(f"unknown config key {name}.{unknown[0]}")
+            for key, value in values.items():
+                accepts, kind = _VALUE_TYPES[schema[name][key]]
+                if not accepts(value):
+                    raise ValueError(f"config key {name}.{key} must be {kind}, got {value!r}")
         network = NetworkSpec(**sections.pop("network"))
         augment = AugmentConfig(**{
             "crop": network.input_size,
@@ -340,8 +356,7 @@ def train(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     net = build_res3atn(config.network, seed=config.seed)
-    opt = NesterovSGD(net.parameters(), lr=config.lr, momentum=config.momentum,
-                      weight_decay=config.weight_decay)
+    opt = NesterovSGD(net.parameters(), lr=config.lr)
     config_dict = config.to_dict()
     best = None
 

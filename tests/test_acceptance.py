@@ -195,8 +195,7 @@ def test_synthetic_overfit_run(synth_data, tmp_path):
     assert len(train_clips) == 200 and len(eval_clips) == 80
     config = RunConfig(
         network=DESK_NET, augment=DESK_AUG,
-        lr=0.01, momentum=0.9, weight_decay=0.001,
-        epochs=50, batch_size=6, seed=0,
+        lr=0.01, epochs=50, batch_size=6, seed=0,
     )
     start = time.monotonic()
     train(config, train_clips, eval_clips, tmp_path)
@@ -240,7 +239,7 @@ def test_determinism_and_persistence(tmp_path):
 
     # checkpoint round trip: restored network computes bitwise-equal logits
     net = build_res3atn(TINY_NET, seed=0)
-    opt = NesterovSGD(net.parameters(), lr=0.01, momentum=0.9, weight_decay=0.001)
+    opt = NesterovSGD(net.parameters(), lr=0.01)
     rng = np.random.default_rng(6)
     net.train()
     for _ in range(2):
@@ -274,7 +273,7 @@ def test_single_batch_overfit(synth_data):
         attention_sites=(1, 3), channel_scale=8,
     )
     net = build_res3atn(spec, seed=0)
-    opt = NesterovSGD(net.parameters(), lr=0.01, momentum=0.9, weight_decay=0.001)
+    opt = NesterovSGD(net.parameters(), lr=0.01)
     batch = train_clips[:3] + train_clips[50:51] + train_clips[100:101] + train_clips[150:151]
     x = Tensor(np.concatenate([eval_preprocess(c, DESK_AUG) for c in batch]))
     y = np.array([c.label for c in batch], dtype=np.int64)

@@ -1,5 +1,6 @@
 """Checkpoint format: canonical bytes, corruption detection, restore contract."""
 
+import re
 import struct
 import warnings
 import tracemalloc
@@ -21,14 +22,14 @@ from res3atn.checkpoint import (
 )
 from res3atn.network import NetworkSpec, build_res3atn
 from res3atn.optim import NesterovSGD
-from res3atn.tensor import Tape, Tensor, backward
+from res3atn.tensor import Parameter, Tape, Tensor, backward
 from res3atn.ops import softmax_cross_entropy
 
 SPEC = NetworkSpec(
     num_classes=4, input_frames=8, input_size=16, input_channels=1,
     channel_scale=64,
 )
-HYPER = dict(lr=0.01, momentum=0.9, weight_decay=0.001)
+LR = 0.01
 
 
 def _state():
@@ -41,7 +42,7 @@ def _state():
 
 def _trained_net(steps=2, seed=0):
     net = build_res3atn(SPEC, seed=seed)
-    opt = NesterovSGD(net.parameters(), **HYPER)
+    opt = NesterovSGD(net.parameters(), lr=LR)
     rng = np.random.default_rng(5)
     net.train()
     for _ in range(steps):
@@ -324,12 +325,31 @@ def test_restore_optimizer_velocities(tmp_path):
     save_checkpoint(path, net, optimizer=opt, epoch=2)
 
     fresh_net = build_res3atn(SPEC, seed=0)
-    fresh_opt = NesterovSGD(fresh_net.parameters(), **HYPER)
+    fresh_opt = NesterovSGD(fresh_net.parameters(), lr=LR)
     assert all(not v.any() for v in fresh_opt.velocities.values())
     restore_optimizer(fresh_opt, load_state(path))
     for name, v in opt.velocities.items():
         np.testing.assert_array_equal(fresh_opt.velocities[name], v)
     assert any(v.any() for v in fresh_opt.velocities.values())
+
+
+@pytest.mark.parametrize("velocities, message", [
+    ({"optim.v.b": np.full(4, 5.0, np.float32)},
+     "shape mismatch [optim.v.b: checkpoint (4,) vs optimizer (2, 2)]"),
+    ({"optim.v.b": None}, "missing ['optim.v.b']"),
+    ({"optim.v.c": np.full(1, 5.0, np.float32)}, "unexpected ['optim.v.c']"),
+])
+def test_restore_optimizer_names_the_mismatch_and_changes_no_velocity(velocities, message):
+    opt = NesterovSGD([Parameter(np.ones(3, np.float32), name="a"),
+                       Parameter(np.ones((2, 2), np.float32), name="b")], lr=LR)
+    state = {"optim.v.a": np.full(3, 5.0, np.float32),
+             "optim.v.b": np.full((2, 2), 5.0, np.float32),
+             "meta.epoch": np.zeros(1, np.float32), **velocities}
+    state = {k: v for k, v in state.items() if v is not None}
+    match = re.escape(f"checkpoint does not match optimizer: {message}")
+    with pytest.raises(ValueError, match=match):
+        restore_optimizer(opt, state)
+    assert all(not v.any() for v in opt.velocities.values())
 
 
 def test_restored_training_continues_bitwise(tmp_path):
@@ -339,7 +359,7 @@ def test_restored_training_continues_bitwise(tmp_path):
     path = tmp_path / "net.r3ck"
     save_checkpoint(path, net, optimizer=opt, epoch=2)
     fresh_net = build_res3atn(SPEC, seed=99)
-    fresh_opt = NesterovSGD(fresh_net.parameters(), **HYPER)
+    fresh_opt = NesterovSGD(fresh_net.parameters(), lr=LR)
     state = load_state(path)
     restore_network(fresh_net, state)
     restore_optimizer(fresh_opt, state)

@@ -433,8 +433,6 @@ frames_out = 16
 
 [optimizer]
 lr = 0.05
-momentum = 0.8
-weight_decay = 0.0005
 
 [run]
 epochs = 7
@@ -452,7 +450,7 @@ def test_every_config_key_reaches_the_run_config(tmp_path):
         "network": {"num_classes": 5, "input_frames": 16, "input_size": 24,
                     "input_channels": 1, "attention_sites": (2, 3), "channel_scale": 8},
         "augment": {"crop": 24, "frames_out": 16},
-        "optimizer": {"lr": 0.05, "momentum": 0.8, "weight_decay": 0.0005},
+        "optimizer": {"lr": 0.05},
         "run": {"batch_size": 3, "epochs": 7, "seed": 11},
     }
     assert config.to_dict() == expected
@@ -508,6 +506,8 @@ def test_readme_ini_table_lists_the_config_schema():
     ("optimizer", "decay_bn", "true"),
     ("augment", "elastic_sigma", "2.0"),
     ("augment", "elastic_alpha", "1.5"),
+    ("optimizer", "momentum", "0.9"),
+    ("optimizer", "weight_decay", "0.001"),
 ])
 def test_a_retired_key_in_a_config_file_is_exit_2(section, key, raw, tmp_path, capsys):
     # an INI value is text, so even the fixed value's spelling is rejected
@@ -659,23 +659,40 @@ def test_checkpoint_with_retired_keys_loads_only_at_their_fixed_values(
     out, _ = train_run
     config = json.loads(bytes(load_state(out / "last.r3ck")["meta.run_config_json"]
                               .astype(np.uint8)))
-    # the three keys as every checkpoint written before they were retired holds them
-    config["optimizer"]["decay_bn"] = True
-    config["augment"].update(elastic_sigma=2.0, elastic_alpha=1.0)
-    old = _rewritten(out / "last.r3ck", tmp_path, config)
-    assert cli.main(["eval", "--checkpoint", str(old), *EVAL_SYNTH]) == 0
     clip_path = tmp_path / "probe.r3clip"
     save_clip(clip_path, synth_dataset(4, 1, frames=8, extent=16, channels=3)[0])
-    argv = ["masks", "--checkpoint", str(old), "--clip", str(clip_path),
-            "--out", str(tmp_path / "masks")]
-    assert cli.main(argv) == 0
+    # the two keys as checkpoints stored them before they were retired, and
+    # then the three retired before those, as even older checkpoints hold all five
+    config["optimizer"].update(momentum=0.9, weight_decay=0.001)
+    for older in ({}, {"decay_bn": True}):
+        config["optimizer"].update(older)
+        if older:
+            config["augment"].update(elastic_sigma=2.0, elastic_alpha=1.0)
+        old = _rewritten(out / "last.r3ck", tmp_path, config)
+        assert cli.main(["eval", "--checkpoint", str(old), *EVAL_SYNTH]) == 0
+        argv = ["masks", "--checkpoint", str(old), "--clip", str(clip_path),
+                "--out", str(tmp_path / "masks")]
+        assert cli.main(argv) == 0
     capsys.readouterr()
-    config["optimizer"]["decay_bn"] = False
+    for key, value, fixed in (("decay_bn", False, "true"), ("momentum", 0.0, "0.9"),
+                              ("weight_decay", 0.0005, "0.001")):
+        stored = {**config, "optimizer": {**config["optimizer"], key: value}}
+        bad = _rewritten(out / "last.r3ck", tmp_path, stored)
+        assert cli.main(["eval", "--checkpoint", str(bad), *EVAL_SYNTH]) == 3
+        assert _one_error_line(capsys) == (
+            f"r3atn: error: {bad}: config key optimizer.{key} is retired; it may only hold "
+            f"its fixed value {fixed}, got {value!r}\n")
+
+
+def test_checkpoint_with_a_value_of_the_wrong_type_is_exit_3(train_run, tmp_path, capsys):
+    out, _ = train_run
+    config = json.loads(bytes(load_state(out / "last.r3ck")["meta.run_config_json"]
+                              .astype(np.uint8)))
+    config["run"]["batch_size"] = 2.5
     bad = _rewritten(out / "last.r3ck", tmp_path, config)
     assert cli.main(["eval", "--checkpoint", str(bad), *EVAL_SYNTH]) == 3
     assert _one_error_line(capsys) == (
-        f"r3atn: error: {bad}: config key optimizer.decay_bn is retired; it may only hold "
-        "its fixed value true, got False\n")
+        f"r3atn: error: {bad}: config key run.batch_size must be an integer, got 2.5\n")
 
 
 def test_checkpoint_without_a_run_config_is_exit_3(train_run, tmp_path, capsys):

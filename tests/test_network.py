@@ -228,7 +228,7 @@ def test_full_geometry_training_step_stays_under_its_traced_memory_peak():
     opt.step. Its tracemalloc peak does not depend on the allocator, so a
     memory regression shows here as well as in a benchmark run."""
     net = build_res3atn(NetworkSpec(num_classes=8), seed=0)
-    opt = NesterovSGD(net.parameters(), lr=0.01, momentum=0.9, weight_decay=0.001)
+    opt = NesterovSGD(net.parameters(), lr=0.01)
     x = Tensor(np.random.default_rng(0).normal(size=(1, 3, 32, 112, 112)).astype(np.float32))
     tracemalloc.start()
     try:
@@ -257,7 +257,7 @@ from res3atn.tensor import Tape, Tensor, backward
 spec = NetworkSpec(num_classes=4, input_frames=16, input_size=24, input_channels=1,
                    channel_scale=8)
 net = build_res3atn(spec, seed=0)
-opt = NesterovSGD(net.parameters(), lr=0.01, momentum=0.9, weight_decay=0.001)
+opt = NesterovSGD(net.parameters(), lr=0.01)
 rng = np.random.default_rng(0)
 faults = []
 for _ in range(13):

@@ -7,12 +7,13 @@ import pytest
 
 from res3atn import ops, optim
 from res3atn.network import NetworkSpec, build_res3atn
-from res3atn.optim import NesterovSGD
+from res3atn.checkpoint import restore_optimizer
+from res3atn.optim import MOMENTUM, WEIGHT_DECAY, NesterovSGD
 from res3atn.tensor import Parameter, Tape, Tensor, backward
 
 
-# valid settings for the tests that do not depend on them; NesterovSGD has no defaults
-HYPER = dict(lr=0.1, momentum=0.9, weight_decay=0.001)
+# a valid lr for the tests that do not depend on it; NesterovSGD has no default
+LR = 0.1
 
 
 def _param(value, name="p", role="other"):
@@ -25,58 +26,52 @@ def _set_grad(p, value):
 
 
 def test_first_step_applies_lookahead():
-    # v = g, update = lr * (g + mu * v) = lr * (1 + mu) * g
+    # g = 1 + 0.001 * 1, v = g, update = lr * (g + mu * v) = 0.1 * 1.9 * 1.001
     p = _param([1.0])
-    opt = NesterovSGD([p], lr=0.1, momentum=0.9, weight_decay=0.0)
+    opt = NesterovSGD([p], lr=0.1)
     _set_grad(p, [1.0])
     opt.step()
-    np.testing.assert_allclose(p.data, [1.0 - 0.19], rtol=1e-6)
+    np.testing.assert_allclose(p.data, [1.0 - 0.19019], rtol=1e-6)
 
 
 def test_second_step_compounds_velocity():
     p = _param([1.0])
-    opt = NesterovSGD([p], lr=0.1, momentum=0.9, weight_decay=0.0)
+    opt = NesterovSGD([p], lr=0.1)
     for _ in range(2):
         _set_grad(p, [1.0])
         opt.step()
-    # v1 = 1, v2 = 1.9; updates 0.1*1.9 then 0.1*(1 + 0.9*1.9) = 0.271
-    np.testing.assert_allclose(p.data, [1.0 - 0.19 - 0.271], rtol=1e-6)
-
-
-def test_zero_momentum_reduces_to_sgd():
-    p = _param([2.0])
-    opt = NesterovSGD([p], lr=0.5, momentum=0.0, weight_decay=0.0)
-    _set_grad(p, [3.0])
-    opt.step()
-    np.testing.assert_allclose(p.data, [2.0 - 1.5], rtol=1e-6)
+    # p1 = 0.80981 as above; g2 = 1 + 0.001 * p1 = 1.00080981,
+    # v2 = 0.9 * 1.001 + g2 = 1.90170981, update 0.1 * (g2 + 0.9 * v2) = 0.27123486
+    np.testing.assert_allclose(p.data, [0.80981 - 0.27123486], rtol=1e-6)
 
 
 def test_weight_decay_alone_shrinks_parameters():
+    # a zero gradient leaves g = 0.001 * p, and v = g: p shrinks by lr * 1.9 * 0.001
     p = _param([4.0])
-    opt = NesterovSGD([p], lr=0.01, momentum=0.0, weight_decay=0.001)
+    opt = NesterovSGD([p], lr=0.01)
     _set_grad(p, [0.0])
     opt.step()
-    np.testing.assert_allclose(p.data, [4.0 * (1.0 - 1e-5)], rtol=1e-6)
+    np.testing.assert_allclose(p.data, [4.0 * (1.0 - 1.9e-5)], rtol=1e-6)
 
 
 def test_weight_decay_shrinks_batchnorm_gamma_and_beta_too():
     gamma = _param([1.0], name="stem_bn.gamma")
     beta = _param([0.5], name="stem_bn.beta")
     weight = _param([1.0], name="stem_conv.weight")
-    opt = NesterovSGD([gamma, beta, weight], lr=0.01, momentum=0.0, weight_decay=0.001)
+    opt = NesterovSGD([gamma, beta, weight], lr=0.01)
     for p in (gamma, beta, weight):
         _set_grad(p, [0.0])
     opt.step()
-    np.testing.assert_allclose(gamma.data, [1.0 - 1e-5], rtol=1e-6)
-    np.testing.assert_allclose(beta.data, [0.5 * (1.0 - 1e-5)], rtol=1e-6)
-    np.testing.assert_allclose(weight.data, [1.0 - 1e-5], rtol=1e-6)
+    np.testing.assert_allclose(gamma.data, [1.0 - 1.9e-5], rtol=1e-6)
+    np.testing.assert_allclose(beta.data, [0.5 * (1.0 - 1.9e-5)], rtol=1e-6)
+    np.testing.assert_allclose(weight.data, [1.0 - 1.9e-5], rtol=1e-6)
 
 
-def test_hyperparameters_assigned_after_construction_take_effect():
+def test_lr_assigned_after_construction_takes_effect():
     built, assigned = (_param([4.0, -2.0], name="w"), _param([4.0, -2.0], name="w"))
-    opt_built = NesterovSGD([built], lr=0.05, momentum=0.5, weight_decay=0.01)
-    opt_assigned = NesterovSGD([assigned], lr=0.1, momentum=0.9, weight_decay=0.0)
-    opt_assigned.lr, opt_assigned.momentum, opt_assigned.weight_decay = 0.05, 0.5, 0.01
+    opt_built = NesterovSGD([built], lr=0.05)
+    opt_assigned = NesterovSGD([assigned], lr=0.1)
+    opt_assigned.lr = 0.05
     for _ in range(2):
         for p, opt in ((built, opt_built), (assigned, opt_assigned)):
             _set_grad(p, [0.5, 1.0])
@@ -86,17 +81,18 @@ def test_hyperparameters_assigned_after_construction_take_effect():
 
 
 def test_quadratic_converges_to_minimum():
+    # the loss (p - 3)^2 / 2 plus the decay's 0.001 * p^2 / 2 is least at 3 / 1.001
     p = _param([0.0])
-    opt = NesterovSGD([p], lr=0.01, momentum=0.9, weight_decay=0.0)
+    opt = NesterovSGD([p], lr=0.01)
     for _ in range(2000):
         _set_grad(p, p.data - 3.0)
         opt.step()
-    assert abs(float(p.data[0]) - 3.0) < 1e-6
+    assert abs(float(p.data[0]) - 3.0 / 1.001) < 1e-6
 
 
 def test_step_clears_gradients():
     p = _param([1.0])
-    opt = NesterovSGD([p], **HYPER)
+    opt = NesterovSGD([p], lr=LR)
     _set_grad(p, [1.0])
     opt.step()
     assert p.grad is None
@@ -104,7 +100,7 @@ def test_step_clears_gradients():
 
 def test_step_without_gradient_is_an_error():
     p = _param([1.0])
-    opt = NesterovSGD([p], **HYPER)
+    opt = NesterovSGD([p], lr=LR)
     with pytest.raises(RuntimeError, match="has no gradient"):
         opt.step()
 
@@ -118,7 +114,7 @@ SMALL_NET = NetworkSpec(num_classes=4, input_frames=8, input_size=16, input_chan
 def _train_steps(in_backward: bool, steps: int = 2):
     """Two SGD steps on SMALL_NET; the update runs in backward or in step()."""
     net = build_res3atn(SMALL_NET, seed=0)
-    opt = NesterovSGD(net.parameters(), lr=0.1, momentum=0.9, weight_decay=0.001)
+    opt = NesterovSGD(net.parameters(), lr=LR)
     rng = np.random.default_rng(0)
     for _ in range(steps):
         x = Tensor(rng.normal(size=(2, 1, 8, 16, 16)).astype(np.float32))
@@ -140,7 +136,7 @@ def test_update_in_backward_is_bitwise_the_update_in_step():
 
 def test_no_parameter_holds_a_gradient_after_its_last_reader_has_run():
     net = build_res3atn(SMALL_NET, seed=0)
-    opt = NesterovSGD(net.parameters(), **HYPER)
+    opt = NesterovSGD(net.parameters(), lr=LR)
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(2, 1, 8, 16, 16)).astype(np.float32))
     with Tape() as tape:
@@ -170,12 +166,12 @@ def test_no_parameter_holds_a_gradient_after_its_last_reader_has_run():
     opt.step()  # every parameter was updated in backward; step still ends the step
 
 
-def _whole_array_update(data, grad, velocity, lr, momentum, weight_decay):
+def _whole_array_update(data, grad, velocity, lr):
     """The update rule on whole arrays, as the module docstring writes it."""
-    g = grad + weight_decay * data
-    velocity = velocity * momentum
+    g = grad + WEIGHT_DECAY * data
+    velocity = velocity * MOMENTUM
     velocity += g
-    return data - lr * (g + momentum * velocity), velocity
+    return data - lr * (g + MOMENTUM * velocity), velocity
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -185,9 +181,9 @@ def test_chunked_update_allocates_two_chunks_and_is_bitwise_the_whole_array_upda
     p = Parameter(rng.normal(size=shape), name="w", dtype=dtype)
     grads = [rng.normal(size=shape).astype(dtype) for _ in range(2)]
     want_p, want_v = p.data.copy(), np.zeros_like(p.data)
-    opt = NesterovSGD([p], **HYPER)
+    opt = NesterovSGD([p], lr=LR)
     for grad in grads:
-        want_p, want_v = _whole_array_update(want_p, grad, want_v, 0.1, 0.9, 0.001)
+        want_p, want_v = _whole_array_update(want_p, grad, want_v, LR)
         p.grad = grad
         tracemalloc.start()
         try:
@@ -205,15 +201,15 @@ def test_chunked_update_allocates_two_chunks_and_is_bitwise_the_whole_array_upda
         assert opt.velocities["w"].tobytes() == want_v.tobytes()
 
 
-def test_f_ordered_loaded_velocity_is_updated_bitwise():
+def test_f_ordered_restored_velocity_is_updated_bitwise():
     rng = np.random.default_rng(3)
     shape = (3, optim.CHUNK + 7)
     p = Parameter(rng.normal(size=shape), name="w", dtype=np.float32)
     velocity = np.asfortranarray(rng.normal(size=shape).astype(np.float32))
     grad = rng.normal(size=shape).astype(np.float32)
-    want_p, want_v = _whole_array_update(p.data, grad, velocity, 0.1, 0.9, 0.001)
-    opt = NesterovSGD([p], **HYPER)
-    opt.load_velocities({"w": velocity})
+    want_p, want_v = _whole_array_update(p.data, grad, velocity, LR)
+    opt = NesterovSGD([p], lr=LR)
+    restore_optimizer(opt, {"optim.v.w": velocity})
     assert opt.velocities["w"].flags.c_contiguous
     p.grad = grad
     opt.step()
@@ -224,7 +220,7 @@ def test_f_ordered_loaded_velocity_is_updated_bitwise():
 def test_velocities_match_parameter_shapes():
     a = _param(np.zeros((2, 3)), name="a")
     b = _param(np.zeros((4,)), name="b")
-    opt = NesterovSGD([a, b], **HYPER)
+    opt = NesterovSGD([a, b], lr=LR)
     assert opt.velocities["a"].shape == (2, 3)
     assert opt.velocities["b"].shape == (4,)
     assert all(not v.any() for v in opt.velocities.values())
@@ -235,7 +231,7 @@ def test_parameter_order_does_not_change_updates():
         a = _param([1.0], name="a")
         b = _param([2.0], name="b")
         params = [a, b] if order == "ab" else [b, a]
-        opt = NesterovSGD(params, lr=0.1, momentum=0.9, weight_decay=0.001)
+        opt = NesterovSGD(params, lr=LR)
         for _ in range(3):
             _set_grad(a, [0.3])
             _set_grad(b, [-0.7])
@@ -248,50 +244,21 @@ def test_parameter_order_does_not_change_updates():
     np.testing.assert_array_equal(b1, b2)
 
 
-def test_load_velocities_round_trip():
-    p = _param([1.0], name="p")
-    opt = NesterovSGD([p], **HYPER)
-    _set_grad(p, [1.0])
-    opt.step()
-    saved = {k: v.copy() for k, v in opt.velocities.items()}
-
-    fresh = NesterovSGD([_param([1.0], name="p")], **HYPER)
-    fresh.load_velocities(saved)
-    np.testing.assert_array_equal(fresh.velocities["p"], saved["p"])
-    with pytest.raises(KeyError, match="unknown parameter"):
-        fresh.load_velocities({"ghost": np.zeros(1, dtype=np.float32)})
-    with pytest.raises(ValueError, match="shape mismatch"):
-        fresh.load_velocities({"p": np.zeros(2, dtype=np.float32)})
-
-
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        (dict(lr=0.0), "lr must be positive"),
-        (dict(momentum=1.0), "momentum must lie"),
-        (dict(momentum=-0.1), "momentum must lie"),
-        (dict(weight_decay=-1e-3), "weight_decay must be >= 0"),
-        (dict(lr=float("nan")), "lr must be positive and finite"),
-        (dict(lr=float("inf")), "lr must be positive and finite"),
-        (dict(momentum=float("nan")), "momentum must lie"),
-        (dict(weight_decay=float("nan")), "weight_decay must be >= 0 and finite"),
-        (dict(weight_decay=float("inf")), "weight_decay must be >= 0 and finite"),
-    ],
-)
-def test_hyperparameter_validation(kwargs, message):
-    with pytest.raises(ValueError, match=message):
-        NesterovSGD([_param([1.0])], **{**HYPER, **kwargs})
+@pytest.mark.parametrize("lr", [0.0, -0.1, float("nan"), float("inf")])
+def test_lr_validation(lr):
+    with pytest.raises(ValueError, match="lr must be positive and finite"):
+        NesterovSGD([_param([1.0])], lr=lr)
 
 
 def test_parameter_list_validation():
     with pytest.raises(ValueError, match="at least one parameter"):
-        NesterovSGD([], **HYPER)
+        NesterovSGD([], lr=LR)
     p = _param([1.0], name="p")
     with pytest.raises(ValueError, match="duplicate parameter"):
-        NesterovSGD([p, p], **HYPER)
+        NesterovSGD([p, p], lr=LR)
     q = _param([2.0], name="p")
     with pytest.raises(ValueError, match="unique names"):
-        NesterovSGD([p, q], **HYPER)
+        NesterovSGD([p, q], lr=LR)
 
 
 def test_small_parameters_update_in_step_bitwise_as_parameter_by_parameter():
@@ -305,12 +272,12 @@ def test_small_parameters_update_in_step_bitwise_as_parameter_by_parameter():
                         dtype=dtypes.get(name, np.float32))
               for name, shape in shapes.items()]
     want = {p.name: (p.data.copy(), np.zeros_like(p.data)) for p in params}
-    opt = NesterovSGD(params, lr=0.1, momentum=0.9, weight_decay=0.01)
+    opt = NesterovSGD(params, lr=LR)
     for step in range(4):
         for i, p in enumerate(params):
             p.grad = rng.normal(size=p.shape).astype(p.dtype)
             data, velocity = want[p.name]
-            want[p.name] = _whole_array_update(data, p.grad, velocity, 0.1, 0.9, 0.01)
+            want[p.name] = _whole_array_update(data, p.grad, velocity, LR)
             if (i + step) % 2:  # the others are taken by step()
                 opt.update(p.cell)
                 assert p.grad is None
@@ -324,19 +291,19 @@ def test_small_parameters_update_in_step_bitwise_as_parameter_by_parameter():
 def test_a_small_parameter_waits_for_step_and_a_large_one_does_not():
     small = _param(np.ones(optim.SMALL), name="small")
     large = _param(np.ones(optim.SMALL + 1), name="large")
-    opt = NesterovSGD([small, large], lr=0.1, momentum=0.9, weight_decay=0.0)
+    opt = NesterovSGD([small, large], lr=0.1)
     for p in (small, large):
         p.grad = np.ones(p.shape, dtype=np.float32)
         opt.update(p.cell)
     assert small.grad is None and not (small.data - 1.0).any()
-    np.testing.assert_allclose(large.data, 1.0 - 0.19, rtol=1e-6)
+    np.testing.assert_allclose(large.data, 1.0 - 0.19019, rtol=1e-6)  # as in the first step
     opt.step()
-    np.testing.assert_allclose(small.data, 1.0 - 0.19, rtol=1e-6)
+    np.testing.assert_allclose(small.data, 1.0 - 0.19019, rtol=1e-6)
 
 
 def test_rebinding_a_small_parameter_is_an_error_at_step():
     p, q = _param([1.0, 2.0], name="p"), _param([3.0], name="q")
-    opt = NesterovSGD([p, q], **HYPER)
+    opt = NesterovSGD([p, q], lr=LR)
     p.data = p.data.copy()  # no longer the optimizer's storage: it would stop training
     for t in (p, q):
         _set_grad(t, np.ones(t.shape))

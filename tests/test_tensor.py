@@ -373,15 +373,16 @@ def test_on_final_counts_down_a_reader_whose_output_got_no_gradient():
     big = Parameter(np.ones(optim.SMALL + 1, dtype=np.float32), name="big")
     p = Parameter(np.array([1.0, 2.0], dtype=np.float32), name="p")
     unused = Parameter(np.array([4.0], dtype=np.float32), name="unused")
-    opt = NesterovSGD([big, p, unused], lr=0.1, momentum=0.9, weight_decay=0.0)
+    opt = NesterovSGD([big, p, unused], lr=0.1)
     finals = []
     with Tape():
         ops.relu(unused)  # recorded, but the loss does not read it
         loss = ops.add(ops.sum_all(big), ops.sum_all(p))
     backward(loss, lambda cell: (finals.append(cell), opt.update(cell)))
     assert unused.cell in finals and unused.grad is None
-    assert big.grad is None  # updated during backward: v = g, lr * (g + mu * v)
-    np.testing.assert_allclose(big.data, 1.0 - 0.19, rtol=1e-6)
+    # updated during backward: g = 1 + 0.001 * 1, v = g, lr * (g + mu * v) = 0.1 * 1.9 * g
+    assert big.grad is None
+    np.testing.assert_allclose(big.data, 1.0 - 0.19019, rtol=1e-6)
     assert p.grad is None  # taken into the optimizer's arena; step() applies it
     assert p.data.tolist() == [1.0, 2.0]
     with pytest.raises(RuntimeError, match="parameter 'unused' has no gradient"):
@@ -390,4 +391,4 @@ def test_on_final_counts_down_a_reader_whose_output_got_no_gradient():
     for q in (big, p, unused):
         q.grad = np.ones(q.shape, dtype=np.float32)
     opt.step()
-    np.testing.assert_allclose(p.data, [1.0 - 0.19, 2.0 - 0.19], rtol=1e-6)
+    np.testing.assert_allclose(p.data, [1.0 - 0.19019, 2.0 - 0.19038], rtol=1e-6)

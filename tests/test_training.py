@@ -1,6 +1,7 @@
 """Training loop, metrics, ablation harness, and mask export."""
 
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -73,10 +74,21 @@ STORED_DEFAULT_CONFIG = json.loads("""{
   "run": {"batch_size": 6, "epochs": 30, "seed": 0}
 }""")
 
+# the default config as checkpoints stored it before momentum and weight_decay
+# became fixed behaviour
+STORED_LR_MOMENTUM_DECAY_CONFIG = json.loads("""{
+  "network": {"num_classes": 4, "input_frames": 32, "input_size": 112, "input_channels": 3,
+              "attention_sites": [1, 2, 3], "channel_scale": 1},
+  "augment": {"crop": 112, "frames_out": 32},
+  "optimizer": {"lr": 0.01, "momentum": 0.9, "weight_decay": 0.001},
+  "run": {"batch_size": 6, "epochs": 30, "seed": 0}
+}""")
 
-def test_a_stored_config_with_the_retired_keys_loads_as_the_default_config():
+
+@pytest.mark.parametrize("stored", [STORED_DEFAULT_CONFIG, STORED_LR_MOMENTUM_DECAY_CONFIG])
+def test_a_stored_config_with_the_retired_keys_loads_as_the_default_config(stored):
     default = RunConfig(network=NetworkSpec(num_classes=4), augment=AugmentConfig())
-    assert RunConfig.from_dict(STORED_DEFAULT_CONFIG) == default
+    assert RunConfig.from_dict(stored) == default
     assert RunConfig.from_dict({"network": {"num_classes": 4},
                                 "augment": {"elastic_sigma": 2}}) == default
 
@@ -87,11 +99,16 @@ def test_a_stored_config_with_the_retired_keys_loads_as_the_default_config():
     ("augment", "elastic_sigma", 2.5),
     ("augment", "elastic_alpha", 0.0),
     ("augment", "elastic_alpha", True),
+    ("optimizer", "momentum", 0.0),
+    ("optimizer", "momentum", 0.95),
+    ("optimizer", "weight_decay", 0.0),
+    ("optimizer", "weight_decay", 0.0005),
 ])
 def test_a_retired_key_off_its_fixed_value_is_an_error(section, key, value):
     config = json.loads(json.dumps(STORED_DEFAULT_CONFIG))
     config[section][key] = value
-    fixed = {"decay_bn": "true", "elastic_sigma": "2.0", "elastic_alpha": "1.0"}[key]
+    fixed = {"decay_bn": "true", "elastic_sigma": "2.0", "elastic_alpha": "1.0",
+             "momentum": "0.9", "weight_decay": "0.001"}[key]
     with pytest.raises(ValueError, match=f"^config key {section}.{key} is retired; it may only "
                                          f"hold its fixed value {fixed}, got {value!r}$"):
         RunConfig.from_dict(config)
@@ -114,13 +131,46 @@ def test_run_config_round_trip_and_validation():
         RunConfig(network=TINY_NET, augment=AugmentConfig(crop=16, frames_out=16))
 
 
-@pytest.mark.parametrize("key, value", [
-    ("lr", -1.0), ("lr", float("nan")), ("momentum", 1.0),
-    ("weight_decay", float("inf")),
+@pytest.mark.parametrize("lr", [-1.0, float("nan")])
+def test_run_config_rejects_an_lr_the_optimizer_rejects(lr):
+    with pytest.raises(ValueError, match="lr must be positive and finite"):
+        _tiny_config(lr=lr)
+
+
+@pytest.mark.parametrize("section, key, value, kind", [
+    ("run", "batch_size", 2.5, "an integer"),
+    ("run", "seed", True, "an integer"),
+    ("run", "epochs", 1.5, "an integer"),
+    ("run", "epochs", "3", "an integer"),
+    ("network", "channel_scale", 64.0, "an integer"),
+    ("network", "attention_sites", 1, "a list of integers"),
+    ("network", "attention_sites", [1, 2.0], "a list of integers"),
+    ("network", "attention_sites", [True], "a list of integers"),
+    ("augment", "crop", None, "an integer"),
+    ("optimizer", "lr", "x", "a number"),
+    ("optimizer", "lr", False, "a number"),
 ])
-def test_run_config_rejects_optimizer_settings_the_optimizer_rejects(key, value):
-    with pytest.raises(ValueError, match=f"{key} must"):
-        _tiny_config(**{key: value})
+def test_a_stored_value_of_the_wrong_type_is_an_error_naming_its_key(section, key, value, kind):
+    config = json.loads(json.dumps(STORED_LR_MOMENTUM_DECAY_CONFIG))
+    config[section][key] = value
+    # and the key alone, as in {"optimizer": {"lr": "x"}}
+    for stored in (config, {section: {key: value}}):
+        with pytest.raises(ValueError, match=rf"^config key {section}\.{key} must be {kind}, "
+                                             rf"got {re.escape(repr(value))}$"):
+            RunConfig.from_dict(stored)
+
+
+def test_stored_numbers_of_the_right_type_load():
+    config = RunConfig.from_dict({"network": {"num_classes": 4, "attention_sites": (2,)},
+                                  "optimizer": {"lr": 1}})
+    assert config.lr == 1 and config.network.attention_sites == (2,)
+
+
+@pytest.mark.parametrize("value", [5, [1], "lr", None])
+def test_a_stored_section_that_is_no_dict_is_an_error_naming_it(value):
+    with pytest.raises(ValueError, match=rf"^config section optimizer must map keys to values, "
+                                         rf"got {re.escape(repr(value))}$"):
+        RunConfig.from_dict({"optimizer": value})
 
 
 def test_run_config_rejects_a_negative_seed():
