@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .modules import BatchNorm3d, Conv3d, Module, ModuleList, set_role
+from .modules import BatchNorm3d, Conv3d, Module, ModuleList
 from .tensor import Tensor
 
 # Branch output convs start small so every block is near-identity at init;
@@ -151,8 +151,6 @@ class AttentionBlock(Module):
         self.trunk = TrunkBranch(channels, rng=rng)
         self.mask = MaskBranch(channels, depth, skip_count, rng=rng)
         self.out_block = _channel_block(channels, rng)
-        set_role(self.trunk, "trunk")
-        set_role(self.mask, "mask")
 
     def forward(self, x: Tensor, capture: Optional[dict] = None) -> Tensor:
         """Apply the block; capture, when given, receives the trunk/mask/fused tensors."""

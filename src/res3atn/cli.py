@@ -161,7 +161,7 @@ def _load_checkpointed_network(path):
         config = training.RunConfig.from_dict(config_dict)
         net = network.build_res3atn(config.network, seed=config.seed)
         checkpoint.restore_network(net, state)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise checkpoint.CheckpointFormatError(f"{path}: {exc}")
     return net, config, epoch
 

@@ -1,4 +1,5 @@
-"""Minimal layer containers: parameter registration, buffers, train/eval mode."""
+"""Minimal layer containers: parameter registration, buffers, train/eval mode,
+and dotted paths (stamp_names), by which a NonFiniteError names its module."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ class Module:
         object.__setattr__(self, "_params", {})
         object.__setattr__(self, "_buffers", {})
         object.__setattr__(self, "training", True)
+        object.__setattr__(self, "path", "")
 
     def __setattr__(self, name, value):
         if isinstance(value, Parameter):
@@ -36,25 +38,26 @@ class Module:
         self._buffers[name] = value
         object.__setattr__(self, name, value)
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
-        for name, p in self._params.items():
-            yield (f"{prefix}{name}", p)
+    def named_modules(self, prefix: str = "") -> Iterator[tuple[str, "Module"]]:
+        """(prefix, module) for self and each module under it, parents first; a
+        prefix is "" for self, else the module's dotted attribute path and a dot."""
+        yield prefix, self
         for cname, child in self._modules.items():
-            yield from child.named_parameters(f"{prefix}{cname}.")
+            yield from child.named_modules(f"{prefix}{cname}.")
+
+    def named_parameters(self) -> Iterator[tuple[str, Parameter]]:
+        for prefix, m in self.named_modules():
+            yield from ((prefix + name, p) for name, p in m._params.items())
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        for name, b in self._buffers.items():
-            yield (f"{prefix}{name}", b)
-        for cname, child in self._modules.items():
-            yield from child.named_buffers(f"{prefix}{cname}.")
+    def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
+        for prefix, m in self.named_modules():
+            yield from ((prefix + name, b) for name, b in m._buffers.items())
 
     def modules(self) -> Iterator["Module"]:
-        yield self
-        for child in self._modules.values():
-            yield from child.modules()
+        return (m for _, m in self.named_modules())
 
     def train(self, mode: bool = True) -> "Module":
         for m in self.modules():
@@ -76,7 +79,11 @@ class Module:
         return self
 
     def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+        try:
+            return self.forward(*args, **kwargs)
+        except ops.NonFiniteError as exc:
+            exc.module = exc.module or self.path
+            raise
 
     def forward(self, *args, **kwargs):
         raise NotImplementedError
@@ -87,22 +94,17 @@ class ModuleList(Module):
 
     def __init__(self, items=()):
         super().__init__()
-        self._items: list[Module] = []
         for item in items:
-            self.append(item)
-
-    def append(self, module: Module) -> None:
-        self._modules[str(len(self._items))] = module
-        self._items.append(module)
+            self._modules[str(len(self._modules))] = item
 
     def __iter__(self):
-        return iter(self._items)
+        return iter(self._modules.values())
 
     def __len__(self):
-        return len(self._items)
+        return len(self._modules)
 
     def __getitem__(self, idx):
-        return self._items[idx]
+        return list(self._modules.values())[idx]
 
 
 # init gain of a layer whose output feeds a ReLU
@@ -206,13 +208,10 @@ class Linear(Module):
         return ops.linear(x, self.weight, self.bias)
 
 
-def stamp_parameter_names(root: Module, prefix: str = "") -> None:
-    """Assign dotted-path names to every parameter under root."""
-    for name, p in root.named_parameters(prefix):
-        p.name = name
-
-
-def set_role(module: Module, role: str) -> None:
-    """Tag every parameter under module with a branch role."""
-    for _, p in module.named_parameters():
-        p.role = role
+def stamp_names(root: Module) -> None:
+    """Set the path of every module under root to its dotted attribute path
+    (root's is ""), and every parameter's name to that path plus its own."""
+    for prefix, module in root.named_modules():
+        module.path = prefix[:-1]
+        for name, p in module._params.items():
+            p.name = prefix + name

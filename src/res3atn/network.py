@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ops
 from .blocks import AttentionBlock, ResidualBlock
-from .modules import BatchNorm3d, Conv3d, Linear, Module, stamp_parameter_names
+from .modules import BatchNorm3d, Conv3d, Linear, Module, stamp_names
 from .tensor import Tensor
 
 STEM_CHANNELS = 64
@@ -122,11 +122,9 @@ class Res3ATN(Module):
             spec.input_channels, sc(STEM_CHANNELS), 3, stride=1, padding=1, bias=False, rng=rng
         )
         self.stem_bn = BatchNorm3d(sc(STEM_CHANNELS))
-        self.stages = []
         for idx, (in_c, mid_c, out_c, stride) in enumerate(STAGE_TABLE, start=1):
             block = ResidualBlock(sc(in_c), sc(mid_c), sc(out_c), stride, rng=rng)
             setattr(self, f"stage{idx}", block)
-            self.stages.append(block)
             if idx in (1, 2, 3) and idx in spec.attention_sites:
                 setattr(self, f"attention{idx}", AttentionBlock(*spec.site_spec(idx), rng=rng))
         self.fc1 = Linear(sc(2048), sc(FC_HIDDEN), rng=rng)
@@ -134,7 +132,7 @@ class Res3ATN(Module):
         # data before full-strength gradients reach the deep layers, which keeps
         # the constant-lr recipe stable from a cold start.
         self.fc2 = Linear(sc(FC_HIDDEN), spec.num_classes, rng=rng, gain=0.1)
-        stamp_parameter_names(self)
+        stamp_names(self)
 
     def _check_input(self, x: Tensor) -> None:
         spec = self.spec
@@ -157,8 +155,8 @@ class Res3ATN(Module):
         # the stem's cells; its batchnorm is applied inside the pool, which
         # in eval normalizes only those cells (ops.maxpool3d's norm)
         h = ops.relu(self.stem_bn(self.stem_conv(x), pool=(3, 2, 1)))
-        for idx, stage in enumerate(self.stages[:stop_after], start=1):
-            h = stage(h)
+        for idx in range(1, stop_after + 1):
+            h = getattr(self, f"stage{idx}")(h)
             att = getattr(self, f"attention{idx}", None)
             if att is None:
                 continue
@@ -171,7 +169,7 @@ class Res3ATN(Module):
         return h
 
     def forward(self, x: Tensor) -> Tensor:
-        h = self._walk(x, stop_after=len(self.stages))
+        h = self._walk(x, stop_after=len(STAGE_TABLE))
         h = ops.avgpool3d_adaptive(h)
         h = ops.reshape(h, (h.shape[0], h.shape[1]))
         h = ops.relu(self.fc1(h))

@@ -10,7 +10,7 @@ require gradients. A rule owns the gradient g it is handed (see tensor): it
 may overwrite g in place or return it as an input's gradient, so the
 elementwise rules (relu, batchnorm3d's dx, add, add_scalar, reshape) make no
 full-size array of their own. Every forward value is scanned, and a NaN or
-infinity raises NonFiniteError naming the operator. Convolution is
+infinity raises NonFiniteError naming the operator and module. Convolution is
 im2col+GEMM; for a 1x1x1 kernel the columns are a view of the (strided)
 input rather than a copy (with one input channel, of columns gathered
 once per input frame). Columns of more than KEEP_COLUMNS_BYTES are never
@@ -85,7 +85,13 @@ def _triple(value, what: str) -> tuple[int, int, int]:
 
 
 class NonFiniteError(FloatingPointError):
-    """An operator produced NaN or infinity; the message names the operator."""
+    """An operator produced NaN or infinity; the message names the operator, and
+    the innermost stamped module it ran in once Module.__call__ sets module."""
+
+    module = ""
+
+    def __str__(self) -> str:
+        return f"{super().__str__()} in {self.module}" if self.module else super().__str__()
 
 
 def _recording(inputs: Sequence[Tensor]) -> Optional[Tape]:

@@ -108,23 +108,17 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A trainable tensor with a dotted-path name and a branch role tag.
+    """A trainable tensor with a dotted-path name, which modules.stamp_names
+    sets; a .trunk. or .mask. in it names an attention block's branch."""
 
-    role is "mask" for parameters living in an attention mask branch,
-    "trunk" for the trunk branch, and "other" everywhere else.
-    """
+    __slots__ = ("name",)
 
-    __slots__ = ("name", "role")
-
-    def __init__(self, data, name: str = "", role: str = "other", dtype=None):
+    def __init__(self, data, name: str = "", dtype=None):
         super().__init__(data, requires_grad=True, dtype=dtype)
-        if role not in ("trunk", "mask", "other"):
-            raise ValueError(f"unknown parameter role {role!r}")
         self.name = name
-        self.role = role
 
     def __repr__(self) -> str:
-        return f"Parameter(name={self.name!r}, shape={self.data.shape}, role={self.role})"
+        return f"Parameter(name={self.name!r}, shape={self.data.shape})"
 
 
 class _Node:

@@ -107,8 +107,9 @@ class RunConfig:
         A missing augment crop or frames_out takes the network's input_size
         or input_frames, which it must equal. A retired key (_RETIRED_KEYS)
         is dropped when it holds its fixed value and is a ValueError otherwise.
-        A section that is no dict, an unknown key, and a value of the wrong
-        type for its field (_VALUE_TYPES) are ValueErrors naming it.
+        A section that is no dict, an unknown key, a missing key with no
+        default (network.num_classes), and a value of the wrong type for its
+        field (_VALUE_TYPES) are ValueErrors naming it.
         """
         schema = config_schema()
         extra = set(d) - set(schema)
@@ -131,6 +132,8 @@ class RunConfig:
                 accepts, kind = _VALUE_TYPES[schema[name][key]]
                 if not accepts(value):
                     raise ValueError(f"config key {name}.{key} must be {kind}, got {value!r}")
+        if "num_classes" not in sections["network"]:
+            raise ValueError("config key network.num_classes is missing")
         network = NetworkSpec(**sections.pop("network"))
         augment = AugmentConfig(**{
             "crop": network.input_size,

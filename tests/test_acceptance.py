@@ -136,7 +136,7 @@ def test_mask_gradient_law():
         t = att.trunk(x)
         out = att.out_block(residual_fusion(_constant_mask(-1.0, t), t))
         tape.backward(ops.sum_all(out))
-    trunk_params = [p for p in att.parameters() if p.role == "trunk"]
+    trunk_params = att.trunk.parameters()
     assert trunk_params
     for p in trunk_params:
         assert p.grad is not None and not p.grad.any()

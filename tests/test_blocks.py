@@ -203,7 +203,7 @@ def test_minus_one_mask_silences_trunk_parameters():
             t = att.trunk(x)
             out = att.out_block(residual_fusion(_constant_mask(value, t), t))
             tape.backward(ops.sum_all(out))
-        return [p.grad for p in att.parameters() if p.role == "trunk"]
+        return [p.grad for p in att.trunk.parameters()]
 
     grads = trunk_grads(-1.0)
     assert grads
@@ -218,12 +218,5 @@ def test_fusion_sends_gradient_into_both_branches():
     att, x = _tiny_attention(19)
     with Tape() as tape:
         tape.backward(ops.sum_all(att(x)))
-    for role in ("trunk", "mask"):
-        assert any(p.grad is not None and p.grad.any()
-                   for p in att.parameters() if p.role == role), role
-
-
-def test_parameter_roles_cover_both_branches():
-    att, _ = _tiny_attention(23)
-    roles = {p.role for p in att.parameters()}
-    assert roles == {"trunk", "mask", "other"}
+    for branch in (att.trunk, att.mask):
+        assert any(p.grad is not None and p.grad.any() for p in branch.parameters())

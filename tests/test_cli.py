@@ -110,7 +110,20 @@ def test_eval_non_finite_value_is_exit_4(train_run, tmp_path):
     save_state(bad, state)
     proc = run_cli("eval", "--checkpoint", str(bad), *EVAL_SYNTH)
     assert proc.returncode == 4, proc.stderr
-    assert proc.stderr == "r3atn: error: conv3d produced non-finite values\n"
+    assert proc.stderr == "r3atn: error: conv3d produced non-finite values in stem_conv\n"
+
+
+def test_eval_non_finite_value_names_the_innermost_module(train_run, tmp_path):
+    out, _ = train_run
+    state = load_state(out / "last.r3ck")
+    name = "attention1.mask.encoder.0.conv2.weight"
+    state[name].reshape(-1)[0] = np.nan
+    bad = tmp_path / "nan.r3ck"
+    save_state(bad, state)
+    proc = run_cli("eval", "--checkpoint", str(bad), *EVAL_SYNTH)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == (
+        "r3atn: error: conv3d produced non-finite values in attention1.mask.encoder.0.conv2\n")
 
 
 def _crc_valid(body: bytes) -> bytes:
@@ -693,6 +706,17 @@ def test_checkpoint_with_a_value_of_the_wrong_type_is_exit_3(train_run, tmp_path
     assert cli.main(["eval", "--checkpoint", str(bad), *EVAL_SYNTH]) == 3
     assert _one_error_line(capsys) == (
         f"r3atn: error: {bad}: config key run.batch_size must be an integer, got 2.5\n")
+
+
+def test_checkpoint_config_without_num_classes_is_exit_3(train_run, tmp_path, capsys):
+    out, _ = train_run
+    config = json.loads(bytes(load_state(out / "last.r3ck")["meta.run_config_json"]
+                              .astype(np.uint8)))
+    del config["network"]["num_classes"]
+    bad = _rewritten(out / "last.r3ck", tmp_path, config)
+    assert cli.main(["eval", "--checkpoint", str(bad), *EVAL_SYNTH]) == 3
+    assert _one_error_line(capsys) == (
+        f"r3atn: error: {bad}: config key network.num_classes is missing\n")
 
 
 def test_checkpoint_without_a_run_config_is_exit_3(train_run, tmp_path, capsys):

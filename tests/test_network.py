@@ -1,14 +1,18 @@
 """Network assembly: spec validation, stage geometry, and variant builds."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from res3atn import ops
+from res3atn.checkpoint import network_state
+from res3atn.modules import Conv3d
 from res3atn.network import NetworkSpec, build_res3atn, stage_trace
 from res3atn.optim import NesterovSGD
 from res3atn.tensor import Tape, Tensor, backward
@@ -144,7 +148,8 @@ def test_attention_masks_stop_after_the_deepest_site():
     net = build_res3atn(spec)
     net.train()
     ran = []
-    for k, stage in enumerate(net.stages, start=1):
+    for k in range(1, 8):
+        stage = getattr(net, f"stage{k}")
         stage.forward = (lambda h, k=k, fwd=stage.forward: ran.append(k) or fwd(h))
     x = Tensor(np.random.default_rng(3).standard_normal(
         (2, 1, 16, 24, 24)).astype(np.float32))
@@ -196,6 +201,65 @@ def test_seeded_builds_are_reproducible():
         not np.array_equal(pa.data, pc.data)
         for (_, pa), (_, pc) in zip(a.named_parameters(), c.named_parameters())
     )
+
+
+# ---------------------------------------------------------------------------
+# stamped names, and the module a non-finite value names
+
+
+def _attribute(module, path):
+    """The module that a dotted attribute path reaches from `module`."""
+    for part in path.split(".") if path else ():
+        module = module[int(part)] if part.isdigit() else getattr(module, part)
+    return module
+
+
+@pytest.mark.parametrize("spec", [
+    DESK_SPEC, NetworkSpec(num_classes=8), replace(DESK_SPEC, attention_sites=()),
+], ids=["desk", "full", "no-sites"])
+def test_every_module_and_parameter_is_stamped_with_its_attribute_path(spec):
+    net = build_res3atn(spec)
+    params = dict(net.named_parameters())
+    assert all(p.name == name for name, p in params.items())
+    modules = list(net.modules())
+    assert net.path == "" and len({m.path for m in modules}) == len(modules)
+    for module in modules:
+        assert _attribute(net, module.path) is module
+    entries = set(network_state(net)) - set(dict(net.named_buffers()))
+    assert set(NesterovSGD(net.parameters(), lr=0.1).velocities) == entries == set(params)
+
+
+def _desk_input():
+    return Tensor(np.random.default_rng(5).standard_normal((2, 1, 16, 24, 24)).astype(np.float32))
+
+
+@pytest.mark.parametrize("name, op", [
+    ("attention1.mask.encoder.0.conv2.weight", "conv3d"),
+    ("stage2.bn2.gamma", "batchnorm3d"),
+    ("stem_conv.weight", "conv3d"),
+    ("fc2.weight", "linear"),
+])
+def test_a_non_finite_value_names_the_innermost_module(name, op):
+    net = build_res3atn(DESK_SPEC)
+    dict(net.named_parameters())[name].data.reshape(-1)[0] = np.nan
+    where = re.escape(name.rsplit(".", 1)[0])
+    with pytest.raises(ops.NonFiniteError, match=rf"^{op} produced non-finite values in {where}$"):
+        net(_desk_input())
+
+
+def test_a_non_finite_value_from_an_op_at_the_root_names_no_module():
+    net = build_res3atn(DESK_SPEC)
+    net.stage7.forward = lambda h: Tensor(np.full((2, 256, 1, 2, 2), np.inf, dtype=np.float32))
+    with pytest.raises(ops.NonFiniteError, match=r"^avgpool3d_adaptive produced non-finite values$"):
+        net(_desk_input())
+
+
+def test_an_unstamped_module_keeps_the_operator_only_message():
+    conv = Conv3d(1, 2, 3, padding=1, rng=np.random.default_rng(0))
+    assert conv.path == "" and conv.weight.name == ""
+    conv.weight.data[0, 0, 0, 0, 0] = np.nan
+    with pytest.raises(ops.NonFiniteError, match=r"^conv3d produced non-finite values$"):
+        conv(_desk_input())
 
 
 def test_every_desk_conv_at_batch_6_keeps_its_columns(monkeypatch):

@@ -16,9 +16,8 @@ from res3atn.tensor import Parameter, Tape, Tensor, backward
 LR = 0.1
 
 
-def _param(value, name="p", role="other"):
-    p = Parameter(np.array(value, dtype=np.float32), name=name, role=role)
-    return p
+def _param(value, name="p"):
+    return Parameter(np.array(value, dtype=np.float32), name=name)
 
 
 def _set_grad(p, value):

@@ -32,13 +32,10 @@ def test_tensor_defaults():
     assert t.size == 6
 
 
-def test_parameter_requires_grad_and_roles():
-    p = Parameter(np.ones(2), name="w", role="mask")
+def test_parameter_requires_grad_and_takes_a_name():
+    p = Parameter(np.ones(2), name="w")
     assert p.requires_grad
     assert p.name == "w"
-    assert p.role == "mask"
-    with pytest.raises(ValueError, match="unknown parameter role"):
-        Parameter(np.ones(2), role="elsewhere")
 
 
 def test_accumulate_grad_sums_and_checks_shape():

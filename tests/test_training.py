@@ -160,6 +160,12 @@ def test_a_stored_value_of_the_wrong_type_is_an_error_naming_its_key(section, ke
             RunConfig.from_dict(stored)
 
 
+@pytest.mark.parametrize("stored", [{"optimizer": {"lr": 0.1}}, {"network": {}}, {}])
+def test_a_stored_config_without_num_classes_is_an_error_naming_it(stored):
+    with pytest.raises(ValueError, match=r"^config key network\.num_classes is missing$"):
+        RunConfig.from_dict(stored)
+
+
 def test_stored_numbers_of_the_right_type_load():
     config = RunConfig.from_dict({"network": {"num_classes": 4, "attention_sites": (2,)},
                                   "optimizer": {"lr": 1}})
