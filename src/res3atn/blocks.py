@@ -51,9 +51,9 @@ class ResidualBlock(Module):
                                gain=1.0)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = self.conv1(ops.relu(self.bn1(x)))
-        h = self.conv2(ops.relu(self.bn2(h)))
-        h = self.conv3(ops.relu(self.bn3(h)))
+        h = self.bn1(x, conv=self.conv1)
+        h = self.bn2(h, conv=self.conv2)
+        h = self.bn3(h, conv=self.conv3)
         shortcut = x if self.identity_shortcut else self.proj(x)
         return ops.add(h, shortcut)
 
@@ -74,8 +74,7 @@ class TrunkBranch(Module):
         self.conv2 = Conv3d(channels, channels, 1, bias=True, rng=rng, gain=1.0)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = ops.relu(self.bn(self.conv1(self.res2(self.res1(x)))))
-        return self.conv2(h)
+        return self.bn(self.conv1(self.res2(self.res1(x))), conv=self.conv2)
 
 
 def _check_mask_geometry(channels: int, depth: int, skip_count: int) -> None:
@@ -130,8 +129,7 @@ class MaskBranch(Module):
             h = ops.trilinear_upsample(h, feats[target_scale].shape[2:])
             if target_scale >= depth - self.skip_count:
                 h = ops.add(h, feats[target_scale])
-        h = ops.relu(self.head_bn(self.head_conv1(h)))
-        return ops.sigmoid(self.head_conv2(h))
+        return ops.sigmoid(self.head_bn(self.head_conv1(h), conv=self.head_conv2))
 
 
 def residual_fusion(mask: Tensor, trunk: Tensor) -> Tensor:

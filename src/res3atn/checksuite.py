@@ -122,17 +122,28 @@ def _running_stats(rng, c, training):
     return rm, (np.abs(_randn(rng, (c,))) + 0.5).astype(np.float32)
 
 
-def _batchnorm_case(rng, shape, training):
+def _batchnorm_case(rng, shape, training, conv=None):
     c = shape[1]
-    x = _leaf(_randn(rng, shape))
-    gamma = _leaf(_randn(rng, (c,), scale=0.5) + 1.0)
-    beta = _leaf(_randn(rng, (c,), scale=0.5))
+    if conv is None:
+        x, gamma, beta = (_leaf(_randn(rng, shape)), _leaf(_randn(rng, (c,), scale=0.5) + 1.0),
+                          _leaf(_randn(rng, (c,), scale=0.5)))
+        rm, rv = _running_stats(rng, c, training)
+        return (lambda *ts: ops.batchnorm3d(*ts, rm, rv, training)), [x, gamma, beta]
+    # the unit conv(relu(bn(x))), conv = (Cout, k, stride, pad, bias): no x
+    # lies within 0.2 of 0 and beta puts the ReLU's kink at x = 0, so every
+    # normalized value lies 0.09 or more from it, beyond a probe's reach
+    cout, k, s, p, use_bias = conv
     rm, rv = _running_stats(rng, c, training)
+    x = rng.uniform(0.2, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+    mean, var = (x.mean(axis=(0, 2, 3, 4)), x.var(axis=(0, 2, 3, 4))) if training else (rm, rv)
+    gamma = rng.uniform(0.5, 1.5, c) * rng.choice([-1.0, 1.0], c)
+    arrays = [x, gamma, gamma * mean / np.sqrt(var + ops.BN_EPS)]
+    arrays += [_randn(rng, (cout, c, k, k, k), 0.5)] + [_randn(rng, (cout,))] * use_bias
 
-    def op(x, gamma, beta):
-        return ops.batchnorm3d(x, gamma, beta, rm, rv, training=training)
+    def op(x, gamma, beta, weight, bias=None):
+        return ops.batchnorm3d(x, gamma, beta, rm, rv, training, conv=(weight, bias, s, p))
 
-    return op, [x, gamma, beta]
+    return op, [_leaf(a.astype(np.float32)) for a in arrays]
 
 
 def _sigmoid_case(rng, *shape):
@@ -250,6 +261,10 @@ OPERATOR_CHECKS = {
         ((3, 1, 2, 5, 5), True),
         ((2, 4, 3, 2, 2), True),
         ((2, 3, 3, 4, 4), False),
+        # a 1x1x1 conv, kept 3x3x3 columns at stride 2, one input channel
+        ((2, 3, 3, 4, 4), True, (2, 1, 1, 0, True)),
+        ((2, 2, 4, 5, 5), False, (3, 3, 2, 1, False)),
+        ((2, 1, 4, 4, 4), True, (2, 3, 1, 1, True)),
     ]),
     "sigmoid": partial(_check, 6, _sigmoid_case, [
         (3,), (2, 5), (1, 2, 3, 2, 2), (4, 4), (2, 2, 2),

@@ -170,20 +170,25 @@ class BatchNorm3d(Module):
     def stats_ready(self) -> bool:
         return float(self.steps[0]) > 0
 
-    def forward(self, x: Tensor, pool=None) -> Tensor:
-        """The normalized x; pool = (kernel, stride, padding) max-pools it too,
-        through ops.maxpool3d's norm, without making the normalized x."""
+    def forward(self, x: Tensor, pool=None, conv: Optional[Conv3d] = None) -> Tensor:
+        """The normalized x; pool = (kernel, stride, padding) max-pools it too
+        (ops.maxpool3d's norm), and conv makes it the unit conv(relu(bn(x)))
+        (ops.batchnorm3d's conv), whose rule keeps x, not relu(bn(x))."""
         if not self.training and not self.stats_ready:
             raise RuntimeError(
                 "batchnorm eval requested before any running-stat update; "
                 "train first or load statistics from a checkpoint"
             )
         norm = (self.gamma, self.beta, self.running_mean, self.running_var)
-        if pool is None:
-            out = ops.batchnorm3d(x, *norm, training=self.training)
-        else:
-            kernel, stride, padding = pool
-            out = ops.maxpool3d(x, kernel, stride, padding, norm=(*norm, self.training))
+        try:
+            if pool is not None:
+                out = ops.maxpool3d(x, *pool, norm=(*norm, self.training))
+            else:
+                unit = None if conv is None else (conv.weight, conv.bias, conv.stride, conv.padding)
+                out = ops.batchnorm3d(x, *norm, self.training, conv=unit)
+        except ops.NonFiniteError as exc:  # the unit's conv stage is the conv's
+            exc.module = conv.path if exc.args[0].startswith("conv3d") else exc.module
+            raise
         if self.training:
             self.steps[0] += 1
         return out

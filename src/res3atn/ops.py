@@ -10,41 +10,14 @@ require gradients. A rule owns the gradient g it is handed (see tensor): it
 may overwrite g in place or return it as an input's gradient, so the
 elementwise rules (relu, batchnorm3d's dx, add, add_scalar, reshape) make no
 full-size array of their own. Every forward value is scanned, and a NaN or
-infinity raises NonFiniteError naming the operator and module. Convolution is
-im2col+GEMM; for a 1x1x1 kernel the columns are a view of the (strided)
-input rather than a copy (with one input channel, of columns gathered
-once per input frame). Columns of more than KEEP_COLUMNS_BYTES are never
-all alive: the forward gathers them one run of output frames at a time, and
-the rule keeps the input and walks the same runs again, so its weight
-gradient is summed run by run. The nested-loop reference it is
-held to lives in checksuite. Max pooling builds no window tensor. Untaped, its
-forward is a separable running max. Under a tape it reads the input as
-stride-phase planes, on which every window offset is a unit-stride slice;
-it takes the running max over the offsets and finds each window's winner
-(the lowest offset equal to the max) with plain integer arithmetic, no
-masked copy. Batchnorm's EMA momentum and variance epsilon are the module
-constants BN_MOMENTUM and BN_EPS, and every train-mode call moves the
-running buffers it is given. Its rule keeps its input, not the normalized
-input, and forms that again block by block.
+infinity raises NonFiniteError naming the operator and module.
 
-maxpool3d can apply a batchnorm to its input first (norm): the stem's
-batchnorm-then-pool as one operator and one tape node, bitwise the two
-ops' output, that never makes the full-size normalized input. Untaped it
-pools the raw input and normalizes only the pooled cells, which
-monotonicity allows (see maxpool3d). batchnorm3d and this route share one
-statistics pass, one per-block normalization and one rule (_BatchNorm).
-That rule reads its output gradient one block at a time, so the pool
-scatters each block's winners into a one-block scratch. dx goes where the
-caller hands it over (batchnorm3d's g, or a one-block pool's scratch), else
-into the input's own storage when nothing else can read it (owns_x): the
-stem's conv output and its gradient then share one buffer.
-
-Batchnorm and the max-pool make several passes over their input; they run
-them one block at a time (_channel_blocks), one sample's run of whole
-channels of at most BLOCK_BYTES, so later passes find the block in cache,
-and their backward rules walk the same blocks. Channel sums keep
-numpy's whole-array order, so the output is bitwise that of unblocked
-passes; an input of one block runs as one.
+maxpool3d's norm (the stem's batchnorm-then-pool) and batchnorm3d's conv
+(a pre-activation unit, conv(relu(bn(x))), whose rule keeps x, not the
+activated x) are each one tape node, bitwise the separate ops'. Conv routes
+(_conv) serve conv3d and the unit; checksuite holds their nested-loop
+reference. Batchnorm (_BatchNorm) and the max-pool run their passes one
+cache-sized block of channels at a time (_channel_blocks), bitwise.
 """
 
 from __future__ import annotations
@@ -220,61 +193,65 @@ def _conv_runs(n: int, cin: int, kernel, stride, out_shape, dtype):
             yield i, slice(f0 * plane, (f0 + nf) * plane), span, cols
 
 
-def conv3d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
-    stride=1,
-    padding=0,
-) -> Tensor:
-    """3-D cross-correlation of (N,C,F,H,W) input with (Co,Ci,kf,kh,kw) weight.
-
-    The windows are gathered into columns (im2col) and contracted with the
-    weight. Columns of at most KEEP_COLUMNS_BYTES, and those of a 1x1x1
-    kernel (a view of the strided input), are gathered at once, contracted
-    in one GEMM and kept for the weight gradient. With one input channel
-    (and a larger kernel) each padded input frame's taps are gathered once;
-    output frame t's columns are a view of frames sf*t on, in the 3-D K
-    order, for one GEMM per output frame (bitwise the one GEMM where
-    _conv_runs' GEMMs are), and the rule keeps the input, gathering the 3-D
-    columns once for the weight gradient. Larger columns are never all
-    alive: their forward gathers and contracts one run of output frames at a
-    time (_conv_runs), and their rule keeps the input instead. Its backward
-    walks the same runs: it gathers a run's columns again, adds
-    g_run @ cols.T into the weight gradient, then forms the run's column
-    gradient w.T @ g_run in the same buffer and scatters it into the run's
-    frames of the padded input gradient. So neither direction holds more
-    than one run of columns. The output, the input gradient and the bias
-    gradient are bitwise the kept route's where _conv_runs' GEMMs are; the
-    weight gradient differs in its last bits.
-    """
-    if x.ndim != 5:
-        raise ValueError(f"conv3d: input must be rank 5, got shape {x.shape}")
+def _conv_geometry(shape, weight: np.ndarray, bias: Optional[np.ndarray], stride, padding):
+    """Check conv3d's arguments; return stride, padding and the output extents as triples."""
+    if len(shape) != 5:
+        raise ValueError(f"conv3d: input must be rank 5, got shape {shape}")
     if weight.ndim != 5:
         raise ValueError(f"conv3d: weight must be rank 5, got shape {weight.shape}")
     stride = _triple(stride, "stride")
     padding = _triple(padding, "padding")
-    n, cin, f, h, w = x.shape
-    cout, cin_w, kf, kh, kw = weight.shape
+    cin, (cout, cin_w) = shape[1], weight.shape[:2]
     if cin != cin_w:
         raise ValueError(
             f"conv3d: input has {cin} channels but weight expects {cin_w} along the channel axis"
         )
     if bias is not None and bias.shape != (cout,):
         raise ValueError(f"conv3d: bias shape {bias.shape} does not match {cout} output channels")
+    return stride, padding, _check_window_geometry("conv3d", shape[2:], weight.shape[2:], stride,
+                                                   padding)
+
+
+def _conv(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], stride, padding, out_shape):
+    """conv3d's forward and rule on arrays: (out, reads_input, rule).
+
+    The windows are gathered into columns (im2col) and contracted with the
+    weight. Columns of at most KEEP_COLUMNS_BYTES, and those of a 1x1x1
+    kernel (a view of the strided input), are gathered at once, contracted
+    in one GEMM and kept for the weight gradient (at 1x1x1 and stride 1 they
+    are the input, which the rule reads instead). With one input channel
+    (and a larger kernel) each padded input frame's taps are gathered once;
+    output frame t's columns are a view of frames sf*t on, in the 3-D K
+    order, for one GEMM per output frame (bitwise the one GEMM where
+    _conv_runs' GEMMs are), and the rule reads the input, gathering the 3-D
+    columns once for the weight gradient. Larger columns are never all
+    alive: their forward gathers and contracts one run of output frames at a
+    time (_conv_runs), and their rule reads the input instead. Its backward
+    walks the same runs: it gathers a run's columns again, adds
+    g_run @ cols.T into the weight gradient, then forms the run's column
+    gradient w.T @ g_run in the same buffer and scatters it into the run's
+    frames of the padded input gradient. So neither direction holds more
+    than one run of columns. The output, the input gradient and the bias
+    gradient are bitwise the kept route's where _conv_runs' GEMMs are; the
+    weight gradient differs in its last bits. rule(g, xd, needs) gives the
+    gradients of (x, weight(, bias)) that needs (requires_grad flags) asks
+    for; xd is the input, or its values formed again, if reads_input.
+    """
+    n, cin = xd.shape[:2]
+    cout, _, kf, kh, kw = wd.shape
     kernel = (kf, kh, kw)
-    out_shape = _check_window_geometry("conv3d", (f, h, w), kernel, stride, padding)
     fo, ho, wo = out_shape
     kdim = cin * kf * kh * kw
     loc = fo * ho * wo
 
-    xp = _pad5(x.data, padding)
+    xp = _pad5(xd, padding)
     padded_shape = xp.shape
-    w2 = weight.data.reshape(cout, kdim)
+    w2 = wd.reshape(cout, kdim)
     kept = kernel == (1, 1, 1) or n * kdim * loc * xp.itemsize <= KEEP_COLUMNS_BYTES
     shared = kept and cin == 1 and kernel != (1, 1, 1)
+    cols2 = None
     if shared:  # frame t's K = (kf, kh, kw) steps one Ho*Wo plane from frame sf*t on
-        xd, cols2, fp = x.data, None, xp.shape[2]
+        fp = xp.shape[2]
         frames = np.empty((n, fp, kh, kw, ho, wo), dtype=xp.dtype)
         _gather_windows(xp, (1, kh, kw), (1, *stride[1:]), (fp, ho, wo),
                         out=frames[:, None, None].transpose(0, 1, 2, 4, 5, 3, 6, 7))
@@ -285,25 +262,22 @@ def conv3d(
             np.matmul(w2, cols[:, t], out=out.reshape(n, cout, fo, -1)[:, :, t])
         del frames, cols
     elif kept:
-        xd = None
         cols2 = _gather_windows(xp, kernel, stride, out_shape).reshape(n, kdim, loc)
         out = np.matmul(w2, cols2)  # (N, Co, L)
+        if kernel == stride == (1, 1, 1):  # the columns are a view of the input
+            cols2 = None
     else:
-        xd, cols2 = x.data, None
         out = np.empty((n, cout, loc), dtype=np.result_type(w2, xp))
         for i, pos, span, cols in _conv_runs(n, cin, kernel, stride, out_shape, xp.dtype):
             _gather_windows(xp[i : i + 1, :, span], kernel, stride, cols.shape[-3:], out=cols)
             np.matmul(w2, cols.reshape(kdim, -1), out=out[i, :, pos])
     del xp
-    if bias is not None:
-        out += bias.data[:, None]
+    if bd is not None:
+        out += bd[:, None]
     out = out.reshape(n, cout, fo, ho, wo)
 
-    inputs = [x, weight] if bias is None else [x, weight, bias]
-    need_x, need_w = x.requires_grad, weight.requires_grad
-    need_b = None if bias is None else bias.requires_grad
-
-    def backward_fn(g):
+    def rule(g, xd, needs):
+        need_x, need_w, need_b = needs
         g2 = g.reshape(n, cout, loc)
         dxp = dw = None
         if kept:
@@ -314,7 +288,7 @@ def conv3d(
                     _gather_windows(_pad5(xd, padding), kernel, stride, out_shape,
                                     out=cflat.transpose(3, 4, 0, 1, 2, 5, 6, 7))
                 else:
-                    cflat = cols2.transpose(1, 0, 2)
+                    cflat = (xd.reshape(n, kdim, -1) if cols2 is None else cols2).transpose(1, 0, 2)
                 dw = gflat @ cflat.reshape(kdim, n * loc).T
             if need_x:
                 dcols = np.matmul(w2.T, g2).reshape(n, cin, kf, kh, kw, fo, ho, wo)
@@ -344,7 +318,18 @@ def conv3d(
             return (dx, dw)
         return (dx, dw, g2.sum(axis=(0, 2)) if need_b else None)
 
-    return _finish("conv3d", out, inputs, backward_fn)
+    return out, cols2 is None, rule
+
+
+def conv3d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride=1, padding=0) -> Tensor:
+    """3-D cross-correlation of (N,C,F,H,W) input with (Co,Ci,kf,kh,kw) weight (_conv)."""
+    bd = None if bias is None else bias.data
+    geometry = _conv_geometry(x.shape, weight.data, bd, stride, padding)
+    out, reads_x, rule = _conv(x.data, weight.data, bd, *geometry)
+    xd = x.data if reads_x else None
+    needs = (x.requires_grad, weight.requires_grad, None if bias is None else bias.requires_grad)
+    return _finish("conv3d", out, [x, weight] + ([] if bias is None else [bias]),
+                   lambda g: rule(g, xd, needs))
 
 
 def _channel_blocks(x: np.ndarray) -> list[tuple[slice, slice]]:
@@ -395,16 +380,10 @@ class _BatchNorm:
     buffers in place by BN_MOMENTUM toward them. Eval mode normalizes with
     the running buffers. BN_EPS is added to the variance.
 
-    normalize forms scale * xhat + shift for a block, with xhat = (x - mean)
-    * inv_std, into the destination it is given. The rule (backward) keeps
-    x, not xhat, which costs no more than xhat would and nothing where
-    another rule keeps x too, and forms each block's xhat again with the
-    same two ops, so its values are the forward's. It reads the output
-    gradient one block at a time, through the caller's grad(block), and
-    never whole: once for the four channel sums, and in train mode again
-    to form dx unless the caller handed dx over, each block's xhat taken
-    from x before its dx is written. So when the rule owns x (owns_x) dx
-    goes into x's own storage, and the stem's rule makes no full-size array.
+    The rule (backward) keeps x, not xhat, which costs no more than xhat
+    would and nothing where another rule keeps x too, and forms each
+    block's xhat again with the same two ops (centred), so its values are
+    the forward's, always from x's block before its dx is written there.
     """
 
     def __init__(self, op: str, x: Tensor, gamma: Tensor, beta: Tensor,
@@ -451,10 +430,11 @@ class _BatchNorm:
             xb *= self.inv_std[:, ch]
         return xb
 
-    def normalize(self, ch: slice, dest: np.ndarray, src: np.ndarray) -> None:
+    def normalize(self, ch: slice, dest: np.ndarray, src: np.ndarray) -> np.ndarray:
         """scale * xhat + shift of src's channels ch, formed in dest."""
         np.multiply(self.scale[:, ch], self.centred(ch, dest, src), out=dest)
         dest += self.shift[:, ch]
+        return dest
 
     def owns_x(self, dtype) -> bool:
         """Whether x's storage may take x's gradient, of dtype: the dtypes
@@ -476,7 +456,8 @@ class _BatchNorm:
         grad(block) gives the output gradient's block, of dtype, in a buffer
         the rule may overwrite. dx, of dtype and x's shape, takes x's
         gradient. A caller hands over dx when grad's buffers are its blocks:
-        batchnorm3d hands over g, and the pool a one-block scratch. The
+        batchnorm3d hands over g (a unit, its conv's input gradient, which
+        grad masks block by block), and the pool a one-block scratch. The
         first pass then leaves each block's dxhat there for the second.
         With no dx, dx is x's own storage if the rule owns x (owns_x), else
         a new array, and the second pass asks grad for each block again.
@@ -798,32 +779,62 @@ def trilinear_upsample(x: Tensor, target) -> Tensor:
     return _finish("trilinear_upsample", out, [x], backward_fn)
 
 
-def batchnorm3d(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    training: bool,
-) -> Tensor:
-    """Per-channel normalization over (N,F,H,W) with EMA running statistics.
+def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+                running_var: np.ndarray, training: bool, conv=None) -> Tensor:
+    """Per-channel normalization over (N,F,H,W) with EMA running statistics
+    (_BatchNorm), each block's xhat formed in the output, never full-size.
 
-    Train mode normalizes with biased batch statistics and moves the running
-    buffers in place by BN_MOMENTUM toward them. Eval mode normalizes with
-    the running buffers. BN_EPS is added to the variance. The statistics,
-    the per-block map and the rule are _BatchNorm's; the output pass forms
-    each block's xhat in the block of the output being made, so no
-    full-size xhat is made.
+    conv = (weight, bias, stride, padding) makes the op the pre-activation
+    unit conv3d(relu(batchnorm3d(x))), bitwise, as one node with inputs [x,
+    gamma, beta, weight(, bias)]. The normalized array is scanned, made its
+    ReLU in place and convolved (_conv); a non-finite conv output raises as
+    conv3d's. The rule keeps x, not the activated array, and the kept
+    route's k>1 columns. Backward forms relu(bn(x)) again, bitwise, for a
+    conv rule that reads its input. It masks the conv's input gradient one
+    block at a time, as _BatchNorm.backward reads it, with that array, or
+    else with each block formed again from x in a one-block scratch.
     """
     if x.ndim != 5:
         raise ValueError(f"batchnorm3d: input must be rank 5, got shape {x.shape}")
-    out = np.empty(x.shape, np.result_type(gamma.data, x.data))
+    if conv is not None:
+        weight, bias, stride, padding = conv
+        bd = None if bias is None else bias.data
+        geometry = _conv_geometry(x.shape, weight.data, bd, stride, padding)
+    dtype = np.result_type(gamma.data, x.data)
+    out = np.empty(x.shape, dtype)
     bn = _BatchNorm("batchnorm3d", x, gamma, beta, running_mean, running_var, training,
                     out.__getitem__)
-    for block in bn.blocks:
-        bn.normalize(block[1], out[block], x.data[block])
-    return _finish("batchnorm3d", out, [x, gamma, beta],
-                   lambda g: bn.backward(g.__getitem__, g.dtype, g))
+    xd, blocks = x.data, bn.blocks
+    for block in blocks:
+        bn.normalize(block[1], out[block], xd[block])
+    if conv is None:
+        return _finish("batchnorm3d", out, [x, gamma, beta],
+                       lambda g: bn.backward(g.__getitem__, g.dtype, g))
+    if not np.all(np.isfinite(out)):  # before the ReLU hides a -inf
+        raise NonFiniteError("batchnorm3d produced non-finite values")
+    out, reads_a, rule = _conv(np.maximum(out, 0, out=out), weight.data, bd, *geometry)
+    needs = (any(bn.needs), weight.requires_grad, None if bias is None else bias.requires_grad)
+
+    def backward_fn(g):
+        act = None
+        if reads_a:  # the conv's input again, bitwise the forward's
+            act = np.empty(xd.shape, dtype)
+            for block in blocks:
+                np.maximum(bn.normalize(block[1], act[block], xd[block]), 0, out=act[block])
+        da, *dconv = rule(g, act, needs)
+        if da is None:
+            return (None, None, None, *dconv)
+        scratch = None if reads_a else np.empty(xd[blocks[0]].shape, dtype)
+
+        def grad(block):  # da's block, masked where relu(bn(x)) is 0
+            sb = act[block] if reads_a else bn.normalize(
+                block[1], scratch[:, : da[block].shape[1]], xd[block])
+            return np.multiply(da[block], sb > 0, out=da[block])
+
+        return (*bn.backward(grad, da.dtype, da), *dconv)
+
+    return _finish("conv3d", out, [x, gamma, beta, weight] + ([] if bias is None else [bias]),
+                   backward_fn)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -192,10 +192,12 @@ def test_fixed_rng_gives_identical_reports(rng):
     assert r1.worst.coord == r2.worst.coord
 
 
-@pytest.mark.parametrize("name", ["maxpool3d", "add", "mul", "add_scalar", "reshape", "sum_all"])
+@pytest.mark.parametrize("name", ["maxpool3d", "add", "mul", "add_scalar", "reshape", "sum_all",
+                                  "batchnorm3d"])
 def test_maxpool_suite_has_no_near_ties_on_any_seed(name):
     # maxpool3d: seed 23 once drew two window values 1.2e-4 apart, closer than
-    # the FD step; the rows added after it must pass on every seed as well
+    # the FD step; the rows added after it must pass on every seed as well,
+    # and so must batchnorm3d's unit cases, whose ReLU has a kink
     for seed in range(60):
         reports = OPERATOR_CHECKS[name](seed)
         assert all(r.passed for r in reports), (seed, [str(r) for r in reports])
@@ -243,10 +245,11 @@ def test_network_check_passes_where_a_kink_lies_near_the_point(seed):
     assert report.coords_checked >= 64
 
 
-@pytest.mark.parametrize("name", ["conv3d", "add_scalar", "maxpool3d"])
+@pytest.mark.parametrize("name", ["conv3d", "add_scalar", "maxpool3d", "batchnorm3d"])
 def test_network_check_detects_a_mutated_backward(name):
     # add_scalar is reached only through the attention fusion (1 + mask) * trunk,
-    # and the stem's batchnorm only through maxpool3d's norm
+    # the stem's batchnorm only through maxpool3d's norm, and every other
+    # batchnorm, with its ReLU and conv, through batchnorm3d's conv
     with mutate_backward(name):
         report = network_check(seed=0)
     assert not report.passed, str(report)

@@ -266,17 +266,17 @@ def test_every_desk_conv_at_batch_6_keeps_its_columns(monkeypatch):
     """Desk training stays bitwise stable while no conv takes the regather
     route, whose weight gradient is summed run by run."""
     columns = []
-    conv3d = ops.conv3d
+    conv = ops._conv  # every conv's forward: conv3d's and each pre-activation unit's
 
-    def measured(x, weight, *args, **kwargs):
-        out = conv3d(x, weight, *args, **kwargs)
-        columns.append(out.size // weight.shape[0] * weight.data[0].size * x.data.itemsize)
-        return out
+    def measured(xd, wd, *args):
+        out, *rest = conv(xd, wd, *args)
+        columns.append(out.size // wd.shape[0] * wd[0].size * xd.itemsize)
+        return (out, *rest)
 
     def regather(*args):
         raise AssertionError("a desk conv took the regather route")
 
-    monkeypatch.setattr(ops, "conv3d", measured)
+    monkeypatch.setattr(ops, "_conv", measured)
     monkeypatch.setattr(ops, "_conv_runs", regather)
     net = build_res3atn(DESK_SPEC, seed=0)
     x = Tensor(np.random.default_rng(0).normal(size=(6, 1, 16, 24, 24)).astype(np.float32))
@@ -304,10 +304,22 @@ def test_full_geometry_training_step_stays_under_its_traced_memory_peak():
         peak = (tracemalloc.get_traced_memory()[1] - before) / 2**20
     finally:
         tracemalloc.stop()
-    # 295.7 MiB above the parameters, velocities and clip: the tape after
+    # 241.6 MiB above the parameters, velocities and clip: the tape after
     # the forward, then the stem conv output sharing its storage with its
-    # gradient; a second full-size stem array would add 98 MiB
-    assert peak < 310.0
+    # gradient; a second full-size stem array would add 98 MiB. The ReLU
+    # outputs of the pre-activation units, which batchnorm3d's conv forms
+    # again in backward, would add 54 MiB (295.4 when units kept them)
+    assert peak < 255.0
+
+
+def test_a_desk_step_records_one_node_per_pre_activation_unit():
+    """A taped DESK_NET step at batch 6: each of the 72 batchnorm-ReLU-conv
+    units is one node (ops.batchnorm3d's conv), not three."""
+    net = build_res3atn(DESK_SPEC, seed=0)
+    x = Tensor(np.random.default_rng(0).normal(size=(6, 1, 16, 24, 24)).astype(np.float32))
+    with Tape() as tape:
+        ops.softmax_cross_entropy(net(x), np.arange(6) % 4)
+    assert len(tape.nodes) == 132
 
 
 _STEP_FAULTS = """

@@ -989,6 +989,127 @@ def test_taped_normalizing_maxpool_allocates_its_output_winners_and_a_few_blocks
     assert peak < kept + 3 * ops.BLOCK_BYTES
 
 
+def _unit_run(arrays, g, training, conv, fused):
+    """Output, running buffers and the gradients of x, gamma, beta, the
+    weight and the bias (if any) of one taped pre-activation unit:
+    batchnorm3d's conv if fused, else batchnorm3d, relu and conv3d."""
+    c = arrays[0].shape[1]
+    rm = np.linspace(-0.5, 0.5, c).astype(np.float32)
+    rv = np.linspace(0.5, 2.0, c).astype(np.float32)
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    (x, gamma, beta, weight), bias = tensors[:4], (tensors[4:] or [None])[0]
+    stride, padding = conv
+    with Tape() as tape:
+        if fused:
+            out = ops.batchnorm3d(x, gamma, beta, rm, rv, training,
+                                  conv=(weight, bias, stride, padding))
+        else:
+            act = ops.relu(ops.batchnorm3d(x, gamma, beta, rm, rv, training))
+            out = ops.conv3d(act, weight, bias, stride, padding)
+        loss = ops.sum_all(ops.mul(out, Tensor(g)))
+    assert len(tape.nodes) == (3 if fused else 5)  # one node for the unit
+    backward(loss)
+    return [out.data, rm, rv] + [t.grad for t in tensors]
+
+
+# (cin, kernel, stride, padding, keep columns): every route of the unit's
+# conv. A 1x1x1 stride-1 conv's columns are the activated input, which the
+# rule forms again; at stride 2 they are a kept copy, as the kept k>1
+# columns are, so the rule masks one block at a time from x; one input
+# channel shares frame columns; with no columns kept, the conv regathers.
+@pytest.mark.parametrize("cin, kernel, stride, padding, keep", [
+    (4, 1, 1, 0, True), (4, 1, 2, 0, True), (3, 3, 2, 1, True), (1, 3, 1, 1, True),
+    (3, 3, 1, 1, False),
+])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("use_bias", [True, False])
+def test_batchnorm_unit_bitwise_equals_batchnorm_relu_conv(cin, kernel, stride, padding, keep,
+                                                          training, use_bias, monkeypatch):
+    if not keep:
+        monkeypatch.setattr(ops, "KEEP_COLUMNS_BYTES", 0)
+    rng = np.random.default_rng(cin * kernel * stride)
+    shape = (2, cin, 5, 6, 7)
+    data = rng.normal(size=shape).astype(np.float32)
+    data[0, 0, 0, 0, :3] = 0.0  # some cells normalize to exactly 0 in eval mode
+    gamma = rng.uniform(-1.5, 1.5, cin).astype(np.float32)
+    beta = (rng.normal(size=cin) * 0.5).astype(np.float32)
+    weight = rng.normal(size=(3, cin) + (kernel,) * 3).astype(np.float32)
+    arrays = [data, gamma, beta, weight] + ([rng.normal(size=3).astype(np.float32)]
+                                            if use_bias else [])
+    out_shape = ops._check_window_geometry("conv3d", shape[2:], (kernel,) * 3, (stride,) * 3,
+                                           (padding,) * 3)
+    g = rng.normal(size=(2, 3, *out_shape)).astype(np.float32)
+    for blocked in (False, True):
+        if blocked and cin > 1:
+            assert _blocks_of(monkeypatch, data, 1) == 2 * cin
+        want = _unit_run(arrays, g, training, (stride, padding), fused=False)
+        got = _unit_run(arrays, g, training, (stride, padding), fused=True)
+        assert len(got) == len(want) == 7 + use_bias
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kernel, padding", [(1, 0), (3, 1)])
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_unit_gradients_follow_requires_grad(kernel, padding, training, rng):
+    arrays = [rng.normal(size=(2, 3, 3, 4, 4)).astype(np.float32),
+              rng.uniform(-1.5, 1.5, 3).astype(np.float32), rng.normal(size=3).astype(np.float32),
+              rng.normal(size=(2, 3) + (kernel,) * 3).astype(np.float32),
+              rng.normal(size=2).astype(np.float32)]
+    rm, rv = np.zeros(3, np.float32), np.ones(3, np.float32)
+    proj = rng.normal(size=(2, 2, 3, 4, 4)).astype(np.float32)
+
+    def unit(x, gamma, beta, weight, bias):
+        return ops.batchnorm3d(x, gamma, beta, rm, rv, training, conv=(weight, bias, 1, padding))
+
+    _assert_grads_follow_requires_grad(unit, arrays, proj)
+
+
+@pytest.mark.parametrize("kernel, padding", [(1, 0), (3, 1)])
+def test_taped_batchnorm_unit_keeps_its_input_not_its_activation(kernel, padding, rng):
+    x = Tensor(rng.normal(size=(2, 4, 8, 16, 16)).astype(np.float32), requires_grad=True)
+    gamma = Tensor(np.ones(4, np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(4, np.float32), requires_grad=True)
+    weight = Tensor(rng.normal(size=(4, 4) + (kernel,) * 3).astype(np.float32),
+                    requires_grad=True)
+    rm, rv = np.zeros(4, np.float32), np.ones(4, np.float32)
+    columns = x.data.nbytes * kernel**3  # kept for a 3x3x3 kernel, within the limit
+    assert columns <= ops.KEEP_COLUMNS_BYTES
+    tracemalloc.start()
+    try:
+        with Tape():
+            before, _ = tracemalloc.get_traced_memory()
+            out = ops.batchnorm3d(x, gamma, beta, rm, rv, True, conv=(weight, None, 1, padding))
+            grown = tracemalloc.get_traced_memory()[0] - before
+            loss = ops.sum_all(out)
+    finally:
+        tracemalloc.stop()
+    # the output and the conv's kept columns (none at 1x1x1); the rule keeps
+    # x, which was alive already, and forms relu(bn(x)) again in backward;
+    # a kept activation would add x.nbytes
+    kept = out.data.nbytes + (columns if kernel > 1 else 0)
+    assert kept <= grown < kept + x.data.nbytes // 8
+    backward(loss)
+    assert all(t.grad.shape == t.shape for t in (x, gamma, beta, weight))
+
+
+def test_batchnorm_unit_names_the_stage_that_is_not_finite(rng):
+    x = Tensor(rng.normal(size=(2, 2, 3, 4, 4)).astype(np.float32))
+    rm, rv = np.zeros(2, np.float32), np.ones(2, np.float32)
+    weight = Tensor(np.ones((2, 2, 1, 1, 1), np.float32))
+
+    def unit(beta):
+        ops.batchnorm3d(x, Tensor(np.ones(2, np.float32)), Tensor(beta), rm, rv, True,
+                        conv=(weight, None, 1, 0))
+
+    # channel 0 normalizes to -inf, which the ReLU would turn into 0s
+    with pytest.raises(ops.NonFiniteError, match=r"^batchnorm3d produced non-finite values$"):
+        unit(np.array([-np.inf, 0.0], np.float32))
+    weight.data[0, 0] = np.nan
+    with pytest.raises(ops.NonFiniteError, match=r"^conv3d produced non-finite values$"):
+        unit(np.zeros(2, np.float32))
+
+
 def _stem_run(data, gamma, beta, g, keep, reader, dtype=np.float32):
     """One taped normalizing pool of x = x0 + 0, a new array, as the stem
     pools its conv output. keep holds x until backward has run. reader is

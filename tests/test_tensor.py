@@ -296,7 +296,7 @@ def _desk_param_grads(monkeypatch, hold_outputs: bool) -> dict:
         loss = ops.softmax_cross_entropy(net(x), rng.integers(0, 4, size=6))
     backward(loss)
     monkeypatch.undo()
-    assert len(held) > 200 if hold_outputs else not held
+    assert len(held) == 132 if hold_outputs else not held  # every node's output
     return {name: p.grad for name, p in net.named_parameters()}
 
 
