@@ -7,7 +7,8 @@ the fixed ELASTIC_SIGMA and ELASTIC_ALPHA, and 0-1 normalization into a
 (1, C, F, H, W) float32 tensor. Random draws use one generator per clip so
 a factor, a crop offset, and a displacement field pair are shared by every
 frame of that clip. Evaluation uses the centered frame window and center
-crop at scale 1 with no elastic displacement.
+crop at scale 1 with no elastic displacement. The synthetic motion clips
+(synth_dataset) are fixed by their seed, byte for byte.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ops import _linear_axis_coeffs
+from .ops import BLOCK_BYTES, _linear_axis_coeffs
 
 SCALE_SET = (1.0, 2.0 ** -0.25, 2.0 ** -0.75, 0.5)
 
@@ -289,6 +290,12 @@ def synth_dataset(
     Start position, speed, blob size, and brightness jitter per clip; the
     path stays centered enough that any crop covering the image center sees
     the blob mid-clip. `stream` separates train/eval splits under one seed.
+
+    A clip's bytes are fixed by (seed, stream, label, index), which seed its
+    draws: radius r, travel, centre, brightness b, gains, then noise u frame
+    by frame. A pixel is rint(255 * clip(noise_level * u + b * exp(-d2 / (2
+    * r * r)) * gain, 0, 1)), d2 its squared distance to the blob's track,
+    in that order of ops, in place, a chunk of frames (BLOCK_BYTES) at a time.
     """
     names = synth_class_names(num_classes)
     if clips_per_class < 1:
@@ -301,7 +308,9 @@ def synth_dataset(
         raise ValueError("noise_level must lie in [0, 1]")
     if channels not in (1, 3):
         raise ValueError("channels must be 1 or 3")
-    yy, xx = np.meshgrid(np.arange(extent), np.arange(extent), indexing="ij")
+    axis, steps = np.arange(extent), np.arange(frames) / (frames - 1)
+    chunk = min(frames, max(1, BLOCK_BYTES // ((2 + channels) * extent * extent * 8)))
+    scratch = np.empty((2 + channels, chunk, extent, extent))  # blob, noise, pixels by channel
     clips = []
     for label, name in enumerate(names):
         direction = class_direction(name)
@@ -315,14 +324,21 @@ def synth_dataset(
             brightness = rng.uniform(0.75, 1.0)
             gains = rng.uniform(0.7, 1.0, size=channels)
             start = center - direction * travel / 2.0
+            pos = start + (direction * travel) * steps[:, None]  # (frames, 2): the blob's track
+            dy, dx = (axis - pos[:, :1]) ** 2, (axis - pos[:, 1:]) ** 2
             video = np.empty((frames, extent, extent, channels), dtype=np.uint8)
-            for t in range(frames):
-                pos = start + direction * travel * (t / (frames - 1))
-                dist2 = (yy - pos[0]) ** 2 + (xx - pos[1]) ** 2
-                blob = brightness * np.exp(-dist2 / (2.0 * radius * radius))
-                noise = noise_level * rng.uniform(0.0, 1.0, (extent, extent))
-                frame = 255.0 * np.clip(noise[:, :, None] + blob[:, :, None] * gains, 0.0, 1.0)
-                video[t] = np.rint(frame).astype(np.uint8)
+            for t in range(0, frames, chunk):
+                k = min(chunk, frames - t)
+                blob = np.add(dy[t : t + k, :, None], dx[t : t + k, None, :], out=scratch[0, :k])
+                np.divide(np.negative(blob, out=blob), 2.0 * radius * radius, out=blob)
+                np.multiply(np.exp(blob, out=blob), brightness, out=blob)
+                noise = rng.random(out=scratch[1, :k])  # uniform(0, 1)'s draws: 0 + 1 * u is u
+                noise *= noise_level
+                frame = np.multiply(blob, gains[:, None, None, None], out=scratch[2:, :k])
+                np.clip(np.add(frame, noise, out=frame), 0.0, 1.0, out=frame)
+                np.rint(np.multiply(frame, 255.0, out=frame), out=frame)
+                for c in range(channels):  # channel-major, no op runs along an axis of 3
+                    video[t : t + k, ..., c] = frame[c]
             clips.append(LabeledClip(video, label, f"{name}_{i:04d}"))
     return clips
 

@@ -337,18 +337,18 @@ def _channel_blocks(x: np.ndarray) -> list[tuple[slice, slice]]:
 
     A block is one contiguous run of whole channels within one sample, at
     most BLOCK_BYTES (or one channel, if a channel alone is larger), listed
-    sample by sample; an x no larger than BLOCK_BYTES is one block. For a
-    C-contiguous x, numpy's reduction over axes (0, 2, 3, 4) pairwise-sums
-    each sample's contiguous run of every channel and adds those sums in
-    sample order, so per-block sums added up in list order (_channel_sum)
-    give its bits. Reducing a strided channel slice of an N > 1 array does
-    not.
+    run by run and each run sample by sample; an x no larger than
+    BLOCK_BYTES is one block. For a C-contiguous x, numpy's reduction over
+    axes (0, 2, 3, 4) pairwise-sums each sample's contiguous run of every
+    channel and adds those sums in sample order, so per-block sums added up
+    in list order (_channel_sum) give its bits. Reducing a strided channel
+    slice of an N > 1 array does not.
     """
     n, c = x.shape[:2]
     if x.nbytes <= BLOCK_BYTES:
         return [(slice(None), slice(None))]
     run = max(1, BLOCK_BYTES // (x.nbytes // (n * c)))  # channels per block
-    return [(slice(i, i + 1), slice(j, j + run)) for i in range(n) for j in range(0, c, run)]
+    return [(slice(i, i + 1), slice(j, j + run)) for j in range(0, c, run) for i in range(n)]
 
 
 def _channel_sum(total: np.ndarray, block, part: np.ndarray) -> None:
@@ -461,6 +461,8 @@ class _BatchNorm:
         first pass then leaves each block's dxhat there for the second.
         With no dx, dx is x's own storage if the rule owns x (owns_x), else
         a new array, and the second pass asks grad for each block again.
+        Both passes go run by run (_channel_blocks), and a run of one block,
+        as every run is at N = 1, keeps the first pass's dxhat for the second.
         """
         # dx is formed from dxhat = g * scale, in the order of the
         # expressions (inv_std / m) * (m * dxhat - sum_dxhat - xhat *
@@ -474,30 +476,32 @@ class _BatchNorm:
         dgamma, sum_dxhat_xhat = np.empty((2, *gshape), dtype=xd.dtype)
         dbeta, sum_dxhat = np.empty((2, *gshape), dtype=dtype)
         scratch = np.empty_like(xd[blocks[0]])
-        for block in blocks:
-            ch, gb = (slice(None), block[1]), grad(block)
-            sb = scratch[:, : gb.shape[1]]
-            if need_gamma:
-                xb = self.centred(block[1], sb, xd[block])
-                _channel_sum(dgamma, block, np.multiply(gb, xb, out=xb))
-            if need_beta:
-                _channel_sum(dbeta, block, gb)
-            if not need_x:
+        for run in [list(r) for _, r in itertools.groupby(blocks, lambda b: b[1])]:
+            for block in run:
+                ch, gb = (slice(None), block[1]), grad(block)
+                sb = scratch[:, : gb.shape[1]]
+                if need_gamma:
+                    xb = self.centred(block[1], sb, xd[block])
+                    _channel_sum(dgamma, block, np.multiply(gb, xb, out=xb))
+                if need_beta:
+                    _channel_sum(dbeta, block, gb)
+                if not need_x:
+                    continue
+                dxhat = np.multiply(gb, scale[ch], out=gb)  # dgamma and dbeta have read g
+                if self.training:
+                    _channel_sum(sum_dxhat, block, dxhat)
+                    xb = self.centred(block[1], sb, xd[block])
+                    _channel_sum(sum_dxhat_xhat, block, np.multiply(dxhat, xb, out=xb))
+                else:  # x's block has been read
+                    np.multiply(dxhat, inv_std[ch], out=dx[block])
+            if not (need_x and self.training):
                 continue
-            dxhat = np.multiply(gb, scale[ch], out=gb)  # dgamma and dbeta have read g
-            if self.training:
-                _channel_sum(sum_dxhat, block, dxhat)
-                xb = self.centred(block[1], sb, xd[block])
-                _channel_sum(sum_dxhat_xhat, block, np.multiply(dxhat, xb, out=xb))
-            else:  # x's block has been read
-                np.multiply(dxhat, inv_std[ch], out=dx[block])
-        if need_x and self.training:
-            for block in blocks:
+            for block in run:  # the run's sums are final; one block keeps its dxhat
                 ch = (slice(None), block[1])
-                if again:
+                if len(run) > 1 and again:
                     gb = grad(block)
                     dxhat = np.multiply(gb, scale[ch], out=gb)
-                else:
+                elif len(run) > 1:
                     dxhat = dx[block]
                 dxhat *= m
                 dxhat -= sum_dxhat[ch]
@@ -598,9 +602,9 @@ def maxpool3d(x: Tensor, kernel, stride=None, padding=0, norm=None) -> Tensor:
     strided interiors is slower), so winners are found on normalized
     values, as without norm. Its rule is batchnorm's (_BatchNorm.backward),
     fed one block at a time: each block's scatter above goes into a zeroed
-    one-block scratch. An x of one block hands that scratch over as dx; an
-    x of many blocks is scattered again in the rule's second pass, and its
-    gradient goes into x's own storage when the rule owns x, so no
+    one-block scratch. An x of one block hands that scratch over as dx; at
+    N > 1, an x of many blocks is scattered again in the rule's second pass;
+    its gradient goes into x's own storage when the rule owns x, so no
     full-size array is made, and into a new array otherwise.
     """
     if x.ndim != 5:

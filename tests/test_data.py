@@ -1,11 +1,14 @@
 """Clip containers, augmentation chain, synthetic data, and the file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from res3atn.data import (
     ELASTIC_ALPHA,
     ELASTIC_SIGMA,
+    EVAL_STREAM,
     AugmentConfig,
     ClipFormatError,
     LabeledClip,
@@ -257,6 +260,72 @@ def test_synth_dataset_is_deterministic():
     a = synth_dataset(4, 2, seed=3)
     b = synth_dataset(4, 2, seed=3)
     assert all(np.array_equal(x.frames, y.frames) for x, y in zip(a, b))
+
+
+def _synth_oracle(num_classes, clips_per_class, frames=16, extent=48, noise_level=0.1,
+                  channels=1, seed=0, stream=0):
+    """The per-frame generator: (frames, label, id) of each clip synth_dataset makes."""
+    yy, xx = np.meshgrid(np.arange(extent), np.arange(extent), indexing="ij")
+    clips = []
+    for label, name in enumerate(synth_class_names(num_classes)):
+        direction = class_direction(name)
+        for i in range(clips_per_class):
+            rng = np.random.default_rng(
+                np.random.SeedSequence((int(seed), int(stream), label, i))
+            )
+            radius = extent * rng.uniform(0.07, 0.10)
+            travel = extent * rng.uniform(0.28, 0.36)
+            center = extent / 2.0 + rng.uniform(-extent / 16.0, extent / 16.0, size=2)
+            brightness = rng.uniform(0.75, 1.0)
+            gains = rng.uniform(0.7, 1.0, size=channels)
+            start = center - direction * travel / 2.0
+            video = np.empty((frames, extent, extent, channels), dtype=np.uint8)
+            for t in range(frames):
+                pos = start + direction * travel * (t / (frames - 1))
+                dist2 = (yy - pos[0]) ** 2 + (xx - pos[1]) ** 2
+                blob = brightness * np.exp(-dist2 / (2.0 * radius * radius))
+                noise = noise_level * rng.uniform(0.0, 1.0, (extent, extent))
+                frame = 255.0 * np.clip(noise[:, :, None] + blob[:, :, None] * gains, 0.0, 1.0)
+                video[t] = np.rint(frame).astype(np.uint8)
+            clips.append((video, label, f"{name}_{i:04d}"))
+    return clips
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("options", [
+    dict(num_classes=4, clips_per_class=50),  # the desk train split: 16x48x48x1
+    dict(num_classes=4, clips_per_class=20, stream=EVAL_STREAM),  # and its eval split
+    dict(num_classes=8, clips_per_class=1, frames=40, extent=224, channels=3),  # full geometry
+    dict(num_classes=4, clips_per_class=1, extent=128),  # chunks of 5 frames, then 1
+    dict(num_classes=4, clips_per_class=2, frames=2),
+    dict(num_classes=4, clips_per_class=2, extent=16),
+    dict(num_classes=4, clips_per_class=2, noise_level=0.0),
+    dict(num_classes=4, clips_per_class=2, noise_level=1.0),
+    dict(num_classes=4, clips_per_class=2, extent=32, channels=3),
+])
+def test_synth_dataset_bytes_equal_the_per_frame_oracle(options, seed):
+    got = synth_dataset(**options, seed=seed)
+    want = _synth_oracle(**options, seed=seed)
+    assert len(got) == len(want)
+    for clip, (frames, label, clip_id) in zip(got, want):
+        assert clip.frames.shape == frames.shape and clip.frames.tobytes() == frames.tobytes()
+        assert clip.label == label and clip.clip_id == clip_id
+
+
+def test_synth_dataset_allocates_its_clips_and_about_one_chunk():
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        clips = synth_dataset(8, 1, frames=40, extent=224, channels=3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    videos = sum(clip.frames.nbytes for clip in clips)  # 6.0 MB a clip
+    # one chunk of float64 scratch: a 224x224 frame's blob, its noise and its
+    # three channels (2.0 MB); a clip's pixels in float64 at once would add
+    # 48 MB, and its noise alone 16 MB
+    assert videos < peak < videos + (4 << 20)
 
 
 def test_synthetic_splits_are_disjoint():

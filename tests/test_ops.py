@@ -964,6 +964,32 @@ def test_normalizing_maxpool_bitwise_equals_batchnorm_then_maxpool(
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_normalizing_pool_rule_scatters_a_block_once_a_run_allows(n, monkeypatch):
+    # each grad(block) of the pool's rule zeroes a block and scatters g into
+    # it; at N = 1 a run of channels is one block, whose dxhat the rule's
+    # first pass leaves for its second, so each block is scattered once
+    rng = np.random.default_rng(n)
+    data = rng.normal(size=(n, 7, 4, 7, 6)).astype(np.float32)
+    gamma = np.array([1.5, -0.7, 0.0, 2.0, -1.2, 0.3, -1e-3], dtype=np.float32)
+    beta = rng.normal(size=7).astype(np.float32)
+    g = rng.normal(size=(n, 7, 2, 4, 3)).astype(np.float32)
+    args = (data, gamma, beta, g, True, True, 3, 2, 1)
+    want = _bn_pool_run(*args, fused=True)
+    asked = []
+    backward_rule = ops._BatchNorm.backward
+
+    def counted(self, grad, dtype, dx=None):
+        return backward_rule(self, lambda block: asked.append(block) or grad(block), dtype, dx)
+
+    monkeypatch.setattr(ops._BatchNorm, "backward", counted)
+    assert _blocks_of(monkeypatch, data, 2) == 4 * n  # runs of 2, 2, 2 and 1
+    got = _bn_pool_run(*args, fused=True)
+    assert len(asked) == 4 * n * (1 if n == 1 else 2)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_taped_normalizing_maxpool_allocates_its_output_winners_and_a_few_blocks(
         monkeypatch, rng):
     x = Tensor(rng.normal(size=(2, 8, 8, 64, 64)).astype(np.float32), requires_grad=True)
@@ -1023,12 +1049,13 @@ def _unit_run(arrays, g, training, conv, fused):
 ])
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("use_bias", [True, False])
-def test_batchnorm_unit_bitwise_equals_batchnorm_relu_conv(cin, kernel, stride, padding, keep,
+@pytest.mark.parametrize("n", [1, 2])
+def test_batchnorm_unit_bitwise_equals_batchnorm_relu_conv(n, cin, kernel, stride, padding, keep,
                                                           training, use_bias, monkeypatch):
     if not keep:
         monkeypatch.setattr(ops, "KEEP_COLUMNS_BYTES", 0)
     rng = np.random.default_rng(cin * kernel * stride)
-    shape = (2, cin, 5, 6, 7)
+    shape = (n, cin, 5, 6, 7)
     data = rng.normal(size=shape).astype(np.float32)
     data[0, 0, 0, 0, :3] = 0.0  # some cells normalize to exactly 0 in eval mode
     gamma = rng.uniform(-1.5, 1.5, cin).astype(np.float32)
@@ -1038,10 +1065,10 @@ def test_batchnorm_unit_bitwise_equals_batchnorm_relu_conv(cin, kernel, stride, 
                                             if use_bias else [])
     out_shape = ops._check_window_geometry("conv3d", shape[2:], (kernel,) * 3, (stride,) * 3,
                                            (padding,) * 3)
-    g = rng.normal(size=(2, 3, *out_shape)).astype(np.float32)
+    g = rng.normal(size=(n, 3, *out_shape)).astype(np.float32)
     for blocked in (False, True):
         if blocked and cin > 1:
-            assert _blocks_of(monkeypatch, data, 1) == 2 * cin
+            assert _blocks_of(monkeypatch, data, 1) == n * cin
         want = _unit_run(arrays, g, training, (stride, padding), fused=False)
         got = _unit_run(arrays, g, training, (stride, padding), fused=True)
         assert len(got) == len(want) == 7 + use_bias
